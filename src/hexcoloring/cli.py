@@ -245,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read reference table: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = [row for row in table if row.k <= args.kmax]
+    rows = [row for row in table if args.kmax is None or row.k <= args.kmax]
     if not rows:
         print(f"error: no reference rows with k <= {args.kmax}", file=sys.stderr)
         return EXIT_USAGE
@@ -324,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="regression against the reference table")
     p_verify.add_argument("--reference", default=None, metavar="PATH")
-    p_verify.add_argument("--kmax", type=int, default=30)
+    p_verify.add_argument(
+        "--kmax", type=int, default=None, help="check only rows up to this k (default: all)"
+    )
     p_verify.add_argument("--grid", type=int, default=None)
     p_verify.add_argument("--starts", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

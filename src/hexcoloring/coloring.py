@@ -86,6 +86,59 @@ def schemes(k: int) -> list[ColorScheme]:
     return out
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(m, x, y) with x * a + y * b = m = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+class Symmetry(NamedTuple):
+    """A relabelling of the hexagon's gap directions; it maps the tiling onto itself.
+
+    Index pairs move by (i, j) -> (a i + b j, c i + d j) with index_map
+    (a, b, c, d); shapes move to the gaps at positions gap_order of
+    (gap1, gap2, gap3), where gap3 = pi - gap1 - gap2.  For every scheme L and
+    shape x the minimum same-color gap satisfies d(L, x) = d(L', x'), with L'
+    = image_scheme(L) and x' = image_gaps(x).
+    """
+
+    index_map: tuple[int, int, int, int]
+    gap_order: tuple[int, int]
+
+    def image_scheme(self, scheme: ColorScheme) -> ColorScheme:
+        """The image sublattice, put back into its unique (g, h) form."""
+        a, b, c, d = self.index_map
+        m = scheme.rows_step
+        # images of the generators (g, 0) and (h, k/g)
+        ui, uj = a * scheme.g, c * scheme.g
+        vi, vj = a * scheme.h + b * m, c * scheme.h + d * m
+        rows, x, y = _ext_gcd(uj, vj)
+        g = scheme.k // rows
+        return ColorScheme(scheme.k, g, (x * ui + y * vi) % g)
+
+    def image_gaps(self, gap1: float, gap2: float) -> tuple[float, float]:
+        gaps = (gap1, gap2, math.pi - gap1 - gap2)
+        return gaps[self.gap_order[0]], gaps[self.gap_order[1]]
+
+
+# the six relabellings: rotation (i, j) -> (i + j, -i) with gaps
+# (gap1, gap2) -> (gap2, gap3), mirror (i, j) -> (-i - j, j) with
+# (gap1, gap2) -> (gap2, gap1), and their products; the identity comes first
+SYMMETRIES = (
+    Symmetry((1, 0, 0, 1), (0, 1)),
+    Symmetry((1, 1, -1, 0), (1, 2)),
+    Symmetry((0, 1, -1, -1), (2, 0)),
+    Symmetry((-1, -1, 0, 1), (1, 0)),
+    Symmetry((0, -1, -1, 0), (2, 1)),
+    Symmetry((1, 0, -1, -1), (0, 2)),
+)
+
+
 def enumeration_bound(k: int, slack: int = 1) -> int:
     """Index window radius ceil(2 * sqrt(k)) + slack used by enumerations."""
     return math.isqrt(4 * k - 1) + 1 + slack

@@ -10,6 +10,7 @@ rational squared gaps can be reconstructed from the floats.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -19,9 +20,10 @@ import numpy as np
 
 from .analysis import stable_dsq_rational
 from .coloring import (
+    SYMMETRIES,
     ColorScheme,
     NoTripleError,
-    TileIndex,
+    Symmetry,
     TripleRepresentation,
     canonical_triple,
     enumeration_bound,
@@ -42,6 +44,8 @@ from .geometry import (
 # coarse grids stay this far from the degenerate boundary; EPS_GEOM remains
 # the hard validity limit during refinement
 GRID_MARGIN = 0.02
+
+_log = logging.getLogger("hexcoloring.optimizer")
 
 _CLASS_RANK = {REGULAR: 0, SEMI_REGULAR: 1, RECTILINEAR: 2}
 _REGULAR_GAP = math.pi / 3.0
@@ -224,8 +228,8 @@ class _Field:
             qx = dx - t * ex
             qy = dy - t * ey
             dd = qx * qx + qy * qy
-            best = dd if best is None else np.minimum(best, dd, best)
-        out = np.sqrt(best, best)
+            best = dd if best is None else np.minimum(best, dd, out=best)
+        out = np.sqrt(best, out=best)
         out[inside] = 0.0
         return out
 
@@ -243,7 +247,7 @@ class _Field:
         out = None
         for index in offsets:
             d = self.offset_dist((index[0], index[1]))
-            out = d.copy() if out is None else np.minimum(out, d, out)
+            out = d.copy() if out is None else np.minimum(out, d, out=out)
         out[~self.valid] = -1.0
         return out
 
@@ -597,12 +601,22 @@ def _refine_semi_multi(offsets, vals, centers, options: SolveOptions, cell: floa
 _HONEST_STEPS = (3, 6, 9)
 
 
+def _log_honest_retry(scheme, slack: int, val: float, wide_val: float) -> None:
+    _log.debug(
+        "honest-window re-refinement: k=%d scheme=(%d, %d) slack %d drops %.12g to %.12g",
+        scheme.k, scheme.g, scheme.h, slack, val, wide_val,
+    )
+
+
 def _honest_refine_rect(scheme, offsets, seeds, options: SolveOptions, cell: float):
     val, pt = _refine_rect(offsets, seeds, options, cell)
     for step in _HONEST_STEPS:
-        wide = same_color_offsets(scheme, slack=options.enumeration_slack + step)
-        if _eval_min(pt[0], pt[1], wide) >= val - 1e-12:
+        slack = options.enumeration_slack + step
+        wide = same_color_offsets(scheme, slack=slack)
+        wide_val = _eval_min(pt[0], pt[1], wide)
+        if wide_val >= val - 1e-12:
             break
+        _log_honest_retry(scheme, slack, val, wide_val)
         val, pt = _refine_rect(wide, seeds, options, cell)
     return val, pt
 
@@ -610,11 +624,38 @@ def _honest_refine_rect(scheme, offsets, seeds, options: SolveOptions, cell: flo
 def _honest_refine_semi(scheme, offsets, vals, centers, options: SolveOptions, cell: float):
     val, pt = _refine_semi_multi(offsets, vals, centers, options, cell)
     for step in _HONEST_STEPS:
-        wide = same_color_offsets(scheme, slack=options.enumeration_slack + step)
-        if _eval_min(pt[0], pt[1], wide) >= val - 1e-12:
+        slack = options.enumeration_slack + step
+        wide = same_color_offsets(scheme, slack=slack)
+        wide_val = _eval_min(pt[0], pt[1], wide)
+        if wide_val >= val - 1e-12:
             break
+        _log_honest_retry(scheme, slack, val, wide_val)
         val, pt = _refine_semi_multi(wide, vals, centers, options, cell)
     return val, pt
+
+
+def _orbit_image(scheme, offsets, rep, rep_val: float, rep_pt, sym: Symmetry, options):
+    """The representative's optimum moved onto ``scheme``, or None if it fails there.
+
+    The move is exact, d(rep, x) = d(scheme, sym(x)), but the fixed index
+    windows of the two schemes cover different tiles.  So the value over the
+    scheme's own window must not fall below the representative's, and the
+    first honest window must not lower it, as after a full refinement.
+    """
+    pt = sym.image_gaps(rep_pt[0], rep_pt[1])
+    val = _eval_min(pt[0], pt[1], offsets)
+    if val < rep_val - 1e-12:
+        reason = "value too low"
+    else:
+        wide = same_color_offsets(scheme, slack=options.enumeration_slack + _HONEST_STEPS[0])
+        if _eval_min(pt[0], pt[1], wide) >= val - 1e-12:
+            return val, pt
+        reason = "a wider window drops it"
+    _log.debug(
+        "orbit fallback: k=%d scheme=(%d, %d) representative=(%d, %d): %s",
+        scheme.k, scheme.g, scheme.h, rep.g, rep.h, reason,
+    )
+    return None
 
 
 def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
@@ -754,6 +795,12 @@ def solve(
     Two phases: a shared coarse scan over all schemes, then refinement of
     every scheme whose coarse peak is within a Lipschitz-safe gap of the
     leader (schemes further behind provably cannot win).
+
+    For the rectilinear class, relabelling the hexagon's gap directions maps
+    each scheme's optimum onto the optimum of every scheme in its orbit (see
+    ``coloring.SYMMETRIES``).  Only the first scheme of an orbit to pass the
+    skip is refined; later ones take its optimum, moved onto their own shape
+    and checked there, and are refined in full only if that check fails.
     """
     options = options or _DEFAULT_OPTIONS
     if k < 3:
@@ -798,12 +845,23 @@ def solve(
 
     refined = []
     skipped = []
+    # orbit member -> (representative, its value and point, the symmetry
+    # taking the representative to the member); rectilinear only
+    images = {}
     for peak, scheme, offsets, vals in coarse:
         if peak < coarse_best - refine_gap or peak <= 0.0:
             if peak > 0.0:
                 skipped.append((peak, scheme, offsets, vals))
             continue
-        v, pt = refine(scheme, offsets, vals)
+        rep = images.get(scheme)
+        mapped = _orbit_image(scheme, offsets, *rep, options) if rep else None
+        if mapped is None:
+            v, pt = refine(scheme, offsets, vals)
+            if class_tag == RECTILINEAR and rep is None:
+                for sym in SYMMETRIES[1:]:
+                    images.setdefault(sym.image_scheme(scheme), (scheme, v, pt, sym))
+        else:
+            v, pt = mapped
         refined.append((v, scheme, pt))
 
     # the skip above is Lipschitz-safe only against honest coarse peaks; a
@@ -811,6 +869,12 @@ def solve(
     # attains.  If refinement lands below the skip threshold, the threshold
     # was a mirage: give every skipped scheme a full refinement after all.
     if not refined or max(r[0] for r in refined) < coarse_best - refine_gap:
+        _log.debug(
+            "mirage fallback: k=%d %s best refined %.12g is below the skip "
+            "threshold %.12g; refining %d skipped schemes",
+            k, class_tag, max((r[0] for r in refined), default=-1.0),
+            coarse_best - refine_gap, len(skipped),
+        )
         for peak, scheme, offsets, vals in skipped:
             v, pt = refine(scheme, offsets, vals)
             refined.append((v, scheme, pt))
@@ -821,6 +885,10 @@ def solve(
     wide = same_color_offsets(scheme, slack=slack + 3)
     wide_val = _eval_min(point[0], point[1], wide)
     if wide_val < val - 1e-12:
+        _log.debug(
+            "wide-window drop: k=%d %s scheme=(%d, %d) d %.12g to %.12g",
+            k, class_tag, scheme.g, scheme.h, val, wide_val,
+        )
         val = wide_val
     return _finalize(k, class_tag, scheme, point, val, options)
 

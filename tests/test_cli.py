@@ -135,6 +135,23 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "verification failed" in captured.err
 
 
+def test_verify_checks_every_row_by_default(tmp_path, capsys):
+    from pathlib import Path
+
+    import hexcoloring
+
+    text = (Path(hexcoloring.__file__).parent / "data" / "reference.csv").read_text()
+    header, *rows = text.splitlines()
+    keep = [row for row in rows if row.split(",")[0] in {"3", "4", "5", "41"}]
+    ref = tmp_path / "subset.csv"
+    ref.write_text("\n".join([header, *keep]) + "\n")
+
+    assert main(["verify", "--reference", str(ref)]) == EXIT_OK
+    assert "verified 4 rows" in capsys.readouterr().out
+    assert main(["verify", "--kmax", "30", "--reference", str(ref)]) == EXIT_OK
+    assert "verified 3 rows" in capsys.readouterr().out
+
+
 def test_verify_missing_reference_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["verify", "--reference", str(missing)]) == EXIT_USAGE

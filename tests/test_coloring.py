@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcoloring.coloring import (
+    SYMMETRIES,
     ColorScheme,
     TileIndex,
     canonical_triple,
@@ -186,3 +187,43 @@ def test_triple_distances_reported():
     for d in (t.d01, t.d02, t.d12):
         assert abs(d - want) <= 1e-12
     assert t.canonical
+
+
+# SYMMETRIES[1] is the rotation of the gap directions, SYMMETRIES[3] the mirror
+_ROTATION, _MIRROR = SYMMETRIES[1], SYMMETRIES[3]
+
+
+def test_symmetries_permute_schemes_into_small_orbits():
+    for k in range(3, 61):
+        all_schemes = schemes(k)
+        # solve skips SYMMETRIES[0] as the identity
+        assert [SYMMETRIES[0].image_scheme(s) for s in all_schemes] == all_schemes
+        for sym in SYMMETRIES:
+            images = [sym.image_scheme(s) for s in all_schemes]
+            assert sorted(images, key=lambda s: (s.g, s.h)) == all_schemes, (k, sym)
+        orbits = set()
+        for s in all_schemes:
+            orbit = frozenset(sym.image_scheme(s) for sym in SYMMETRIES)
+            for member in orbit:
+                assert _ROTATION.image_scheme(member) in orbit, (k, s)
+                assert _MIRROR.image_scheme(member) in orbit, (k, s)
+            assert len(orbit) in (1, 2, 3, 6), (k, s, len(orbit))
+            orbits.add(orbit)
+        if k == 12:
+            assert len(orbits) == 8
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    k=st.integers(min_value=3, max_value=60),
+    data=st.data(),
+    gaps=gap_pairs,
+    sym=st.sampled_from(SYMMETRIES),
+)
+def test_symmetry_preserves_min_distance(k, data, gaps, sym):
+    s = data.draw(scheme_for(k))
+    slack = 1 + math.isqrt(4 * k)
+    d0, _ = min_distance_over_offsets(hexagon_from_gaps(*gaps), s, slack=slack)
+    image = hexagon_from_gaps(*sym.image_gaps(*gaps))
+    d1, _ = min_distance_over_offsets(image, sym.image_scheme(s), slack=slack)
+    assert abs(d0 - d1) <= 1e-12

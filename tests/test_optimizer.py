@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from hexcoloring.geometry import (
     SEMI_REGULAR,
     DomainError,
 )
+from hexcoloring.analysis import REFERENCE_TOL, load_reference
 from hexcoloring.optimizer import SolveOptions, optimize_scheme, solve, solve_all
 
 
@@ -183,3 +185,44 @@ def test_result_floats_are_builtin(champions):
     res = results[10].champion
     for value in (res.d, res.dsq, res.r, res.s, *res.gaps):
         assert type(value) is float
+
+
+# rectilinear (d, dsq_rational, g, h) as solved before schemes were refined
+# once per symmetry orbit; the quotient must reproduce them
+_PINNED_RECT = {
+    6: (0.9920764961614221, None, 3, 0),
+    12: (2.0, (4, 1), 6, 2),
+    15: (2.186606960566988, (153, 32), 15, 11),
+    22: (3.01579079588743, (193496, 21275), 22, 17),
+    24: (3.1787813958796693, (869, 86), 24, 9),
+    30: (3.7622920674275635, None, 6, 0),
+    56: (5.53345201140368, None, 8, 0),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_PINNED_RECT))
+def test_rectilinear_pinned_results(k):
+    d, rational, g, h = _PINNED_RECT[k]
+    res = solve(k, RECTILINEAR)
+    assert abs(res.d - d) <= 1e-12
+    assert res.dsq_rational == rational
+    assert (res.scheme.g, res.scheme.h) == (g, h)
+
+
+def test_orbit_fallback_is_logged(caplog):
+    # at k = 112 some representatives' optima sit at near-degenerate shapes
+    # where the members' own windows disagree, so members refine in full
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        solve(112, RECTILINEAR)
+    fallbacks = [r.getMessage() for r in caplog.records if "orbit fallback" in r.getMessage()]
+    assert fallbacks
+    assert all("k=112" in msg and "representative=" in msg for msg in fallbacks)
+
+
+def test_large_k_reference_rows():
+    rows = [row for row in load_reference() if row.k > 30]
+    assert [row.k for row in rows] == [41, 49, 56, 77, 112, 156, 175]
+    for row in rows:
+        res = solve_all(row.k)
+        assert abs(res.champion.d - row.d_approx) <= REFERENCE_TOL, row.k
+        assert res.champion_class == row.class_of_best, row.k
