@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .coloring import (
     Symmetry,
     TripleRepresentation,
     canonical_triple,
-    enumeration_bound,
     same_color_offsets,
     schemes,
 )
@@ -91,6 +90,8 @@ class SolveResult:
     triple: TripleRepresentation
     dsq_rational: tuple[int, int] | None
     closed_form_tag: str
+    # no valid shape in the class does better than this (see ``solve``)
+    d_upper: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -187,17 +188,41 @@ def _offset_dist(g1: float, g2: float, i: int, j: int) -> float:
     return _point_hexdist6(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
 
 
+def _lipschitz(i: int, j: int) -> float:
+    """Bound on how fast offset (i, j)'s gap moves with the gaps, in the max norm.
+
+    The offset point c = i e_i + j e_j moves by |i + j| / 2 per unit of gap1
+    and |i| / 2 per unit of gap2, and the doubled hexagon's vertices move on
+    the unit circle by at most the larger gap change.  (Measured, the bound
+    without the + 1 also holds, since the vertex nearest c moves with c; the
+    + 1 is what the triangle inequality proves.)
+    """
+    return 0.5 * (abs(i + j) + abs(i)) + 1.0
+
+
 class _Field:
     """Lazy per-offset gap arrays over a fixed grid of shapes.
 
     The grid is shape-only, so one field serves every k; offset arrays are
-    cached and shared between schemes that use the same offset.
+    cached and shared between schemes that use the same offset.  ``radius``
+    gives each grid point a box, in the max norm over the gaps, and the boxes
+    of the valid points cover every valid shape of the class.
     """
 
-    def __init__(self, g1: np.ndarray, g2: np.ndarray, valid: np.ndarray):
+    def __init__(
+        self,
+        centers: np.ndarray,
+        g1: np.ndarray,
+        g2: np.ndarray,
+        valid: np.ndarray,
+        radius: np.ndarray,
+    ):
+        self.centers = centers
+        self.cell = float(centers[1] - centers[0])
         self.g1 = g1
         self.g2 = g2
         self.valid = valid
+        self.radius = radius
         s1, c1 = np.sin(g1), np.cos(g1)
         s2, c2 = np.sin(g2), np.cos(g2)
         zero = np.zeros_like(g1)
@@ -251,32 +276,92 @@ class _Field:
         out[~self.valid] = -1.0
         return out
 
+    def scheme_upper(self, offsets) -> float:
+        """No valid shape has a larger minimum gap over ``offsets`` than this.
 
-def _rect_grid(n: int):
+        On the box around grid point p, each offset's gap is at most its
+        value at p plus radius(p) times its Lipschitz bound, and so is the
+        minimum over offsets; the bound is the largest of these over the
+        valid points.
+        """
+        out = None
+        for index in offsets:
+            i, j = index[0], index[1]
+            u = self.offset_dist((i, j)) + _lipschitz(i, j) * self.radius
+            out = u if out is None else np.minimum(out, u, out=out)
+        return float(out[self.valid].max())
+
+
+def _cell_edges(centers: np.ndarray, top: float) -> np.ndarray:
+    """Cell bounds between grid centres; the outer cells reach 0 and ``top``."""
+    return np.concatenate(([0.0], 0.5 * (centers[1:] + centers[:-1]), [top]))
+
+
+def _rect_radii(centers: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Box radii that cover the triangle g1, g2 > 0, g1 + g2 < pi.
+
+    The cells of the grid tile the square [0, pi]^2.  Each cell that meets
+    the triangle goes to a valid grid point: its own, or the first valid one
+    reached by stepping down its larger index, which moves it along the
+    anti-diagonal towards the interior.  A point's radius is the largest max
+    norm distance from it to a vertex of an assigned cell clipped to the
+    triangle; the distance is convex, so that covers the clipped cell.
+    """
+    n = len(centers)
+    edges = _cell_edges(centers, math.pi)
+    a, b = np.divmod(np.arange(n * n), n)
+    lo1, hi1, lo2, hi2 = edges[a], edges[a + 1], edges[b], edges[b + 1]
+    meets = lo1 + lo2 < math.pi
+    a, b = a[meets], b[meets]
+    lo1, hi1, lo2, hi2 = lo1[meets], hi1[meets], lo2[meets], hi2[meets]
+    bad = ~valid[a * n + b]
+    while bad.any():
+        down_a = bad & (a >= b)
+        a[down_a] -= 1
+        b[bad & ~down_a] -= 1
+        bad = ~valid[a * n + b]
+    # the cell's corners inside the triangle, then where g1 + g2 = pi
+    # crosses its four sides
+    px = np.stack([lo1, hi1, lo1, hi1, lo1, hi1, math.pi - lo2, math.pi - hi2])
+    py = np.stack([lo2, lo2, hi2, hi2, math.pi - lo1, math.pi - hi1, lo2, hi2])
+    keep = np.empty(px.shape, bool)
+    keep[:4] = px[:4] + py[:4] <= math.pi
+    keep[4:6] = (lo2 <= py[4:6]) & (py[4:6] <= hi2)
+    keep[6:] = (lo1 <= px[6:]) & (px[6:] <= hi1)
+    far = np.maximum(np.abs(px - centers[a]), np.abs(py - centers[b]))
+    radius = np.zeros(n * n)
+    np.maximum.at(radius, a * n + b, np.where(keep, far, 0.0).max(axis=0))
+    return radius
+
+
+def _rect_grid(n: int) -> _Field:
     span = math.pi - 2.0 * GRID_MARGIN
     centers = GRID_MARGIN + span * (np.arange(n) + 0.5) / n
     g1 = np.repeat(centers, n)
     g2 = np.tile(centers, n)
     valid = g1 + g2 < math.pi - GRID_MARGIN
-    return centers, _Field(g1, g2, valid)
+    return _Field(centers, g1, g2, valid, _rect_radii(centers, valid))
 
 
-def _semi_grid(n: int):
+def _semi_grid(n: int) -> _Field:
     hi = (math.pi - GRID_MARGIN) / 2.0
     centers = GRID_MARGIN + (hi - GRID_MARGIN) * (np.arange(n) + 0.5) / n
     valid = np.ones(n, bool)
-    return centers, _Field(centers, centers.copy(), valid)
+    # each point's cell, the outer ones reaching 0 and pi / 2
+    edges = _cell_edges(centers, math.pi / 2.0)
+    radius = np.maximum(centers - edges[:-1], edges[1:] - centers)
+    return _Field(centers, centers, centers.copy(), valid, radius)
 
 
 _FIELD_CACHE: OrderedDict = OrderedDict()
 _FIELD_CACHE_MAX = 4
 
 
-def _get_field(kind: str, n: int):
-    key = (kind, n)
+def _get_field(class_tag: str, n: int) -> _Field:
+    key = (class_tag, n)
     hit = _FIELD_CACHE.get(key)
     if hit is None:
-        hit = _rect_grid(n) if kind == "rect" else _semi_grid(n)
+        hit = _semi_grid(n) if class_tag == SEMI_REGULAR else _rect_grid(n)
         _FIELD_CACHE[key] = hit
         while len(_FIELD_CACHE) > _FIELD_CACHE_MAX:
             _FIELD_CACHE.popitem(last=False)
@@ -679,6 +764,7 @@ def _finalize(
     point: tuple[float, float],
     val: float,
     options: SolveOptions,
+    d_upper: float,
 ) -> SolveResult:
     point = (float(point[0]), float(point[1]))
     hexagon = hexagon_from_gaps(point[0], point[1])
@@ -697,6 +783,7 @@ def _finalize(
         triple=triple,
         dsq_rational=stable_dsq_rational(dsq),
         closed_form_tag=_closed_form_tag(k, dsq),
+        d_upper=float(d_upper),
     )
 
 
@@ -716,6 +803,14 @@ def _nm_start_count(options: SolveOptions) -> int:
     return max(3, options.starts_per_axis**2 // 24)
 
 
+def _refine(class_tag: str, scheme, offsets, vals, grid: _Field, options: SolveOptions):
+    """Full refinement of one scheme from its coarse values: (value, gap pair)."""
+    if class_tag == SEMI_REGULAR:
+        return _honest_refine_semi(scheme, offsets, vals, grid.centers, options, grid.cell)
+    seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
+    return _honest_refine_rect(scheme, offsets, seeds, options, grid.cell)
+
+
 def optimize_scheme(
     k: int,
     scheme: ColorScheme,
@@ -731,23 +826,14 @@ def optimize_scheme(
     offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
 
     if class_tag == REGULAR:
-        val = _eval_min(_REGULAR_GAP, _REGULAR_GAP, offsets)
-        return _finalize(k, class_tag, scheme, (_REGULAR_GAP, _REGULAR_GAP), val, options)
+        pt = (_REGULAR_GAP, _REGULAR_GAP)
+        val = _eval_min(pt[0], pt[1], offsets)
+        return _finalize(k, class_tag, scheme, pt, val, options, val)
 
-    if class_tag == SEMI_REGULAR:
-        centers, field = _get_field("semi", options.coarse_grid)
-        vals = field.scheme_min(offsets)
-        cell = float(centers[1] - centers[0]) if len(centers) > 1 else 0.03
-        best_val, best_pt = _honest_refine_semi(scheme, offsets, vals, centers, options, cell)
-        return _finalize(k, class_tag, scheme, best_pt, best_val, options)
-
-    n = options.coarse_grid
-    centers, field = _get_field("rect", n)
-    vals = field.scheme_min(offsets)
-    cell = float(centers[1] - centers[0]) if len(centers) > 1 else 0.07
-    seeds = _rect_seeds(vals, centers, n, _nm_start_count(options))
-    best_val, best_pt = _honest_refine_rect(scheme, offsets, seeds, options, cell)
-    return _finalize(k, class_tag, scheme, best_pt, best_val, options)
+    grid = _get_field(class_tag, options.coarse_grid)
+    vals = grid.scheme_min(offsets)
+    val, pt = _refine(class_tag, scheme, offsets, vals, grid, options)
+    return _finalize(k, class_tag, scheme, pt, val, options, grid.scheme_upper(offsets))
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -784,7 +870,7 @@ def _solve_regular(k: int, options: SolveOptions) -> SolveResult:
         offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
         cands.append((_eval_min(pt[0], pt[1], offsets), scheme, pt))
     val, scheme, pt = _pick_tied(cands, options)
-    return _finalize(k, REGULAR, scheme, pt, val, options)
+    return _finalize(k, REGULAR, scheme, pt, val, options, val)
 
 
 def solve(
@@ -792,15 +878,30 @@ def solve(
 ) -> SolveResult:
     """Best shape and coloring for k colors within one shape class.
 
-    Two phases: a shared coarse scan over all schemes, then refinement of
-    every scheme whose coarse peak is within a Lipschitz-safe gap of the
-    leader (schemes further behind provably cannot win).
+    A coarse scan gives every scheme its peak over the grid and an upper
+    bound U_s on its objective over every valid shape.  Schemes are refined
+    in descending order of peak, and a scheme is skipped once U_s falls
+    below the best refined value so far by more than the tie tolerance.
+    Every refined value is the window objective at a valid shape, or a lower
+    value over a wider window, so a skipped scheme could not have won or
+    tied.  The result's ``d_upper`` is the largest U_s.
+
+    The bound: offset c = i e_i + j e_j moves by |i + j| / 2 per unit of
+    gap1 and by |i| / 2 per unit of gap2, and the doubled hexagon's vertices
+    move on the unit circle by at most the larger gap change, so c's gap
+    changes by at most w_c = (|i + j| + |i|) / 2 + 1 times the max norm of
+    the gap change.  Around each valid grid point p lies a box of radius
+    r(p) on which the objective is at most min_c (gap_c(p) + r(p) w_c).  The
+    boxes are the grid cells, the outer ones stretched to the edges of the
+    shape domain; cells past the grid's valid triangle go to the nearest
+    valid point down the anti-diagonal (``_rect_radii``).
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's optimum onto the optimum of every scheme in its orbit (see
-    ``coloring.SYMMETRIES``).  Only the first scheme of an orbit to pass the
-    skip is refined; later ones take its optimum, moved onto their own shape
-    and checked there, and are refined in full only if that check fails.
+    ``coloring.SYMMETRIES``).  Only the first scheme of an orbit to be
+    refined gets a full refinement; later ones take its optimum, moved onto
+    their own shape and checked there, and are refined in full only if that
+    check fails.
     """
     options = options or _DEFAULT_OPTIONS
     if k < 3:
@@ -812,72 +913,42 @@ def solve(
         return _solve_regular(k, options)
 
     slack = options.enumeration_slack
-    bound = enumeration_bound(k, slack)
-    all_schemes = schemes(k)
-    per_scheme_offsets = [same_color_offsets(s, slack=slack) for s in all_schemes]
-
-    if class_tag == SEMI_REGULAR:
-        n = options.coarse_grid
-        centers, field = _get_field("semi", n)
-        cell = float(centers[1] - centers[0]) if n > 1 else 0.03
-        # gap slope in gamma is at most about (index radius + 1)
-        refine_gap = 1.5 * cell * (bound + 1.0)
-    else:
-        n = options.coarse_grid
-        centers, field = _get_field("rect", n)
-        cell = float(centers[1] - centers[0]) if n > 1 else 0.07
-        refine_gap = 1.5 * cell * math.sqrt(2.0) * (bound / 2.0 + 1.0)
-
+    grid = _get_field(class_tag, options.coarse_grid)
     coarse = []
-    coarse_best = -1.0
-    for scheme, offsets in zip(all_schemes, per_scheme_offsets):
-        vals = field.scheme_min(offsets)
-        peak = float(vals.max())
-        coarse.append((peak, scheme, offsets, vals))
-        if peak > coarse_best:
-            coarse_best = peak
-
-    def refine(scheme, offsets, vals):
-        if class_tag == SEMI_REGULAR:
-            return _honest_refine_semi(scheme, offsets, vals, centers, options, cell)
-        seeds = _rect_seeds(vals, centers, n, _nm_start_count(options))
-        return _honest_refine_rect(scheme, offsets, seeds, options, cell)
+    for scheme in schemes(k):
+        offsets = same_color_offsets(scheme, slack=slack)
+        vals = grid.scheme_min(offsets)
+        coarse.append((float(vals.max()), grid.scheme_upper(offsets), scheme, offsets, vals))
+    coarse.sort(key=lambda entry: -entry[0])
+    d_upper = max(entry[1] for entry in coarse)
 
     refined = []
-    skipped = []
+    mapped_count = 0
+    best = -math.inf
     # orbit member -> (representative, its value and point, the symmetry
     # taking the representative to the member); rectilinear only
     images = {}
-    for peak, scheme, offsets, vals in coarse:
-        if peak < coarse_best - refine_gap or peak <= 0.0:
-            if peak > 0.0:
-                skipped.append((peak, scheme, offsets, vals))
+    for _, upper, scheme, offsets, vals in coarse:
+        if upper < best - _TIE_TOL:
             continue
         rep = images.get(scheme)
         mapped = _orbit_image(scheme, offsets, *rep, options) if rep else None
         if mapped is None:
-            v, pt = refine(scheme, offsets, vals)
+            v, pt = _refine(class_tag, scheme, offsets, vals, grid, options)
             if class_tag == RECTILINEAR and rep is None:
                 for sym in SYMMETRIES[1:]:
                     images.setdefault(sym.image_scheme(scheme), (scheme, v, pt, sym))
         else:
             v, pt = mapped
+            mapped_count += 1
         refined.append((v, scheme, pt))
-
-    # the skip above is Lipschitz-safe only against honest coarse peaks; a
-    # clipped-window mirage can inflate coarse_best past what any shape truly
-    # attains.  If refinement lands below the skip threshold, the threshold
-    # was a mirage: give every skipped scheme a full refinement after all.
-    if not refined or max(r[0] for r in refined) < coarse_best - refine_gap:
-        _log.debug(
-            "mirage fallback: k=%d %s best refined %.12g is below the skip "
-            "threshold %.12g; refining %d skipped schemes",
-            k, class_tag, max((r[0] for r in refined), default=-1.0),
-            coarse_best - refine_gap, len(skipped),
-        )
-        for peak, scheme, offsets, vals in skipped:
-            v, pt = refine(scheme, offsets, vals)
-            refined.append((v, scheme, pt))
+        best = max(best, v)
+    _log.debug(
+        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound; "
+        "best %.12g, d_upper %.12g",
+        k, class_tag, len(refined) - mapped_count, mapped_count,
+        len(coarse) - len(refined), best, d_upper,
+    )
 
     val, scheme, point = _pick_tied(refined, options)
     # recheck the winner with a wider index window; a drop would mean the
@@ -890,7 +961,7 @@ def solve(
             k, class_tag, scheme.g, scheme.h, val, wide_val,
         )
         val = wide_val
-    return _finalize(k, class_tag, scheme, point, val, options)
+    return _finalize(k, class_tag, scheme, point, val, options, d_upper)
 
 
 def solve_all(k: int, options: SolveOptions | None = None) -> SolveAllResult:

@@ -1,9 +1,13 @@
 import logging
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexcoloring.coloring import ColorScheme
+from hexcoloring.coloring import ColorScheme, schemes
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (
     RECTILINEAR,
@@ -12,7 +16,16 @@ from hexcoloring.geometry import (
     DomainError,
 )
 from hexcoloring.analysis import REFERENCE_TOL, load_reference
-from hexcoloring.optimizer import SolveOptions, optimize_scheme, solve, solve_all
+from hexcoloring.optimizer import (
+    SolveOptions,
+    _lipschitz,
+    _offset_dist,
+    _rect_grid,
+    _semi_grid,
+    optimize_scheme,
+    solve,
+    solve_all,
+)
 
 
 def test_k3_half_diameter():
@@ -210,13 +223,13 @@ def test_rectilinear_pinned_results(k):
 
 
 def test_orbit_fallback_is_logged(caplog):
-    # at k = 112 some representatives' optima sit at near-degenerate shapes
+    # at k = 77 some representatives' optima sit at near-degenerate shapes
     # where the members' own windows disagree, so members refine in full
     with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
-        solve(112, RECTILINEAR)
+        solve(77, RECTILINEAR)
     fallbacks = [r.getMessage() for r in caplog.records if "orbit fallback" in r.getMessage()]
     assert fallbacks
-    assert all("k=112" in msg and "representative=" in msg for msg in fallbacks)
+    assert all("k=77" in msg and "representative=" in msg for msg in fallbacks)
 
 
 def test_large_k_reference_rows():
@@ -226,3 +239,107 @@ def test_large_k_reference_rows():
         res = solve_all(row.k)
         assert abs(res.champion.d - row.d_approx) <= REFERENCE_TOL, row.k
         assert res.champion_class == row.class_of_best, row.k
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    i=st.integers(min_value=-30, max_value=30),
+    j=st.integers(min_value=0, max_value=30),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    v=st.floats(min_value=0.0, max_value=1.0),
+    step=st.sampled_from([1e-7, 1e-4, 1e-2, 0.3]),
+    du=st.floats(min_value=-1.0, max_value=1.0),
+    dv=st.floats(min_value=-1.0, max_value=1.0),
+    diagonal=st.booleans(),
+)
+def test_offset_gap_lipschitz_bound(i, j, u, v, step, du, dv, diagonal):
+    # |d_c(x + e) - d_c(x)| <= w_c |e|_inf on the triangle and on its diagonal
+    eps = 1e-6
+    if diagonal:
+        g = eps + u * (math.pi / 2 - 2 * eps)
+        x = (g, g)
+        y = (g + step * du, g + step * du)
+    else:
+        g1 = eps + u * (math.pi - 3 * eps)
+        g2 = eps + v * (math.pi - 2 * eps - g1)
+        x = (g1, g2)
+        y = (g1 + step * du, g2 + step * dv)
+    if min(y) <= 0.0 or y[0] + y[1] >= math.pi:
+        return
+    change = abs(_offset_dist(*y, i, j) - _offset_dist(*x, i, j))
+    assert change <= _lipschitz(i, j) * max(abs(y[0] - x[0]), abs(y[1] - x[1])) + 1e-12
+
+
+def _covered(grid, g1, g2):
+    """Whether each shape lies in the box of some valid grid point."""
+    gx, gy = grid.g1[grid.valid], grid.g2[grid.valid]
+    radius = grid.radius[grid.valid]
+    out = []
+    for a in range(0, len(g1), 64):
+        far = np.maximum(
+            np.abs(gx[None, :] - g1[a : a + 64, None]),
+            np.abs(gy[None, :] - g2[a : a + 64, None]),
+        )
+        out.append((far <= radius[None, :]).any(axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [4, 5, 12, 48, 160, 240])
+def test_boxes_cover_every_shape(n):
+    rng = np.random.default_rng(n)
+    m = 400
+    t = rng.uniform(0.0, 1.0, m)
+    near = rng.uniform(0.0, 1e-3, m)
+    corner = rng.uniform(0.0, 1e-3, (2, m))
+    pi = math.pi
+    # near each edge of g1, g2 > 0, g1 + g2 < pi, near each corner, inside
+    g1 = np.concatenate([near, t * (pi - near), t * (pi - near), corner[0],
+                         pi - corner[0] - corner[1], corner[0], t * pi])
+    g2 = np.concatenate([t * (pi - near), near, (1 - t) * (pi - near) - near,
+                         corner[1], corner[1], pi - corner[0] - corner[1],
+                         (1 - t) * pi * rng.uniform(0.0, 1.0, m)])
+    ok = (g1 > 0.0) & (g2 > 0.0) & (g1 + g2 < pi)
+    assert ok.mean() > 0.9
+    assert _covered(_rect_grid(n), g1[ok], g2[ok]).all()
+
+    gamma = np.concatenate([near, pi / 2 - near, t * pi / 2])
+    gamma = gamma[(gamma > 0.0) & (gamma < pi / 2)]
+    assert _covered(_semi_grid(n), gamma, gamma).all()
+
+
+_EVERY_SCHEME_CASES = [(k, SEMI_REGULAR) for k in range(3, 31)] + [
+    (k, RECTILINEAR) for k in (6, 8, 10, 12, 15)
+]
+
+
+@pytest.mark.parametrize("k, class_tag", _EVERY_SCHEME_CASES)
+def test_skipping_matches_refining_every_scheme(k, class_tag):
+    # schemes skipped by their bound could not have beaten the answer
+    per_scheme = [optimize_scheme(k, s, class_tag) for s in schemes(k)]
+    res = solve(k, class_tag)
+    assert abs(res.d - max(r.d for r in per_scheme)) <= 1e-12
+    assert res.d_upper == max(r.d_upper for r in per_scheme)
+    for r in per_scheme:
+        assert r.d <= r.d_upper
+
+
+def test_d_upper_bounds_d(champions):
+    results, _ = champions
+    for k in range(3, 31):
+        for tag, res in results[k].per_class.items():
+            assert res.d <= res.d_upper, (k, tag)
+        assert results[k].per_class[REGULAR].d_upper == results[k].per_class[REGULAR].d
+
+
+def test_solve_logs_one_summary(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        res = solve(8, SEMI_REGULAR)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    assert len(lines) == 1
+    counts = re.match(
+        r"solve: k=8 semi_regular refined (\d+), mapped (\d+), skipped (\d+) by the bound",
+        lines[0],
+    )
+    assert counts
+    assert sum(int(c) for c in counts.groups()) == len(schemes(8))
+    assert f"d_upper {res.d_upper:.12g}" in lines[0]
