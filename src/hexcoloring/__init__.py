@@ -38,7 +38,6 @@ from .geometry import (
     SEMI_REGULAR,
     DomainError,
     Hexagon,
-    convex_distance,
     hexagon_from_gaps,
     regular_hexagon,
     semi_regular_from_r,
@@ -70,7 +69,6 @@ __all__ = [
     "canonical_triple",
     "classify",
     "compare_reference",
-    "convex_distance",
     "cubic_f",
     "cubic_spec",
     "hexagon_from_gaps",

@@ -17,8 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .evaluator import QUARTICS, cubic_f, cubic_spec, quartic_dsq
-from .geometry import CLASS_TAGS, DomainError
+from .geometry import CLASS_TAGS
 
 _log = logging.getLogger(__name__)
 
@@ -75,30 +74,19 @@ def stable_dsq_rational(dsq: float):
     return None
 
 
-_CLOSED_FORM_TOL = 1e-7
-
-
 def classify(result) -> str:
     """Tag a solve result by the kind of closed form its squared gap matches.
 
-    One of "cubic_f", "quartic", "rational", "unknown".  The polynomial
-    families are checked before rational reconstruction, since any float is
-    approximated well by some fraction; the rational tag additionally
-    demands an unambiguous reconstruction.  Quadratic-surd values are
-    reported as unknown.
+    One of "cubic_f", "quartic", "rational", "unknown", read off the result's
+    ``closed_form_tag`` (which the solver matches against every closed form)
+    and ``dsq_rational``.  The polynomial families come first, since any float
+    is approximated well by some fraction; the rational tag demands an
+    unambiguous reconstruction.  Quadratic-surd values are reported as
+    unknown.
     """
-    k = result.k
-    dsq = result.dsq
-    try:
-        if abs(dsq - cubic_f(k)[1]) <= _CLOSED_FORM_TOL:
-            return "cubic_f"
-    except DomainError:
-        pass
-    if k in QUARTICS and abs(dsq - quartic_dsq(k)) <= _CLOSED_FORM_TOL:
-        return "quartic"
-    if stable_dsq_rational(dsq) is not None:
-        return "rational"
-    return "unknown"
+    if result.closed_form_tag in ("cubic_f", "quartic"):
+        return result.closed_form_tag
+    return "unknown" if result.dsq_rational is None else "rational"
 
 
 @dataclass(frozen=True)

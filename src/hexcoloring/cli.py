@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .evaluator import QUARTICS, cubic_f, quartic_dsq, regular_dsq
 from .geometry import (
-    CLASS_TAGS,
     RECTILINEAR,
     REGULAR,
     SEMI_REGULAR,
@@ -207,19 +206,12 @@ def _table_text(kmin: int, kmax: int, class_names: list[str], options: SolveOpti
     tags = [_CLASS_FLAGS[name] for name in class_names]
     lines = ["k,class,g,h,gap1,gap2,r,d,dsq,champion"]
     for k in range(kmin, kmax + 1):
-        results = {tag: solve(k, tag, options) for tag in tags}
-        best = max(res.d for res in results.values())
-        champion = next(
-            tag for tag in CLASS_TAGS if tag in results and results[tag].d >= best - 1e-9
-        )
-        for tag in CLASS_TAGS:
-            if tag not in results:
-                continue
-            res = results[tag]
+        solved = solve_all(k, options, classes=tags)
+        for tag, res in solved.per_class.items():
             lines.append(
                 f"{k},{tag},{res.scheme.g},{res.scheme.h},"
                 f"{res.gaps[0]:.9f},{res.gaps[1]:.9f},{res.r:.9f},"
-                f"{res.d:.9f},{res.dsq:.9f},{int(tag == champion)}"
+                f"{res.d:.9f},{res.dsq:.9f},{int(tag == solved.champion_class)}"
             )
     return "\n".join(lines) + "\n"
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .geometry import DomainError, Hexagon, Point, point_to_convex_distance
+from .geometry import DomainError, Hexagon, Point, point_to_hexagon_distance
 
 
 class TileIndex(NamedTuple):
@@ -171,31 +171,47 @@ def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex
     return sorted(found, key=lambda t: (t.j, t.i))
 
 
+def min_offset_distance(offsets, frame) -> float:
+    """Smallest gap between the base tile and the tiles at ``offsets``.
+
+    ``frame`` is (vx, vy, eix, eiy, ejx, ejy): the vertices of the tile
+    doubled about its center, and the tiling's basis (eix, eiy), (ejx, ejy).
+    The gap to the tile at offset c equals the distance from the point c to
+    that doubled tile, because the tiles are translates of a centrally
+    symmetric convex body.
+    """
+    vx, vy, eix, eiy, ejx, ejy = frame
+    best = lim = 1e300
+    for i, j in offsets:
+        cx = i * eix + j * ejx
+        cy = i * eiy + j * ejy
+        # the doubled hexagon fits in the unit circle: d >= |c| - 1
+        if cx * cx + cy * cy >= lim:
+            continue
+        d = point_to_hexagon_distance(cx, cy, vx, vy)
+        if d < best:
+            best = d
+            lim = (best + 1.0) * (best + 1.0)
+    return best
+
+
+def _doubled_frame(hexagon: Hexagon) -> tuple:
+    """The ``frame`` argument of min_offset_distance for ``hexagon``."""
+    basis = lattice_basis(hexagon)
+    vx = tuple(2.0 * x for x, _ in hexagon.vertices)
+    vy = tuple(2.0 * y for _, y in hexagon.vertices)
+    return (vx, vy, *basis.e_i, *basis.e_j)
+
+
 def min_distance_over_offsets(
     hexagon: Hexagon, scheme: ColorScheme, *, slack: int = 1
 ) -> tuple[float, TileIndex]:
-    """Minimum gap between same-colored tiles, with a realizing offset.
-
-    The gap to the tile at offset c equals the distance from the point c to
-    the hexagon doubled about its center, because the tiles are translates
-    of a centrally symmetric convex body.
-    """
-    basis = lattice_basis(hexagon)
-    doubled = tuple((2.0 * x, 2.0 * y) for x, y in hexagon.vertices)
-    best = math.inf
-    best_at = None
-    for index in same_color_offsets(scheme, slack=slack):
-        cx, cy = basis.position(index.i, index.j)
-        rr = cx * cx + cy * cy
-        # the doubled hexagon fits in the unit circle, so d >= |c| - 1
-        if best < math.inf and rr >= (best + 1.0) ** 2:
-            continue
-        d = point_to_convex_distance((cx, cy), doubled)
-        if d < best:
-            best = d
-            best_at = index
-    assert best_at is not None
-    return best, best_at
+    """Minimum gap between same-colored tiles, with the first offset realizing it."""
+    frame = _doubled_frame(hexagon)
+    offsets = same_color_offsets(scheme, slack=slack)
+    best = min_offset_distance(offsets, frame)
+    # the pruned scan settles on the first offset that attains the minimum
+    return best, next(t for t in offsets if min_offset_distance((t,), frame) == best)
 
 
 class NoTripleError(RuntimeError):
@@ -244,16 +260,15 @@ def canonical_triple(
     equal-gap pairs on ties.  If no pair attains the minimum the best
     remaining pair is returned with canonical set to False.
     """
-    dmin, _ = min_distance_over_offsets(hexagon, scheme, slack=slack)
-    basis = lattice_basis(hexagon)
-    doubled = tuple((2.0 * x, 2.0 * y) for x, y in hexagon.vertices)
+    frame = _doubled_frame(hexagon)
+    dmin = min_offset_distance(same_color_offsets(scheme, slack=slack), frame)
     dist_cache: dict[TileIndex, float] = {}
 
     def dist(i: int, j: int) -> float:
         key = TileIndex(i, j)
         d = dist_cache.get(key)
         if d is None:
-            d = point_to_convex_distance(basis.position(i, j), doubled)
+            d = min_offset_distance(((i, j),), frame)
             dist_cache[key] = d
         return d
 

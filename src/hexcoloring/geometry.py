@@ -1,4 +1,4 @@
-"""Centrally symmetric unit-diameter hexagons and convex-distance primitives.
+"""Centrally symmetric unit-diameter hexagons and the point-to-hexagon distance.
 
 Every hexagon handled here is convex, centrally symmetric about the origin,
 and inscribed in a circle of diameter 1, so each of its three long diagonals
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 Point = tuple[float, float]
-Segment = tuple[Point, Point]
 
 REGULAR = "regular"
 SEMI_REGULAR = "semi_regular"
@@ -67,6 +66,11 @@ def _class_tag(gap1: float, gap2: float) -> str:
     return RECTILINEAR
 
 
+def gaps_valid(gap1: float, gap2: float) -> bool:
+    """Whether all three gaps, gap3 = pi - gap1 - gap2 included, exceed EPS_GEOM."""
+    return gap1 > EPS_GEOM and gap2 > EPS_GEOM and gap1 + gap2 < math.pi - EPS_GEOM
+
+
 def hexagon_from_gaps(gap1: float, gap2: float) -> Hexagon:
     """Build the hexagon with the given angular gaps.
 
@@ -75,10 +79,10 @@ def hexagon_from_gaps(gap1: float, gap2: float) -> Hexagon:
     negations.  Raises DomainError unless gap1 > 0, gap2 > 0 and
     gap1 + gap2 < pi, all with margin EPS_GEOM.
     """
-    if not (gap1 > EPS_GEOM and gap2 > EPS_GEOM):
+    if not gaps_valid(gap1, gap2):
+        if gap1 > EPS_GEOM and gap2 > EPS_GEOM:
+            raise DomainError(f"gap1 + gap2 must stay below pi: got {gap1 + gap2}")
         raise DomainError(f"gaps must exceed {EPS_GEOM}: got ({gap1}, {gap2})")
-    if not (gap1 + gap2 < math.pi - EPS_GEOM):
-        raise DomainError(f"gap1 + gap2 must stay below pi: got {gap1 + gap2}")
     u1 = (math.sin(gap1) / 2.0, math.cos(gap1) / 2.0)
     u2 = (0.0, 0.5)
     u3 = (-math.sin(gap2) / 2.0, math.cos(gap2) / 2.0)
@@ -108,111 +112,35 @@ def regular_hexagon() -> Hexagon:
     return hexagon_from_gaps(math.pi / 3.0, math.pi / 3.0)
 
 
-def _point_segment_dist2(px: float, py: float, a: Point, b: Point) -> float:
-    ax, ay = a
-    ex, ey = b[0] - ax, b[1] - ay
-    dx, dy = px - ax, py - ay
-    ee = ex * ex + ey * ey
-    if ee <= 1e-30:
-        return dx * dx + dy * dy
-    t = (dx * ex + dy * ey) / ee
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    qx, qy = dx - t * ex, dy - t * ey
-    return qx * qx + qy * qy
+def point_to_hexagon_distance(px: float, py: float, vx, vy) -> float:
+    """Distance from (px, py) to the convex hexagon with vertices (vx[m], vy[m]).
 
-
-def _orient(a: Point, b: Point, c: Point) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def segment_distance(a: Segment, b: Segment) -> float:
-    """Euclidean distance between two closed segments (0 if they meet)."""
-    p1, p2 = a
-    q1, q2 = b
-    d1 = _orient(p1, p2, q1)
-    d2 = _orient(p1, p2, q2)
-    d3 = _orient(q1, q2, p1)
-    d4 = _orient(q1, q2, p2)
-    # proper crossing; touching/collinear cases are exact via the pointwise
-    # minimum below, since then some endpoint lies on the other segment
-    if d1 * d2 < 0.0 and d3 * d4 < 0.0:
-        return 0.0
-    best = min(
-        _point_segment_dist2(q1[0], q1[1], p1, p2),
-        _point_segment_dist2(q2[0], q2[1], p1, p2),
-        _point_segment_dist2(p1[0], p1[1], q1, q2),
-        _point_segment_dist2(p2[0], p2[1], q1, q2),
-    )
-    return math.sqrt(best)
-
-
-def _vertices_of(poly) -> tuple[Point, ...]:
-    verts = getattr(poly, "vertices", poly)
-    return tuple(verts)
-
-
-def convex_distance(p, q, offset: Point = (0.0, 0.0)) -> float:
-    """Distance between convex polygon ``p`` and polygon ``q`` shifted by ``offset``.
-
-    Accepts Hexagon instances or plain vertex sequences.  Computed as the
-    minimum segment-to-segment distance over all edge pairs, skipping the
-    remaining pairs once the running minimum cannot be beaten (the two
-    circumscribed circles already overlap by at least that much).
+    The six vertices run counterclockwise.  Points inside the hexagon or on
+    its boundary are at distance 0.
     """
-    vp = _vertices_of(p)
-    vq = _vertices_of(q)
-    ox, oy = offset
-    vq = tuple((x + ox, y + oy) for x, y in vq)
-    rp = max(math.hypot(x, y) for x, y in vp)
-    rq = max(math.hypot(x - ox, y - oy) for x, y in vq)
-    lower = math.hypot(ox, oy) - rp - rq
-    if lower < 0.0:
-        lower = 0.0
-    best = math.inf
-    np_, nq = len(vp), len(vq)
-    for i in range(np_):
-        ea = (vp[i], vp[(i + 1) % np_])
-        for j in range(nq):
-            d = segment_distance(ea, (vq[j], vq[(j + 1) % nq]))
-            if d < best:
-                best = d
-                if best <= lower + 1e-15:
-                    return best
-    return best
-
-
-def point_to_convex_distance(point: Point, vertices) -> float:
-    """Distance from a point to a convex polygon given by CCW vertices (0 inside)."""
-    verts = _vertices_of(vertices)
-    n = len(verts)
-    px, py = point
     inside = True
     best = math.inf
-    ax, ay = verts[-1]
-    for m in range(n):
-        bx, by = verts[m]
-        ex, ey = bx - ax, by - ay
-        if ex * (py - ay) - ey * (px - ax) < 0.0:
+    ax = vx[5]
+    ay = vy[5]
+    for m in range(6):
+        bx = vx[m]
+        by = vy[m]
+        ex = bx - ax
+        ey = by - ay
+        dx = px - ax
+        dy = py - ay
+        if ex * dy - ey * dx < 0.0:
             inside = False
-        d2 = _point_segment_dist2(px, py, (ax, ay), (bx, by))
+        t = (dx * ex + dy * ey) / (ex * ex + ey * ey)
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        qx = dx - t * ex
+        qy = dy - t * ey
+        d2 = qx * qx + qy * qy
         if d2 < best:
             best = d2
-        ax, ay = bx, by
-    if inside:
-        return 0.0
-    return math.sqrt(best)
-
-
-def polygon_area(poly) -> float:
-    """Unsigned area of a simple polygon (shoelace formula)."""
-    verts = _vertices_of(poly)
-    total = 0.0
-    n = len(verts)
-    for m in range(n):
-        x0, y0 = verts[m]
-        x1, y1 = verts[(m + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return abs(total) / 2.0
+        ax = bx
+        ay = by
+    return 0.0 if inside else math.sqrt(best)

@@ -26,6 +26,7 @@ from .coloring import (
     Symmetry,
     TripleRepresentation,
     canonical_triple,
+    min_offset_distance,
     same_color_offsets,
     schemes,
 )
@@ -37,7 +38,9 @@ from .geometry import (
     REGULAR,
     SEMI_REGULAR,
     DomainError,
+    gaps_valid,
     hexagon_from_gaps,
+    point_to_hexagon_distance,
 )
 
 # coarse grids stay this far from the degenerate boundary; EPS_GEOM remains
@@ -46,7 +49,6 @@ GRID_MARGIN = 0.02
 
 _log = logging.getLogger("hexcoloring.optimizer")
 
-_CLASS_RANK = {REGULAR: 0, SEMI_REGULAR: 1, RECTILINEAR: 2}
 _REGULAR_GAP = math.pi / 3.0
 
 
@@ -105,40 +107,16 @@ class SolveAllResult:
         return self.per_class[self.champion_class]
 
 
-def _point_hexdist6(px, py, vx, vy):
-    inside = True
-    best = 1e300
-    ax = vx[5]
-    ay = vy[5]
-    for m in range(6):
-        bx = vx[m]
-        by = vy[m]
-        ex = bx - ax
-        ey = by - ay
-        dx = px - ax
-        dy = py - ay
-        if ex * dy - ey * dx < 0.0:
-            inside = False
-        t = (dx * ex + dy * ey) / (ex * ex + ey * ey)
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        qx = dx - t * ex
-        qy = dy - t * ey
-        d2 = qx * qx + qy * qy
-        if d2 < best:
-            best = d2
-        ax = bx
-        ay = by
-    return 0.0 if inside else math.sqrt(best)
+def _frame(g1, g2, sin=math.sin, cos=math.cos):
+    """Doubled-hexagon vertices and lattice basis at shape (g1, g2).
 
-
-def _frame(g1: float, g2: float):
-    s1 = math.sin(g1)
-    c1 = math.cos(g1)
-    s2 = math.sin(g2)
-    c2 = math.cos(g2)
+    This is the ``frame`` argument of ``min_offset_distance``.
+    With NumPy's sin and cos it takes arrays of shapes.
+    """
+    s1 = sin(g1)
+    c1 = cos(g1)
+    s2 = sin(g2)
+    c2 = cos(g2)
     vx = (s1, 0.0, -s2, -s1, 0.0, s2)
     vy = (c1, 1.0, c2, -c1, -1.0, -c2)
     eix = (s1 + s2) * 0.5
@@ -148,44 +126,26 @@ def _frame(g1: float, g2: float):
     return vx, vy, eix, eiy, ejx, ejy
 
 
-def _gaps_valid(g1: float, g2: float) -> bool:
-    return g1 > EPS_GEOM and g2 > EPS_GEOM and g1 + g2 < math.pi - EPS_GEOM
-
-
 def _eval_min(g1: float, g2: float, offsets) -> float:
     """Minimum same-color gap at shape (g1, g2); -1.0 outside the valid triangle."""
-    if not _gaps_valid(g1, g2):
+    if not gaps_valid(g1, g2):
         return -1.0
-    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
-    best = 1e300
-    lim = 1e300
-    for i, j in offsets:
-        cx = i * eix + j * ejx
-        cy = i * eiy + j * ejy
-        # the doubled hexagon fits in the unit circle: d >= |c| - 1
-        if cx * cx + cy * cy >= lim:
-            continue
-        d = _point_hexdist6(cx, cy, vx, vy)
-        if d < best:
-            best = d
-            lim = (best + 1.0) * (best + 1.0)
-    return best
+    return min_offset_distance(offsets, _frame(g1, g2))
 
 
 def _eval_dists(g1: float, g2: float, offsets):
     """Per-offset gaps at shape (g1, g2), or None outside the valid triangle."""
-    if not _gaps_valid(g1, g2):
+    if not gaps_valid(g1, g2):
         return None
-    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
-    return [
-        _point_hexdist6(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
-        for i, j in offsets
-    ]
+    frame = _frame(g1, g2)
+    return [min_offset_distance((off,), frame) for off in offsets]
 
 
 def _offset_dist(g1: float, g2: float, i: int, j: int) -> float:
+    # calls the kernel directly: the polish's finite differences call this
+    # for every gap they take, and going through min_offset_distance costs 9%
     vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
-    return _point_hexdist6(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+    return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
 
 
 def _lipschitz(i: int, j: int) -> float:
@@ -223,16 +183,7 @@ class _Field:
         self.g2 = g2
         self.valid = valid
         self.radius = radius
-        s1, c1 = np.sin(g1), np.cos(g1)
-        s2, c2 = np.sin(g2), np.cos(g2)
-        zero = np.zeros_like(g1)
-        one = np.ones_like(g1)
-        vx = (s1, zero, -s2, -s1, zero, s2)
-        vy = (c1, one, c2, -c1, -one, -c2)
-        self.eix = (s1 + s2) * 0.5
-        self.eiy = (c1 - c2) * 0.5
-        self.ejx = s1 * 0.5
-        self.ejy = (c1 + 1.0) * 0.5
+        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = _frame(g1, g2, np.sin, np.cos)
         self._edges = []
         for m in range(6):
             ax, ay = vx[m - 1], vy[m - 1]
@@ -683,39 +634,26 @@ def _refine_semi_multi(offsets, vals, centers, options: SolveOptions, cell: floa
 # no fixed |i|+j window is safe at every shape: near-degenerate slivers put
 # the nearest same-color tile at arbitrarily large index.  Check each refined
 # optimum against wider windows and re-refine honestly when one contradicts it.
-_HONEST_STEPS = (3, 6, 9)
+# A window of _RECHECK_STEP past the default one also rechecks mapped orbit
+# optima and the final winner.
+_RECHECK_STEP = 3
+_HONEST_STEPS = (_RECHECK_STEP, 6, 9)
 
 
-def _log_honest_retry(scheme, slack: int, val: float, wide_val: float) -> None:
-    _log.debug(
-        "honest-window re-refinement: k=%d scheme=(%d, %d) slack %d drops %.12g to %.12g",
-        scheme.k, scheme.g, scheme.h, slack, val, wide_val,
-    )
-
-
-def _honest_refine_rect(scheme, offsets, seeds, options: SolveOptions, cell: float):
-    val, pt = _refine_rect(offsets, seeds, options, cell)
+def _honest_refine(scheme, offsets, refine, options: SolveOptions):
+    """refine(offsets) -> (value, point), re-run on the first wider window that lowers it."""
+    val, pt = refine(offsets)
     for step in _HONEST_STEPS:
         slack = options.enumeration_slack + step
         wide = same_color_offsets(scheme, slack=slack)
         wide_val = _eval_min(pt[0], pt[1], wide)
         if wide_val >= val - 1e-12:
             break
-        _log_honest_retry(scheme, slack, val, wide_val)
-        val, pt = _refine_rect(wide, seeds, options, cell)
-    return val, pt
-
-
-def _honest_refine_semi(scheme, offsets, vals, centers, options: SolveOptions, cell: float):
-    val, pt = _refine_semi_multi(offsets, vals, centers, options, cell)
-    for step in _HONEST_STEPS:
-        slack = options.enumeration_slack + step
-        wide = same_color_offsets(scheme, slack=slack)
-        wide_val = _eval_min(pt[0], pt[1], wide)
-        if wide_val >= val - 1e-12:
-            break
-        _log_honest_retry(scheme, slack, val, wide_val)
-        val, pt = _refine_semi_multi(wide, vals, centers, options, cell)
+        _log.debug(
+            "honest-window re-refinement: k=%d scheme=(%d, %d) slack %d drops %.12g to %.12g",
+            scheme.k, scheme.g, scheme.h, slack, val, wide_val,
+        )
+        val, pt = refine(wide)
     return val, pt
 
 
@@ -732,7 +670,7 @@ def _orbit_image(scheme, offsets, rep, rep_val: float, rep_pt, sym: Symmetry, op
     if val < rep_val - 1e-12:
         reason = "value too low"
     else:
-        wide = same_color_offsets(scheme, slack=options.enumeration_slack + _HONEST_STEPS[0])
+        wide = same_color_offsets(scheme, slack=options.enumeration_slack + _RECHECK_STEP)
         if _eval_min(pt[0], pt[1], wide) >= val - 1e-12:
             return val, pt
         reason = "a wider window drops it"
@@ -744,6 +682,12 @@ def _orbit_image(scheme, offsets, rep, rep_val: float, rep_pt, sym: Symmetry, op
 
 
 def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
+    """The closed form that ``dsq`` matches for k colors, or "none".
+
+    One of "loeschian", "cubic_f", "quartic", "none".  No two of these forms
+    lie within 1e-6 of each other for any k < 400, so the order of the checks
+    does not decide the tag.
+    """
     reg = regular_dsq(k)
     if reg is not None and abs(dsq - float(reg)) < tol:
         return "loeschian"
@@ -806,9 +750,11 @@ def _nm_start_count(options: SolveOptions) -> int:
 def _refine(class_tag: str, scheme, offsets, vals, grid: _Field, options: SolveOptions):
     """Full refinement of one scheme from its coarse values: (value, gap pair)."""
     if class_tag == SEMI_REGULAR:
-        return _honest_refine_semi(scheme, offsets, vals, grid.centers, options, grid.cell)
-    seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
-    return _honest_refine_rect(scheme, offsets, seeds, options, grid.cell)
+        refine = lambda offs: _refine_semi_multi(offs, vals, grid.centers, options, grid.cell)
+    else:
+        seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
+        refine = lambda offs: _refine_rect(offs, seeds, options, grid.cell)
+    return _honest_refine(scheme, offsets, refine, options)
 
 
 def optimize_scheme(
@@ -823,13 +769,10 @@ def optimize_scheme(
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
-    offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
-
     if class_tag == REGULAR:
-        pt = (_REGULAR_GAP, _REGULAR_GAP)
-        val = _eval_min(pt[0], pt[1], offsets)
-        return _finalize(k, class_tag, scheme, pt, val, options, val)
+        return _solve_regular(k, [scheme], options)
 
+    offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
     grid = _get_field(class_tag, options.coarse_grid)
     vals = grid.scheme_min(offsets)
     val, pt = _refine(class_tag, scheme, offsets, vals, grid, options)
@@ -863,10 +806,11 @@ def _pick_tied(cands, options: SolveOptions):
     return max(tied, key=pref)
 
 
-def _solve_regular(k: int, options: SolveOptions) -> SolveResult:
+def _solve_regular(k: int, candidates, options: SolveOptions) -> SolveResult:
+    """The best of the ``candidates`` schemes on the regular hexagon."""
     pt = (_REGULAR_GAP, _REGULAR_GAP)
     cands = []
-    for scheme in schemes(k):
+    for scheme in candidates:
         offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
         cands.append((_eval_min(pt[0], pt[1], offsets), scheme, pt))
     val, scheme, pt = _pick_tied(cands, options)
@@ -886,15 +830,9 @@ def solve(
     value over a wider window, so a skipped scheme could not have won or
     tied.  The result's ``d_upper`` is the largest U_s.
 
-    The bound: offset c = i e_i + j e_j moves by |i + j| / 2 per unit of
-    gap1 and by |i| / 2 per unit of gap2, and the doubled hexagon's vertices
-    move on the unit circle by at most the larger gap change, so c's gap
-    changes by at most w_c = (|i + j| + |i|) / 2 + 1 times the max norm of
-    the gap change.  Around each valid grid point p lies a box of radius
-    r(p) on which the objective is at most min_c (gap_c(p) + r(p) w_c).  The
-    boxes are the grid cells, the outer ones stretched to the edges of the
-    shape domain; cells past the grid's valid triangle go to the nearest
-    valid point down the anti-diagonal (``_rect_radii``).
+    U_s is ``_Field.scheme_upper``: on boxes around the grid points that
+    cover every valid shape (``_rect_radii``), each offset's gap moves by at
+    most ``_lipschitz`` times the max norm of the gap change.
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's optimum onto the optimum of every scheme in its orbit (see
@@ -910,7 +848,7 @@ def solve(
         raise DomainError(f"unknown class {class_tag!r}")
 
     if class_tag == REGULAR:
-        return _solve_regular(k, options)
+        return _solve_regular(k, schemes(k), options)
 
     slack = options.enumeration_slack
     grid = _get_field(class_tag, options.coarse_grid)
@@ -953,7 +891,7 @@ def solve(
     val, scheme, point = _pick_tied(refined, options)
     # recheck the winner with a wider index window; a drop would mean the
     # enumeration bound clipped a nearer offset at this shape
-    wide = same_color_offsets(scheme, slack=slack + 3)
+    wide = same_color_offsets(scheme, slack=slack + _RECHECK_STEP)
     wide_val = _eval_min(point[0], point[1], wide)
     if wide_val < val - 1e-12:
         _log.debug(
@@ -964,13 +902,16 @@ def solve(
     return _finalize(k, class_tag, scheme, point, val, options, d_upper)
 
 
-def solve_all(k: int, options: SolveOptions | None = None) -> SolveAllResult:
-    """Solve every class and crown the most restricted class that ties the best d."""
+def solve_all(
+    k: int, options: SolveOptions | None = None, classes: Sequence[str] = CLASS_TAGS
+) -> SolveAllResult:
+    """Solve each class in ``classes`` and crown the most restricted one that ties the best d."""
     options = options or _DEFAULT_OPTIONS
-    per_class = {tag: solve(k, tag, options) for tag in CLASS_TAGS}
+    unknown = [tag for tag in classes if tag not in CLASS_TAGS]
+    if unknown or not classes:
+        raise DomainError(f"classes must be a non-empty subset of {CLASS_TAGS}: got {classes!r}")
+    # CLASS_TAGS runs from the most restricted class to the least
+    per_class = {tag: solve(k, tag, options) for tag in CLASS_TAGS if tag in classes}
     best_d = max(res.d for res in per_class.values())
-    champion = min(
-        (tag for tag in CLASS_TAGS if per_class[tag].d >= best_d - 1e-9),
-        key=lambda tag: _CLASS_RANK[tag],
-    )
+    champion = next(tag for tag, res in per_class.items() if res.d >= best_d - 1e-9)
     return SolveAllResult(k=k, per_class=per_class, champion_class=champion)

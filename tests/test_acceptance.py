@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from geometry_oracle import polygon_area
 from hexcoloring.analysis import (
     load_reference,
     monotonicity_report,
@@ -23,7 +24,6 @@ from hexcoloring.geometry import (
     REGULAR,
     SEMI_REGULAR,
     hexagon_from_gaps,
-    polygon_area,
 )
 from hexcoloring.optimizer import solve_all
 

@@ -19,6 +19,7 @@ from hexcoloring.analysis import (
     stable_dsq_rational,
 )
 from hexcoloring.evaluator import cubic_f, quartic_dsq
+from hexcoloring.optimizer import _closed_form_tag
 
 HEADER = "k,i1,j1,i2,j2,class,dsq_num,dsq_den,r_num,r_den,d_approx,record\n"
 
@@ -62,13 +63,33 @@ def test_stable_gate_rejects_surds():
     assert stable_dsq_rational(1 / 3 + 1e-9) is None
 
 
+def _tagged(k, dsq):
+    """A result stand-in carrying the solver's closed-form tag and rational."""
+    return SimpleNamespace(
+        k=k,
+        dsq=dsq,
+        closed_form_tag=_closed_form_tag(k, dsq),
+        dsq_rational=stable_dsq_rational(dsq),
+    )
+
+
 def test_classify_tags():
-    assert classify(SimpleNamespace(k=8, dsq=1.96)) == "rational"
-    assert classify(SimpleNamespace(k=30, dsq=cubic_f(30)[1])) == "cubic_f"
-    assert classify(SimpleNamespace(k=11, dsq=quartic_dsq(11))) == "quartic"
-    assert classify(SimpleNamespace(k=35, dsq=4.0 + math.sqrt(2))) == "unknown"
+    # the solver's matcher names the closed form a squared gap matches
+    assert _closed_form_tag(8, 1.96) == "none"
+    assert _closed_form_tag(7, 1.75) == "loeschian"
+    assert _closed_form_tag(30, cubic_f(30)[1]) == "cubic_f"
+    assert _closed_form_tag(11, quartic_dsq(11)) == "quartic"
+    assert _closed_form_tag(35, 4.0 + math.sqrt(2)) == "none"
+    # k = 12 = 3 * 4 is in the cubic family, but 4 is its Loeschian value
+    assert _closed_form_tag(12, 4.0) == "loeschian"
+    # classify maps that tag and the stable rational to its own vocabulary
+    assert classify(_tagged(8, 1.96)) == "rational"
+    assert classify(_tagged(7, 1.75)) == "rational"
+    assert classify(_tagged(30, cubic_f(30)[1])) == "cubic_f"
+    assert classify(_tagged(11, quartic_dsq(11))) == "quartic"
+    assert classify(_tagged(35, 4.0 + math.sqrt(2))) == "unknown"
     # a cubic-family k reported at a non-cubic value falls through
-    assert classify(SimpleNamespace(k=12, dsq=4.0)) == "rational"
+    assert classify(_tagged(12, 4.0)) == "rational"
 
 
 def test_reference_table_loads_and_validates():

@@ -13,6 +13,8 @@ from hexcoloring.cli import (
     parse_result,
     serialize_result,
 )
+from hexcoloring.geometry import REGULAR, SEMI_REGULAR
+from hexcoloring.optimizer import solve, solve_all
 
 
 def test_solve_summary_line(capsys):
@@ -94,6 +96,26 @@ def test_table_stdout_and_class_filter(capsys):
     assert len(lines) == 2
     assert lines[1].startswith("4,regular,2,0,")
     assert lines[1].endswith(",1")
+
+
+def test_table_rows_follow_solve_all(capsys):
+    # each k's rows and champion flag are solve_all's over the listed classes,
+    # in CLASS_TAGS order whatever the order given
+    assert main(["table", "--kmin", "6", "--kmax", "9", "--classes", "semi", "regular"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    expected = []
+    for k in range(6, 10):
+        solved = solve_all(k, classes=(SEMI_REGULAR, REGULAR))
+        for tag, res in solved.per_class.items():
+            assert res == solve(k, tag)
+            expected.append(
+                [str(k), tag, str(res.scheme.g), str(res.scheme.h), f"{res.d:.9f}",
+                 str(int(tag == solved.champion_class))]
+            )
+    assert [[r[0], r[1], r[2], r[3], r[7], r[9]] for r in rows] == expected
+    # ties within 1e-9 (k = 7 and 9) go to the more restricted class
+    champions = {r[0]: r[1] for r in rows if r[9] == "1"}
+    assert champions == {"6": SEMI_REGULAR, "7": REGULAR, "8": SEMI_REGULAR, "9": REGULAR}
 
 
 def test_verify_passes_on_small_range(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_oracle import convex_distance, polygon_area, segment_distance
 from hexcoloring.coloring import lattice_basis
 from hexcoloring.geometry import (
     CLASS_TAGS,
@@ -12,12 +13,9 @@ from hexcoloring.geometry import (
     SEMI_REGULAR,
     DomainError,
     Hexagon,
-    convex_distance,
     hexagon_from_gaps,
-    point_to_convex_distance,
-    polygon_area,
+    point_to_hexagon_distance,
     regular_hexagon,
-    segment_distance,
     semi_regular_from_r,
 )
 
@@ -155,20 +153,23 @@ def test_convex_distance_swap_symmetry(gaps, offset):
 def test_pair_distance_matches_doubled_hexagon_route(gaps, offset):
     # dist(H, H + c) must agree with the point-to-(2H) formulation
     hx = hexagon_from_gaps(*gaps)
-    doubled = [(2 * x, 2 * y) for x, y in hx.vertices]
     slow = convex_distance(hx, hx, offset)
-    fast = point_to_convex_distance(offset, doubled)
+    fast = point_to_hexagon_distance(*offset, *_doubled(hx))
     assert abs(slow - fast) <= 1e-12
 
 
+def _doubled(hx):
+    """Vertex x and y tuples of ``hx`` doubled about its center."""
+    return tuple(2 * x for x, _ in hx.vertices), tuple(2 * y for _, y in hx.vertices)
+
+
 def test_point_to_convex_distance_oracle():
-    hx = regular_hexagon()
-    doubled = [(2 * x, 2 * y) for x, y in hx.vertices]
+    vx, vy = _doubled(regular_hexagon())
     # rightmost edge of the doubled regular hexagon is the line x = sqrt(3)/2
     want = 10.0 - math.sqrt(3) / 2
-    assert abs(point_to_convex_distance((10.0, 0.0), doubled) - want) <= 1e-12
-    assert point_to_convex_distance((0.0, 0.0), doubled) == 0.0
-    assert point_to_convex_distance(doubled[0], doubled) == 0.0
+    assert abs(point_to_hexagon_distance(10.0, 0.0, vx, vy) - want) <= 1e-12
+    assert point_to_hexagon_distance(0.0, 0.0, vx, vy) == 0.0
+    assert point_to_hexagon_distance(vx[0], vy[0], vx, vy) == 0.0
 
 
 def test_overlapping_translates_have_zero_distance():

@@ -323,6 +323,33 @@ def test_skipping_matches_refining_every_scheme(k, class_tag):
         assert r.d <= r.d_upper
 
 
+# offsets with |i|, |j| <= 30 in every sign pattern, near and far
+_PIN_OFFSETS = [
+    (1, 0), (0, 1), (-1, 1), (2, -1), (3, 2), (-5, 4),
+    (7, 0), (-12, 9), (13, 17), (0, 30), (-30, 30), (30, -21),
+]
+
+
+@pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
+def test_field_matches_scalar_kernel(make_grid):
+    # the array form of the distance kernel agrees with the scalar one bit for bit
+    grid = make_grid(48)
+    points = np.flatnonzero(grid.valid)
+    for i, j in _PIN_OFFSETS:
+        arr = grid.offset_dist((i, j))
+        bad = [
+            p for p in points
+            if arr[p] != _offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
+        ]
+        assert bad == [], (i, j)
+
+
+@pytest.mark.parametrize("classes", [(), ("hexagonal",), (REGULAR, "semi"), "regular"])
+def test_solve_all_rejects_bad_classes(classes):
+    with pytest.raises(DomainError):
+        solve_all(5, classes=classes)
+
+
 def test_d_upper_bounds_d(champions):
     results, _ = champions
     for k in range(3, 31):
