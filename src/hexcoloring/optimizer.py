@@ -3,9 +3,10 @@
 The objective for a fixed coloring is the minimum over finitely many smooth
 offset-distance functions of the shape parameters, hence piecewise smooth
 with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid seeds derivative-free refinement, and an
-active-set Newton step sharpens the result to near machine precision so
-rational squared gaps can be reconstructed from the floats.
+deterministic: a fixed coarse grid seeds Nelder-Mead starts, run coarse to
+fine (of the rectilinear starts only the best is finished), and an active-set
+Newton step on closed-form offset derivatives sharpens the result to near
+machine precision so rational squared gaps can be reconstructed from the floats.
 """
 
 from __future__ import annotations
@@ -142,10 +143,56 @@ def _eval_dists(g1: float, g2: float, offsets):
 
 
 def _offset_dist(g1: float, g2: float, i: int, j: int) -> float:
-    # calls the kernel directly: the polish's finite differences call this
-    # for every gap they take, and going through min_offset_distance costs 9%
     vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
     return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+
+
+def _offset_jet(g1: float, g2: float, i: int, j: int):
+    """Offset (i, j)'s gap at shape (g1, g2), its gradient and its Hessian in the gaps.
+
+    The gap is ``_offset_dist``'s, bit for bit: the kernel's distance from c
+    to its nearest boundary point q = a + t (b - a), t clamped to [0, 1].  By
+    the envelope theorem the gradient is u . M, with u = (c - q) / gap and
+    M = dc - (1 - t) da - t db.  With gap1, c moves by (i + j) / 2 (cos g1,
+    -sin g1) and v0, v3 turn clockwise; with gap2, c moves by i / 2 (cos g2,
+    sin g2) and v2, v5 turn counterclockwise.  All of them turn at unit rate,
+    so dM is M turned a quarter, and the Hessian is u . dM + (P P' - Q Q') /
+    gap, with P the part of M along the boundary and Q = |b - a| dt, zero at
+    a vertex.  Points are complex numbers; inside the hexagon all are zero.
+    """
+    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
+    px, py = i * eix + j * ejx, i * eiy + j * ejy
+    inside, best = True, math.inf
+    for m in range(6):
+        ax, ay = vx[m - 1], vy[m - 1]
+        ex, ey = vx[m] - ax, vy[m] - ay
+        dx, dy = px - ax, py - ay
+        inside &= ex * dy - ey * dx >= 0.0
+        t = min(max((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0), 1.0)
+        qx, qy = dx - t * ex, dy - t * ey
+        d2 = qx * qx + qy * qy
+        if d2 < best:
+            best, near = d2, (m, t, complex(ex, ey))
+    if inside:
+        return 0.0, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))
+    m, t, e = near
+    gap, edge = math.sqrt(best), 0.0 < t < 1.0
+    v = [complex(x, y) for x, y in zip(vx, vy)]
+    dot = lambda z, w: z.real * w.real + z.imag * w.imag
+    # u from the edge's normal or the vertex itself, not the rounded q, so an
+    # offset and its mirror image on the diagonal get mirrored slopes
+    u = -1j * e / abs(e) if edge else (complex(px, py) - v[m if t == 1.0 else m - 1]) / gap
+    rows = []
+    for spin, h, n in (-1j, 0.5 * (i + j), 0), (1j, 0.5 * i, 2):
+        da, db = (spin * v[a] if a % 3 == n else 0.0 for a in (m - 1, m))
+        mk = -1j * h * v[n] - (1.0 - t) * da - t * db
+        pk = dot(1j * u, mk)
+        qk = pk + gap * dot(u, db - da) / abs(e) if edge else 0.0
+        rows.append((dot(u, mk), dot(u, spin * mk), pk, qk))
+    (ga, ca, pa, qa), (gb, cb, pb, qb) = rows
+    cross = (pa * pb - qa * qb) / gap
+    hess = ((ca + (pa * pa - qa * qa) / gap, cross), (cross, cb + (pb * pb - qb * qb) / gap))
+    return gap, (ga, gb), hess
 
 
 def _lipschitz(i: int, j: int) -> float:
@@ -353,8 +400,17 @@ def _sorted_by_distance(offsets, g1: float, g2: float):
     return [off for _, off in sorted(zip(dists, offsets), key=lambda p: (p[0], p[1]))]
 
 
-def _nm_max(fn, x0: float, y0: float, step: float, options: SolveOptions):
-    """Deterministic Nelder-Mead ascent from a fixed right-triangle simplex."""
+# 47% of Nelder-Mead's evaluations over rectilinear k = 3..30 fall below this
+# size; the start leading there finishes highest, within 1e-12 off the shape edge
+_NM_COARSE = 1e-5
+
+
+def _nm_max(fn, x0: float, y0: float, step: float, options: SolveOptions, pause: float):
+    """Deterministic Nelder-Mead ascent from a fixed right-triangle simplex.
+
+    Yields (best vertex, its value, finished) when the simplex first shrinks
+    to ``pause`` and when the exit test passes or ``max_iters`` have run.
+    """
     exit_size = max(options.param_tol, 1e-9)
     simplex = [(x0, y0), (x0 + step, y0), (x0, y0 + step)]
     vals = [fn(x, y) for x, y in simplex]
@@ -370,6 +426,9 @@ def _nm_max(fn, x0: float, y0: float, step: float, options: SolveOptions):
         )
         if vals[0] - vals[2] <= options.value_tol and size <= exit_size:
             break
+        if size <= pause:
+            pause = -1.0
+            yield simplex[0], vals[0], False
         (bx, by), (wx, wy) = simplex[0], simplex[2]
         cx = (bx + simplex[1][0]) * 0.5
         cy = (by + simplex[1][1]) * 0.5
@@ -399,14 +458,7 @@ def _nm_max(fn, x0: float, y0: float, step: float, options: SolveOptions):
                     simplex[m] = (sx, sy)
                     vals[m] = fn(sx, sy)
     top = max(range(3), key=lambda m: (vals[m], -m))
-    return simplex[top], vals[top]
-
-
-def _fd_grad(offsets_one, x: float, y: float, h: float = 1e-6):
-    i, j = offsets_one
-    gx = (_offset_dist(x + h, y, i, j) - _offset_dist(x - h, y, i, j)) / (2.0 * h)
-    gy = (_offset_dist(x, y + h, i, j) - _offset_dist(x, y - h, i, j)) / (2.0 * h)
-    return gx, gy
+    yield simplex[top], vals[top], True
 
 
 def _active_set(x: float, y: float, offsets, tol: float = 1e-6):
@@ -418,26 +470,18 @@ def _active_set(x: float, y: float, offsets, tol: float = 1e-6):
     return dmin, active
 
 
-def _newton_loop(Fvec, x: float, y: float, offsets, val: float, max_rounds: int = 30):
-    """Damped Newton on Fvec with a no-worse guard on the full objective.
+def _newton_loop(system, x: float, y: float, offsets, val: float, max_rounds: int = 30):
+    """Damped Newton on system(x, y) -> (values, Jacobian rows), guarded by the objective.
 
     Returns (x, y, val) of the best accepted point.  Steps that leave the
     valid triangle or reduce the minimum gap are halved, then abandoned.
     """
-    h = 1e-7
     for _ in range(max_rounds):
-        f0 = Fvec(x, y)
+        f0, jac = system(x, y)
         if max(abs(v) for v in f0) <= 1e-14:
             break
-        fx = Fvec(x + h, y)
-        fxm = Fvec(x - h, y)
-        fy = Fvec(x, y + h)
-        fym = Fvec(x, y - h)
-        jac = np.empty((len(f0), 2))
-        jac[:, 0] = [(a - b) / (2.0 * h) for a, b in zip(fx, fxm)]
-        jac[:, 1] = [(a - b) / (2.0 * h) for a, b in zip(fy, fym)]
         try:
-            step, *_ = np.linalg.lstsq(jac, -np.asarray(f0), rcond=None)
+            step, *_ = np.linalg.lstsq(np.asarray(jac), -np.asarray(f0), rcond=None)
         except np.linalg.LinAlgError:
             break
         dx, dy = float(step[0]), float(step[1])
@@ -467,19 +511,14 @@ def _polish_rect(x: float, y: float, val: float, offsets, max_rounds: int = 3):
         _, active = _active_set(x, y, offsets)
         if len(active) <= 1:
             break
-
+        jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
         if len(active) >= 3:
-            branches = active
-
-            def equalize(px: float, py: float, branches=branches):
-                ds = [_offset_dist(px, py, i, j) for i, j in branches]
-                return [dd - ds[0] for dd in ds[1:]]
-
-            nx, ny, nval = _newton_loop(equalize, x, y, offsets, val)
+            def system(px: float, py: float):
+                (d0, (gx0, gy0), _), *rest = jets(px, py)
+                jac = [(gx - gx0, gy - gy0) for _, (gx, gy), _ in rest]
+                return [d - d0 for d, _, _ in rest], jac
         else:
-            (ia, ja), (ib, jb) = active
-            ga = _fd_grad(active[0], x, y)
-            gb = _fd_grad(active[1], x, y)
+            (_, ga, _), (_, gb, _) = jets(x, y)
             nx_, ny_ = ga[0] - gb[0], ga[1] - gb[1]
             norm = math.hypot(nx_, ny_)
             if norm <= 1e-9:
@@ -488,14 +527,12 @@ def _polish_rect(x: float, y: float, val: float, offsets, max_rounds: int = 3):
                 break
             tx, ty = -ny_ / norm, nx_ / norm
 
-            def ridge(px: float, py: float, a=(ia, ja), b=(ib, jb), t=(tx, ty)):
-                da = _offset_dist(px, py, a[0], a[1])
-                db = _offset_dist(px, py, b[0], b[1])
-                gax, gay = _fd_grad(a, px, py)
-                return [da - db, t[0] * gax + t[1] * gay]
+            def system(px: float, py: float):
+                (da, (gax, gay), (ha0, ha1)), (db, (gbx, gby), _) = jets(px, py)
+                tha = (tx * ha0[0] + ty * ha1[0], tx * ha0[1] + ty * ha1[1])
+                return [da - db, tx * gax + ty * gay], [(gax - gbx, gay - gby), tha]
 
-            nx, ny, nval = _newton_loop(ridge, x, y, offsets, val)
-
+        nx, ny, nval = _newton_loop(system, x, y, offsets, val)
         moved = math.hypot(nx - x, ny - y)
         x, y, val = nx, ny, max(val, nval)
         if moved <= 1e-13:
@@ -548,15 +585,7 @@ def _polish_semi(gamma: float, val: float, offsets, cell: float):
     _, active = _active_set(gamma, gamma, offsets)
     if len(active) <= 1:
         return gamma, val
-    h = 1e-6
-
-    def slope(off, g):
-        return (
-            _offset_dist(g + h, g + h, off[0], off[1])
-            - _offset_dist(g - h, g - h, off[0], off[1])
-        ) / (2.0 * h)
-
-    slopes = [slope(off, gamma) for off in active]
+    slopes = [sum(_offset_jet(gamma, gamma, *off)[1]) for off in active]
     best_pair = None
     best_gap = 0.0
     for a in range(len(active)):
@@ -592,16 +621,23 @@ def _polish_semi(gamma: float, val: float, offsets, cell: float):
     return gamma, val
 
 
-def _refine_rect(offsets, seeds, options: SolveOptions, cell: float):
-    """Best (value, gap pair) over deterministic simplex starts plus polish."""
+def _refine_rect(offsets, seeds, options: SolveOptions, cell: float, starts: list):
+    """Best (value, gap pair) over deterministic simplex starts plus polish.
+
+    Only the start leading at _NM_COARSE, the first on ties, is finished.
+    ``starts`` counts the starts run and finished.
+    """
     ordered = _sorted_by_distance(offsets, *seeds[0])
-    best_pt, best_val = seeds[0], _eval_min(seeds[0][0], seeds[0][1], ordered)
-    for sx, sy in seeds:
-        (px, py), pv = _nm_max(
-            lambda a, b: _eval_min(a, b, ordered), sx, sy, 0.6 * cell, options
-        )
-        if pv > best_val:
-            best_pt, best_val = (px, py), pv
+    fn = lambda a, b: _eval_min(a, b, ordered)
+    best_pt, best_val = seeds[0], fn(*seeds[0])
+    runs = [_nm_max(fn, sx, sy, 0.6 * cell, options, _NM_COARSE) for sx, sy in seeds]
+    coarse = [next(run) for run in runs]
+    lead = max(range(len(runs)), key=lambda m: (coarse[m][1], -m))
+    pt, pv, _ = next(runs[lead], coarse[lead])
+    starts[0] += len(runs)
+    starts[1] += sum(c[2] for c in coarse) + (not coarse[lead][2])
+    if pv > best_val:
+        best_pt, best_val = pt, pv
     x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, ordered)
     if val > best_val:
         best_pt, best_val = (x, y), val
@@ -709,10 +745,11 @@ def _finalize(
     val: float,
     options: SolveOptions,
     d_upper: float,
+    triple: TripleRepresentation | None = None,
 ) -> SolveResult:
     point = (float(point[0]), float(point[1]))
     hexagon = hexagon_from_gaps(point[0], point[1])
-    triple = canonical_triple(hexagon, scheme, slack=options.enumeration_slack)
+    triple = triple or canonical_triple(hexagon, scheme, slack=options.enumeration_slack)
     val = float(val)
     dsq = val * val
     return SolveResult(
@@ -747,13 +784,13 @@ def _nm_start_count(options: SolveOptions) -> int:
     return max(3, options.starts_per_axis**2 // 24)
 
 
-def _refine(class_tag: str, scheme, offsets, vals, grid: _Field, options: SolveOptions):
+def _refine(class_tag: str, scheme, offsets, vals, grid: _Field, options: SolveOptions, starts):
     """Full refinement of one scheme from its coarse values: (value, gap pair)."""
     if class_tag == SEMI_REGULAR:
         refine = lambda offs: _refine_semi_multi(offs, vals, grid.centers, options, grid.cell)
     else:
         seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
-        refine = lambda offs: _refine_rect(offs, seeds, options, grid.cell)
+        refine = lambda offs: _refine_rect(offs, seeds, options, grid.cell, starts)
     return _honest_refine(scheme, offsets, refine, options)
 
 
@@ -775,7 +812,7 @@ def optimize_scheme(
     offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
     grid = _get_field(class_tag, options.coarse_grid)
     vals = grid.scheme_min(offsets)
-    val, pt = _refine(class_tag, scheme, offsets, vals, grid, options)
+    val, pt = _refine(class_tag, scheme, offsets, vals, grid, options, [0, 0])
     return _finalize(k, class_tag, scheme, pt, val, options, grid.scheme_upper(offsets))
 
 
@@ -785,11 +822,12 @@ _TIE_TOL = 1e-9
 
 
 def _pick_tied(cands, options: SolveOptions):
-    """cands: list of (val, scheme, point).  Returns the preferred entry."""
+    """cands: list of (val, scheme, point).  Returns the preferred entry and
+    its triple, None when nothing tied or the entry has none."""
     vmax = max(c[0] for c in cands)
     tied = [c for c in cands if c[0] >= vmax - _TIE_TOL]
     if len(tied) == 1:
-        return tied[0]
+        return tied[0], None
 
     def pref(entry):
         val, scheme, point = entry
@@ -800,10 +838,10 @@ def _pick_tied(cands, options: SolveOptions):
                 slack=options.enumeration_slack,
             )
         except NoTripleError:
-            return (False, 0, 0, 0, 0, -scheme.g, -scheme.h)
-        return (True, t.t1.j, t.t1.i, -t.t2.j, -t.t2.i, -scheme.g, -scheme.h)
+            return (False, 0, 0, 0, 0, -scheme.g, -scheme.h), entry, None
+        return (True, t.t1.j, t.t1.i, -t.t2.j, -t.t2.i, -scheme.g, -scheme.h), entry, t
 
-    return max(tied, key=pref)
+    return max(map(pref, tied), key=lambda ranked: ranked[0])[1:]
 
 
 def _solve_regular(k: int, candidates, options: SolveOptions) -> SolveResult:
@@ -813,8 +851,8 @@ def _solve_regular(k: int, candidates, options: SolveOptions) -> SolveResult:
     for scheme in candidates:
         offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
         cands.append((_eval_min(pt[0], pt[1], offsets), scheme, pt))
-    val, scheme, pt = _pick_tied(cands, options)
-    return _finalize(k, REGULAR, scheme, pt, val, options, val)
+    (val, scheme, pt), triple = _pick_tied(cands, options)
+    return _finalize(k, REGULAR, scheme, pt, val, options, val, triple)
 
 
 def solve(
@@ -862,6 +900,7 @@ def solve(
 
     refined = []
     mapped_count = 0
+    starts = [0, 0]
     best = -math.inf
     # orbit member -> (representative, its value and point, the symmetry
     # taking the representative to the member); rectilinear only
@@ -872,7 +911,7 @@ def solve(
         rep = images.get(scheme)
         mapped = _orbit_image(scheme, offsets, *rep, options) if rep else None
         if mapped is None:
-            v, pt = _refine(class_tag, scheme, offsets, vals, grid, options)
+            v, pt = _refine(class_tag, scheme, offsets, vals, grid, options, starts)
             if class_tag == RECTILINEAR and rep is None:
                 for sym in SYMMETRIES[1:]:
                     images.setdefault(sym.image_scheme(scheme), (scheme, v, pt, sym))
@@ -883,12 +922,13 @@ def solve(
         best = max(best, v)
     _log.debug(
         "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound; "
-        "best %.12g, d_upper %.12g",
+        "best %.12g, d_upper %.12g%s",
         k, class_tag, len(refined) - mapped_count, mapped_count,
         len(coarse) - len(refined), best, d_upper,
+        "; NM starts run %d, finished %d" % tuple(starts) if class_tag == RECTILINEAR else "",
     )
 
-    val, scheme, point = _pick_tied(refined, options)
+    (val, scheme, point), triple = _pick_tied(refined, options)
     # recheck the winner with a wider index window; a drop would mean the
     # enumeration bound clipped a nearer offset at this shape
     wide = same_color_offsets(scheme, slack=slack + _RECHECK_STEP)
@@ -899,7 +939,7 @@ def solve(
             k, class_tag, scheme.g, scheme.h, val, wide_val,
         )
         val = wide_val
-    return _finalize(k, class_tag, scheme, point, val, options, d_upper)
+    return _finalize(k, class_tag, scheme, point, val, options, d_upper, triple)
 
 
 def solve_all(

@@ -7,21 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcoloring.coloring import ColorScheme, schemes
+from hexcoloring.coloring import (
+    ColorScheme,
+    NoTripleError,
+    canonical_triple,
+    same_color_offsets,
+    schemes,
+)
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (
     RECTILINEAR,
     REGULAR,
     SEMI_REGULAR,
     DomainError,
+    hexagon_from_gaps,
 )
 from hexcoloring.analysis import REFERENCE_TOL, load_reference
+from hexcoloring import optimizer
 from hexcoloring.optimizer import (
+    _NM_COARSE,
     SolveOptions,
+    _eval_min,
+    _get_field,
     _lipschitz,
+    _nm_max,
+    _nm_start_count,
     _offset_dist,
+    _offset_jet,
+    _polish_rect,
     _rect_grid,
+    _rect_seeds,
+    _refine_rect,
     _semi_grid,
+    _sorted_by_distance,
     optimize_scheme,
     solve,
     solve_all,
@@ -370,3 +388,138 @@ def test_solve_logs_one_summary(caplog):
     assert counts
     assert sum(int(c) for c in counts.groups()) == len(schemes(8))
     assert f"d_upper {res.d_upper:.12g}" in lines[0]
+
+
+def test_rectilinear_summary_counts_nelder_mead_starts(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        solve(12, RECTILINEAR)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    assert len(lines) == 1
+    assert re.match(r"solve: k=12 rectilinear refined (\d+), mapped (\d+), skipped (\d+)", lines[0])
+    starts = re.search(r"NM starts run (\d+), finished (\d+)$", lines[0])
+    assert starts
+    run, finished = int(starts[1]), int(starts[2])
+    assert 0 < finished <= run
+
+
+def _feature(g1, g2, i, j):
+    """The doubled-hexagon vertex or edge nearest offset (i, j)'s point, searched directly."""
+    vx, vy, eix, eiy, ejx, ejy = optimizer._frame(g1, g2)
+    px, py = i * eix + j * ejx, i * eiy + j * ejy
+    best = None
+    for m in range(6):
+        ax, ay, bx, by = vx[m - 1], vy[m - 1], vx[m], vy[m]
+        t = ((px - ax) * (bx - ax) + (py - ay) * (by - ay)) / ((bx - ax) ** 2 + (by - ay) ** 2)
+        feature = ("vertex", (m - 1) % 6) if t <= 0 else ("vertex", m) if t >= 1 else ("edge", m)
+        t = min(max(t, 0.0), 1.0)
+        dist = math.hypot(px - ax - t * (bx - ax), py - ay - t * (by - ay))
+        if best is None or dist < best[0]:
+            best = (dist, feature)
+    return best[1]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    i=st.integers(min_value=-30, max_value=30),
+    j=st.integers(min_value=0, max_value=30),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    v=st.floats(min_value=0.0, max_value=1.0),
+    diagonal=st.booleans(),
+)
+def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
+    eps = 1e-3
+    if diagonal:
+        g1 = g2 = eps + u * (math.pi / 2 - 2 * eps)
+    else:
+        g1 = eps + u * (math.pi - 3 * eps)
+        g2 = eps + v * (math.pi - 2 * eps - g1)
+    gap, grad, hess = _offset_jet(g1, g2, i, j)
+    assert gap == _offset_dist(g1, g2, i, j)
+    h = 1e-6
+    steps = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
+    feature = _feature(g1, g2, i, j)
+    if gap < 1e-3 or any(_feature(g1 + a, g2 + b, i, j) != feature for a, b in steps):
+        return  # inside the hexagon, or the nearest vertex or edge changes nearby
+    for k, ((a1, b1), (a2, b2)) in enumerate([steps[:2], steps[2:]]):
+        fd = (_offset_dist(g1 + a1, g2 + b1, i, j) - _offset_dist(g1 + a2, g2 + b2, i, j)) / (2 * h)
+        assert abs(grad[k] - fd) <= 1e-6 * (1.0 + abs(fd)), (k, grad, fd)
+        up, down = _offset_jet(g1 + a1, g2 + b1, i, j)[1], _offset_jet(g1 + a2, g2 + b2, i, j)[1]
+        for m in range(2):
+            fd = (up[m] - down[m]) / (2 * h)
+            assert abs(hess[k][m] - fd) <= 1e-4 * (1.0 + abs(fd)), (k, m, hess, fd)
+
+
+def _refine_every_start(offsets, seeds, options, cell):
+    """Reference rectilinear refinement that finishes every Nelder-Mead start."""
+    ordered = _sorted_by_distance(offsets, *seeds[0])
+    fn = lambda a, b: _eval_min(a, b, ordered)
+    best_pt, best_val = seeds[0], fn(*seeds[0])
+    for sx, sy in seeds:
+        *_, (pt, pv, finished) = _nm_max(fn, sx, sy, 0.6 * cell, options, 0.0)
+        assert finished
+        if pv > best_val:
+            best_pt, best_val = pt, pv
+    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, ordered)
+    return max(val, best_val)
+
+
+def _rect_schemes(k):
+    options = SolveOptions()
+    grid = _get_field(RECTILINEAR, options.coarse_grid)
+    for scheme in schemes(k):
+        offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
+        vals = grid.scheme_min(offsets)
+        seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
+        yield scheme, offsets, seeds, options, grid.cell
+
+
+@pytest.mark.parametrize("k", range(3, 21))
+def test_finishing_only_the_leading_start_loses_nothing(k):
+    for scheme, offsets, seeds, options, cell in _rect_schemes(k):
+        starts = [0, 0]
+        val, pt = _refine_rect(offsets, seeds, options, cell, starts)
+        ref = _refine_every_start(offsets, seeds, options, cell)
+        # at an optimum on the degenerate edge (a gap near EPS_GEOM; a window
+        # mirage that _honest_refine later drops) each start stops wherever its
+        # simplex meets the edge, so starts end up to 1.2e-11 apart there
+        # (k = 15, scheme (15, 7))
+        edge = min(pt[0], pt[1], math.pi - pt[0] - pt[1]) <= 1e-6
+        assert abs(val - ref) <= (1e-10 if edge else 1e-12), scheme
+        assert starts[0] == len(seeds) and 0 < starts[1] <= starts[0]
+
+
+@pytest.mark.parametrize("k", [6, 12, 15])
+def test_paused_nelder_mead_resumes_on_its_trajectory(k):
+    for _, offsets, seeds, options, cell in _rect_schemes(k):
+        fn = lambda a, b: _eval_min(a, b, offsets)
+        for sx, sy in seeds:
+            paused = list(_nm_max(fn, sx, sy, 0.6 * cell, options, _NM_COARSE))
+            straight = list(_nm_max(fn, sx, sy, 0.6 * cell, options, 0.0))
+            assert paused[-1] == straight[-1]
+            assert paused[0][2] or paused[0][1] <= paused[-1][1]
+
+
+def test_tied_winner_triple_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(hexagon, scheme, *, slack=1):
+        calls.append((hexagon.gaps, scheme))
+        return canonical_triple(hexagon, scheme, slack=slack)
+
+    monkeypatch.setattr(optimizer, "canonical_triple", counted)
+    # each of these solves breaks a tie between schemes by their triples
+    for k, tag in [(7, REGULAR), (6, SEMI_REGULAR), (6, RECTILINEAR)]:
+        calls.clear()
+        res = solve(k, tag)
+        assert len(calls) == len(set(calls)), (k, tag)
+        assert res.triple == canonical_triple(hexagon_from_gaps(*res.gaps), res.scheme)
+
+
+def test_winner_without_triple_still_raises(monkeypatch):
+    def none(hexagon, scheme, *, slack=1):
+        raise NoTripleError("none")
+
+    monkeypatch.setattr(optimizer, "canonical_triple", none)
+    for k in (7, 9):
+        with pytest.raises(NoTripleError):
+            solve(k, REGULAR)
