@@ -10,6 +10,7 @@ exactly one such (g, h), so enumerating pairs enumerates colorings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -171,47 +172,97 @@ def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex
     return sorted(found, key=lambda t: (t.j, t.i))
 
 
-def min_offset_distance(offsets, frame) -> float:
-    """Smallest gap between the base tile and the tiles at ``offsets``.
+# Every shape class contains the regular hexagon, and there scheme (k, k, 1)
+# colors none of the base tile's neighbours (1, 0), (0, 1) and (-1, 1) alike
+# for k >= 3, so its minimum gap is the 1/2 of the second ring of tiles and
+# every class optimum is at least 1/2.  A same-colored offset c has a gap of
+# at most |c|, because the doubled tile contains the origin.  So where the
+# sublattice has a vector shorter than SLIVER_FLOOR, min_gap may return that
+# vector's gap, an upper bound below SLIVER_FLOOR that cannot pose as an
+# optimum, instead of scanning the long rows of a near-degenerate shape.
+SLIVER_FLOOR = 0.25
 
-    ``frame`` is (vx, vy, eix, eiy, ejx, ejy): the vertices of the tile
-    doubled about its center, and the tiling's basis (eix, eiy), (ejx, ejy).
-    The gap to the tile at offset c equals the distance from the point c to
-    that doubled tile, because the tiles are translates of a centrally
-    symmetric convex body.
+# relative margin on the row and column bounds against rounding; each point
+# is then held to the exact prune
+_ROUNDING = 1.0 + 1e-9
+
+
+def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
+    """Smallest gap between the base tile and any tile of its color.
+
+    ``frame`` is (vx, vy, eix, eiy, ejx, ejy): the tile's vertices doubled
+    about its center, and the tiling's basis.  The gap to the tile at offset
+    c is the distance from the point c to the doubled tile, which fits in
+    the unit circle, so only offsets with |c| < best + 1 can lower the best
+    gap.  The generators are Lagrange-Gauss reduced at this shape and the
+    sublattice is scanned row by row, as Fincke and Pohst (1985) enumerate
+    short vectors.  Each gap is ``point_to_hexagon_distance(i * eix + j *
+    ejx, i * eiy + j * ejy, vx, vy)`` bit for bit.  Below SLIVER_FLOOR the
+    value may be an upper bound (see there).  With ``tol``, returns
+    (minimum, offsets within ``tol`` of it), the offsets in the half-plane
+    and order of ``same_color_offsets``.
     """
     vx, vy, eix, eiy, ejx, ejy = frame
-    best = lim = 1e300
-    for i, j in offsets:
-        cx = i * eix + j * ejx
-        cy = i * eiy + j * ejy
-        # the doubled hexagon fits in the unit circle: d >= |c| - 1
-        if cx * cx + cy * cy >= lim:
-            continue
-        d = point_to_hexagon_distance(cx, cy, vx, vy)
-        if d < best:
-            best = d
-            lim = (best + 1.0) * (best + 1.0)
-    return best
+    # Lagrange-Gauss reduction of the generators (g, 0) and (h, k/g), kept as
+    # index pairs (i1, j1), (i2, j2) with points (x, y) and squared norms n
+    i1, j1, i2, j2 = scheme.g, 0, scheme.h, scheme.k // scheme.g
+    x1, y1 = i1 * eix, i1 * eiy
+    x2, y2 = i2 * eix + j2 * ejx, i2 * eiy + j2 * ejy
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    if n2 < n1:
+        i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = i2, j2, x2, y2, n2, i1, j1, x1, y1, n1
+    # every pass that goes on shortens b1, so rounding cannot make it cycle
+    while True:
+        mu = round((x1 * x2 + y1 * y2) / n1)
+        if mu:
+            i2, j2 = i2 - mu * i1, j2 - mu * j1
+            x2, y2 = i2 * eix + j2 * ejx, i2 * eiy + j2 * ejy
+            n2 = x2 * x2 + y2 * y2
+        if n2 >= n1:
+            break
+        i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = i2, j2, x2, y2, n2, i1, j1, x1, y1, n1
+    best = point_to_hexagon_distance(i1 * eix + j1 * ejx, i1 * eiy + j1 * ejy, vx, vy)
+    near = [(best, i1, j1)]
+    slack = tol or 0.0
+    lim = (best + slack + 1.0) * (best + slack + 1.0)
+    # row r holds the points col * b1 + r * b2, centred on col = -r * shift
+    # at height r * sqrt(h2) above the row through the origin.  The gap is
+    # convex in the point and 0 at the origin, so the gap at col * b1 is at
+    # least col times the gap at b1: row 0 only adds offsets within ``tol``.
+    shift = (x1 * x2 + y1 * y2) / n1
+    h2 = n2 - shift * shift * n1
+    row = 0 if tol is not None else 1
+    while n1 >= SLIVER_FLOOR * SLIVER_FLOOR and row * row * h2 < lim * _ROUNDING:
+        centre, half = -row * shift, math.sqrt((lim * _ROUNDING - row * row * h2) / n1)
+        i0, j0, lo = row * i2, row * j2, 2 if row == 0 else math.floor(centre - half)
+        for col in range(lo, math.ceil(centre + half) + 1):
+            i, j = col * i1 + i0, col * j1 + j0
+            cx = i * eix + j * ejx
+            cy = i * eiy + j * ejy
+            if cx * cx + cy * cy >= lim:
+                continue
+            d = point_to_hexagon_distance(cx, cy, vx, vy)
+            if d <= best + slack:
+                if d < best:
+                    best = d
+                    lim = (best + slack + 1.0) * (best + slack + 1.0)
+                if tol is not None:
+                    near.append((d, i, j))
+        row += 1
+    if tol is None:
+        return best
+    # each offset as the one of +/- (i, j) that same_color_offsets lists
+    found = [TileIndex(i, j) if j > 0 or (j == 0 and i > 0) else TileIndex(-i, -j)
+             for d, i, j in near if d <= best + tol]
+    return best, sorted(found, key=lambda t: (t.j, t.i))
 
 
 def _doubled_frame(hexagon: Hexagon) -> tuple:
-    """The ``frame`` argument of min_offset_distance for ``hexagon``."""
+    """The ``frame`` argument of min_gap for ``hexagon``."""
     basis = lattice_basis(hexagon)
     vx = tuple(2.0 * x for x, _ in hexagon.vertices)
     vy = tuple(2.0 * y for _, y in hexagon.vertices)
     return (vx, vy, *basis.e_i, *basis.e_j)
-
-
-def min_distance_over_offsets(
-    hexagon: Hexagon, scheme: ColorScheme, *, slack: int = 1
-) -> tuple[float, TileIndex]:
-    """Minimum gap between same-colored tiles, with the first offset realizing it."""
-    frame = _doubled_frame(hexagon)
-    offsets = same_color_offsets(scheme, slack=slack)
-    best = min_offset_distance(offsets, frame)
-    # the pruned scan settles on the first offset that attains the minimum
-    return best, next(t for t in offsets if min_offset_distance((t,), frame) == best)
 
 
 class NoTripleError(RuntimeError):
@@ -261,16 +312,12 @@ def canonical_triple(
     remaining pair is returned with canonical set to False.
     """
     frame = _doubled_frame(hexagon)
-    dmin = min_offset_distance(same_color_offsets(scheme, slack=slack), frame)
-    dist_cache: dict[TileIndex, float] = {}
+    vx, vy, eix, eiy, ejx, ejy = frame
+    dmin = min_gap(scheme, frame)
 
+    @functools.lru_cache(maxsize=None)
     def dist(i: int, j: int) -> float:
-        key = TileIndex(i, j)
-        d = dist_cache.get(key)
-        if d is None:
-            d = min_offset_distance(((i, j),), frame)
-            dist_cache[key] = d
-        return d
+        return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
 
     bound = enumeration_bound(scheme.k, slack)
     limit = 4 * scheme.k + 4

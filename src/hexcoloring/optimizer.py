@@ -1,8 +1,9 @@
 """Maximize the minimum same-color gap over hexagon shapes, per scheme and class.
 
-The objective for a fixed coloring is the minimum over finitely many smooth
-offset-distance functions of the shape parameters, hence piecewise smooth
-with kinks where the active offset changes.  Everything here is
+The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
+over every same-colored tile: near any shape, the minimum of finitely many
+smooth offset-distance functions of the shape parameters, hence piecewise
+smooth with kinks where the active offset changes.  Everything here is
 deterministic: a fixed coarse grid seeds Nelder-Mead starts, run coarse to
 fine (of the rectilinear starts only the best is finished), and an active-set
 Newton step on closed-form offset derivatives sharpens the result to near
@@ -24,10 +25,9 @@ from .coloring import (
     SYMMETRIES,
     ColorScheme,
     NoTripleError,
-    Symmetry,
     TripleRepresentation,
     canonical_triple,
-    min_offset_distance,
+    min_gap,
     same_color_offsets,
     schemes,
 )
@@ -55,6 +55,10 @@ _REGULAR_GAP = math.pi / 3.0
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Search effort and tolerances.  ``enumeration_slack`` widens the offset
+    window of ``same_color_offsets``, which only sizes the coarse scan's
+    offsets and the witness triple search; the objective covers every tile."""
+
     starts_per_axis: int = 12
     coarse_grid: int = 48
     value_tol: float = 1e-12
@@ -111,7 +115,7 @@ class SolveAllResult:
 def _frame(g1, g2, sin=math.sin, cos=math.cos):
     """Doubled-hexagon vertices and lattice basis at shape (g1, g2).
 
-    This is the ``frame`` argument of ``min_offset_distance``.
+    This is the ``frame`` argument of ``coloring.min_gap``.
     With NumPy's sin and cos it takes arrays of shapes.
     """
     s1 = sin(g1)
@@ -127,19 +131,11 @@ def _frame(g1, g2, sin=math.sin, cos=math.cos):
     return vx, vy, eix, eiy, ejx, ejy
 
 
-def _eval_min(g1: float, g2: float, offsets) -> float:
-    """Minimum same-color gap at shape (g1, g2); -1.0 outside the valid triangle."""
+def _eval_min(g1: float, g2: float, scheme: ColorScheme, tol: float | None = None):
+    """``coloring.min_gap`` at (g1, g2); -1.0, with no offsets, outside the valid triangle."""
     if not gaps_valid(g1, g2):
-        return -1.0
-    return min_offset_distance(offsets, _frame(g1, g2))
-
-
-def _eval_dists(g1: float, g2: float, offsets):
-    """Per-offset gaps at shape (g1, g2), or None outside the valid triangle."""
-    if not gaps_valid(g1, g2):
-        return None
-    frame = _frame(g1, g2)
-    return [min_offset_distance((off,), frame) for off in offsets]
+        return -1.0 if tol is None else (-1.0, [])
+    return min_gap(scheme, _frame(g1, g2), tol)
 
 
 def _offset_dist(g1: float, g2: float, i: int, j: int) -> float:
@@ -392,16 +388,8 @@ def _local_maxima_1d(vals: np.ndarray) -> np.ndarray:
     return idx[order]
 
 
-def _sorted_by_distance(offsets, g1: float, g2: float):
-    """Offsets nearest-first at a reference shape, so pruning fires early."""
-    dists = _eval_dists(g1, g2, offsets)
-    if dists is None:
-        return list(offsets)
-    return [off for _, off in sorted(zip(dists, offsets), key=lambda p: (p[0], p[1]))]
-
-
-# 47% of Nelder-Mead's evaluations over rectilinear k = 3..30 fall below this
-# size; the start leading there finishes highest, within 1e-12 off the shape edge
+# 47% of Nelder-Mead's evaluations over rectilinear k = 3..30 fell below this
+# size; the start leading there finishes highest, within 1e-12
 _NM_COARSE = 1e-5
 
 
@@ -461,16 +449,7 @@ def _nm_max(fn, x0: float, y0: float, step: float, options: SolveOptions, pause:
     yield simplex[top], vals[top], True
 
 
-def _active_set(x: float, y: float, offsets, tol: float = 1e-6):
-    dists = _eval_dists(x, y, offsets)
-    if dists is None:
-        return None, []
-    dmin = min(dists)
-    active = [off for off, dd in zip(offsets, dists) if dd <= dmin + tol]
-    return dmin, active
-
-
-def _newton_loop(system, x: float, y: float, offsets, val: float, max_rounds: int = 30):
+def _newton_loop(system, x: float, y: float, scheme, val: float, max_rounds: int = 30):
     """Damped Newton on system(x, y) -> (values, Jacobian rows), guarded by the objective.
 
     Returns (x, y, val) of the best accepted point.  Steps that leave the
@@ -491,7 +470,7 @@ def _newton_loop(system, x: float, y: float, offsets, val: float, max_rounds: in
         accepted = False
         for _ in range(3):
             cand = (x + scale * dx, y + scale * dy)
-            cand_val = _eval_min(cand[0], cand[1], offsets)
+            cand_val = _eval_min(cand[0], cand[1], scheme)
             if cand_val >= val - 1e-12:
                 x, y = cand
                 val = max(val, cand_val)
@@ -505,10 +484,10 @@ def _newton_loop(system, x: float, y: float, offsets, val: float, max_rounds: in
     return x, y, val
 
 
-def _polish_rect(x: float, y: float, val: float, offsets, max_rounds: int = 3):
+def _polish_rect(x: float, y: float, val: float, scheme: ColorScheme, max_rounds: int = 3):
     """Sharpen a simplex result by solving the active kink equations."""
     for _ in range(max_rounds):
-        _, active = _active_set(x, y, offsets)
+        _, active = _eval_min(x, y, scheme, 1e-6)
         if len(active) <= 1:
             break
         jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
@@ -532,7 +511,7 @@ def _polish_rect(x: float, y: float, val: float, offsets, max_rounds: int = 3):
                 tha = (tx * ha0[0] + ty * ha1[0], tx * ha0[1] + ty * ha1[1])
                 return [da - db, tx * gax + ty * gay], [(gax - gbx, gay - gby), tha]
 
-        nx, ny, nval = _newton_loop(system, x, y, offsets, val)
+        nx, ny, nval = _newton_loop(system, x, y, scheme, val)
         moved = math.hypot(nx - x, ny - y)
         x, y, val = nx, ny, max(val, nval)
         if moved <= 1e-13:
@@ -579,10 +558,10 @@ def _illinois_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 80
     return b
 
 
-def _polish_semi(gamma: float, val: float, offsets, cell: float):
+def _polish_semi(gamma: float, val: float, scheme: ColorScheme, cell: float):
     """Resolve the kink where the two leading branches cross, if any."""
-    line = lambda g: _eval_min(g, g, offsets)
-    _, active = _active_set(gamma, gamma, offsets)
+    line = lambda g: _eval_min(g, g, scheme)
+    _, active = _eval_min(gamma, gamma, scheme, 1e-6)
     if len(active) <= 1:
         return gamma, val
     slopes = [sum(_offset_jet(gamma, gamma, *off)[1]) for off in active]
@@ -621,14 +600,13 @@ def _polish_semi(gamma: float, val: float, offsets, cell: float):
     return gamma, val
 
 
-def _refine_rect(offsets, seeds, options: SolveOptions, cell: float, starts: list):
+def _refine_rect(scheme: ColorScheme, seeds, options: SolveOptions, cell: float, starts: list):
     """Best (value, gap pair) over deterministic simplex starts plus polish.
 
     Only the start leading at _NM_COARSE, the first on ties, is finished.
     ``starts`` counts the starts run and finished.
     """
-    ordered = _sorted_by_distance(offsets, *seeds[0])
-    fn = lambda a, b: _eval_min(a, b, ordered)
+    fn = lambda a, b: _eval_min(a, b, scheme)
     best_pt, best_val = seeds[0], fn(*seeds[0])
     runs = [_nm_max(fn, sx, sy, 0.6 * cell, options, _NM_COARSE) for sx, sy in seeds]
     coarse = [next(run) for run in runs]
@@ -638,83 +616,32 @@ def _refine_rect(offsets, seeds, options: SolveOptions, cell: float, starts: lis
     starts[1] += sum(c[2] for c in coarse) + (not coarse[lead][2])
     if pv > best_val:
         best_pt, best_val = pt, pv
-    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, ordered)
+    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, scheme)
     if val > best_val:
         best_pt, best_val = (x, y), val
     return best_val, best_pt
 
 
-def _refine_semi(offsets, gamma0: float, options: SolveOptions, cell: float):
-    ordered = _sorted_by_distance(offsets, gamma0, gamma0)
-    line = lambda g: _eval_min(g, g, ordered)
+def _refine_semi(scheme: ColorScheme, gamma0: float, options: SolveOptions, cell: float):
+    line = lambda g: _eval_min(g, g, scheme)
     hi_edge = (math.pi - EPS_GEOM) / 2.0
     lo = max(EPS_GEOM * 2.0, gamma0 - cell)
     hi = min(hi_edge - EPS_GEOM, gamma0 + cell)
     gamma, val = _golden_max(line, lo, hi, tol=max(options.param_tol, 1e-12))
-    gamma, val = _polish_semi(gamma, val, ordered, cell)
+    gamma, val = _polish_semi(gamma, val, scheme, cell)
     return val, (gamma, gamma)
 
 
-def _refine_semi_multi(offsets, vals, centers, options: SolveOptions, cell: float):
+def _refine_semi_multi(scheme: ColorScheme, vals, centers, options: SolveOptions, cell: float):
     best_val, best_pt = -1.0, (_REGULAR_GAP, _REGULAR_GAP)
     for idx in _local_maxima_1d(vals)[:3]:
-        v, pt = _refine_semi(offsets, float(centers[idx]), options, cell)
+        v, pt = _refine_semi(scheme, float(centers[idx]), options, cell)
         if v > best_val:
             best_val, best_pt = v, pt
-    v, pt = _refine_semi(offsets, _REGULAR_GAP, options, cell)
+    v, pt = _refine_semi(scheme, _REGULAR_GAP, options, cell)
     if v > best_val:
         best_val, best_pt = v, pt
     return best_val, best_pt
-
-
-# no fixed |i|+j window is safe at every shape: near-degenerate slivers put
-# the nearest same-color tile at arbitrarily large index.  Check each refined
-# optimum against wider windows and re-refine honestly when one contradicts it.
-# A window of _RECHECK_STEP past the default one also rechecks mapped orbit
-# optima and the final winner.
-_RECHECK_STEP = 3
-_HONEST_STEPS = (_RECHECK_STEP, 6, 9)
-
-
-def _honest_refine(scheme, offsets, refine, options: SolveOptions):
-    """refine(offsets) -> (value, point), re-run on the first wider window that lowers it."""
-    val, pt = refine(offsets)
-    for step in _HONEST_STEPS:
-        slack = options.enumeration_slack + step
-        wide = same_color_offsets(scheme, slack=slack)
-        wide_val = _eval_min(pt[0], pt[1], wide)
-        if wide_val >= val - 1e-12:
-            break
-        _log.debug(
-            "honest-window re-refinement: k=%d scheme=(%d, %d) slack %d drops %.12g to %.12g",
-            scheme.k, scheme.g, scheme.h, slack, val, wide_val,
-        )
-        val, pt = refine(wide)
-    return val, pt
-
-
-def _orbit_image(scheme, offsets, rep, rep_val: float, rep_pt, sym: Symmetry, options):
-    """The representative's optimum moved onto ``scheme``, or None if it fails there.
-
-    The move is exact, d(rep, x) = d(scheme, sym(x)), but the fixed index
-    windows of the two schemes cover different tiles.  So the value over the
-    scheme's own window must not fall below the representative's, and the
-    first honest window must not lower it, as after a full refinement.
-    """
-    pt = sym.image_gaps(rep_pt[0], rep_pt[1])
-    val = _eval_min(pt[0], pt[1], offsets)
-    if val < rep_val - 1e-12:
-        reason = "value too low"
-    else:
-        wide = same_color_offsets(scheme, slack=options.enumeration_slack + _RECHECK_STEP)
-        if _eval_min(pt[0], pt[1], wide) >= val - 1e-12:
-            return val, pt
-        reason = "a wider window drops it"
-    _log.debug(
-        "orbit fallback: k=%d scheme=(%d, %d) representative=(%d, %d): %s",
-        scheme.k, scheme.g, scheme.h, rep.g, rep.h, reason,
-    )
-    return None
 
 
 def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
@@ -784,14 +711,12 @@ def _nm_start_count(options: SolveOptions) -> int:
     return max(3, options.starts_per_axis**2 // 24)
 
 
-def _refine(class_tag: str, scheme, offsets, vals, grid: _Field, options: SolveOptions, starts):
+def _refine(class_tag: str, scheme, vals, grid: _Field, options: SolveOptions, starts):
     """Full refinement of one scheme from its coarse values: (value, gap pair)."""
     if class_tag == SEMI_REGULAR:
-        refine = lambda offs: _refine_semi_multi(offs, vals, grid.centers, options, grid.cell)
-    else:
-        seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
-        refine = lambda offs: _refine_rect(offs, seeds, options, grid.cell, starts)
-    return _honest_refine(scheme, offsets, refine, options)
+        return _refine_semi_multi(scheme, vals, grid.centers, options, grid.cell)
+    seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
+    return _refine_rect(scheme, seeds, options, grid.cell, starts)
 
 
 def optimize_scheme(
@@ -800,7 +725,10 @@ def optimize_scheme(
     class_tag: str = RECTILINEAR,
     options: SolveOptions | None = None,
 ) -> SolveResult:
-    """Best shape in the class for one fixed coloring scheme."""
+    """Best shape in the class for one fixed coloring scheme.
+
+    A ``d`` below ``coloring.SLIVER_FLOOR`` may be an upper bound on the
+    scheme's optimum, which then lies below SLIVER_FLOOR too."""
     options = options or _DEFAULT_OPTIONS
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
@@ -812,7 +740,7 @@ def optimize_scheme(
     offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
     grid = _get_field(class_tag, options.coarse_grid)
     vals = grid.scheme_min(offsets)
-    val, pt = _refine(class_tag, scheme, offsets, vals, grid, options, [0, 0])
+    val, pt = _refine(class_tag, scheme, vals, grid, options, [0, 0])
     return _finalize(k, class_tag, scheme, pt, val, options, grid.scheme_upper(offsets))
 
 
@@ -849,8 +777,7 @@ def _solve_regular(k: int, candidates, options: SolveOptions) -> SolveResult:
     pt = (_REGULAR_GAP, _REGULAR_GAP)
     cands = []
     for scheme in candidates:
-        offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
-        cands.append((_eval_min(pt[0], pt[1], offsets), scheme, pt))
+        cands.append((_eval_min(pt[0], pt[1], scheme), scheme, pt))
     (val, scheme, pt), triple = _pick_tied(cands, options)
     return _finalize(k, REGULAR, scheme, pt, val, options, val, triple)
 
@@ -864,20 +791,21 @@ def solve(
     bound U_s on its objective over every valid shape.  Schemes are refined
     in descending order of peak, and a scheme is skipped once U_s falls
     below the best refined value so far by more than the tie tolerance.
-    Every refined value is the window objective at a valid shape, or a lower
-    value over a wider window, so a skipped scheme could not have won or
-    tied.  The result's ``d_upper`` is the largest U_s.
+    Every refined value is the objective at a valid shape, or below
+    ``coloring.SLIVER_FLOOR`` and so below every class optimum, so a
+    skipped scheme could not have won or tied.  The result's ``d_upper`` is
+    the largest U_s.
 
     U_s is ``_Field.scheme_upper``: on boxes around the grid points that
     cover every valid shape (``_rect_radii``), each offset's gap moves by at
-    most ``_lipschitz`` times the max norm of the gap change.
+    most ``_lipschitz`` times the max norm of the gap change.  The scan's
+    fixed offsets (``same_color_offsets``) can only overstate the minimum.
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
-    each scheme's optimum onto the optimum of every scheme in its orbit (see
-    ``coloring.SYMMETRIES``).  Only the first scheme of an orbit to be
+    each scheme's objective exactly onto that of every scheme in its orbit
+    (see ``coloring.SYMMETRIES``).  Only the first scheme of an orbit to be
     refined gets a full refinement; later ones take its optimum, moved onto
-    their own shape and checked there, and are refined in full only if that
-    check fails.
+    their own shape.
     """
     options = options or _DEFAULT_OPTIONS
     if k < 3:
@@ -888,13 +816,12 @@ def solve(
     if class_tag == REGULAR:
         return _solve_regular(k, schemes(k), options)
 
-    slack = options.enumeration_slack
     grid = _get_field(class_tag, options.coarse_grid)
     coarse = []
     for scheme in schemes(k):
-        offsets = same_color_offsets(scheme, slack=slack)
+        offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
         vals = grid.scheme_min(offsets)
-        coarse.append((float(vals.max()), grid.scheme_upper(offsets), scheme, offsets, vals))
+        coarse.append((float(vals.max()), grid.scheme_upper(offsets), scheme, vals))
     coarse.sort(key=lambda entry: -entry[0])
     d_upper = max(entry[1] for entry in coarse)
 
@@ -902,21 +829,20 @@ def solve(
     mapped_count = 0
     starts = [0, 0]
     best = -math.inf
-    # orbit member -> (representative, its value and point, the symmetry
-    # taking the representative to the member); rectilinear only
+    # orbit member -> its representative's optimum, moved onto the member's
+    # shape; rectilinear only
     images = {}
-    for _, upper, scheme, offsets, vals in coarse:
+    for _, upper, scheme, vals in coarse:
         if upper < best - _TIE_TOL:
             continue
-        rep = images.get(scheme)
-        mapped = _orbit_image(scheme, offsets, *rep, options) if rep else None
-        if mapped is None:
-            v, pt = _refine(class_tag, scheme, offsets, vals, grid, options, starts)
-            if class_tag == RECTILINEAR and rep is None:
+        pt = images.get(scheme)
+        if pt is None:
+            v, pt = _refine(class_tag, scheme, vals, grid, options, starts)
+            if class_tag == RECTILINEAR:
                 for sym in SYMMETRIES[1:]:
-                    images.setdefault(sym.image_scheme(scheme), (scheme, v, pt, sym))
+                    images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
         else:
-            v, pt = mapped
+            v = _eval_min(pt[0], pt[1], scheme)
             mapped_count += 1
         refined.append((v, scheme, pt))
         best = max(best, v)
@@ -929,16 +855,6 @@ def solve(
     )
 
     (val, scheme, point), triple = _pick_tied(refined, options)
-    # recheck the winner with a wider index window; a drop would mean the
-    # enumeration bound clipped a nearer offset at this shape
-    wide = same_color_offsets(scheme, slack=slack + _RECHECK_STEP)
-    wide_val = _eval_min(point[0], point[1], wide)
-    if wide_val < val - 1e-12:
-        _log.debug(
-            "wide-window drop: k=%d %s scheme=(%d, %d) d %.12g to %.12g",
-            k, class_tag, scheme.g, scheme.h, val, wide_val,
-        )
-        val = wide_val
     return _finalize(k, class_tag, scheme, point, val, options, d_upper, triple)
 
 

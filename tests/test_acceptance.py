@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from geometry_oracle import polygon_area
+from offset_window import min_distance_over_offsets
 from hexcoloring.analysis import (
     load_reference,
     monotonicity_report,
     rational_reconstruct,
 )
-from hexcoloring.coloring import lattice_basis, min_distance_over_offsets
+from hexcoloring.coloring import lattice_basis
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (
     RECTILINEAR,

@@ -5,17 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcoloring.coloring import (
+    SLIVER_FLOOR,
     SYMMETRIES,
     ColorScheme,
     TileIndex,
+    _doubled_frame,
     canonical_triple,
     enumeration_bound,
     lattice_basis,
-    min_distance_over_offsets,
+    min_gap,
     same_color_offsets,
     schemes,
 )
 from hexcoloring.geometry import DomainError, hexagon_from_gaps, regular_hexagon
+from offset_window import min_distance_over_offsets, min_offset_distance
 
 gap_pairs = st.tuples(
     st.floats(min_value=0.1, max_value=2.6, allow_nan=False),
@@ -227,3 +230,44 @@ def test_symmetry_preserves_min_distance(k, data, gaps, sym):
     image = hexagon_from_gaps(*sym.image_gaps(*gaps))
     d1, _ = min_distance_over_offsets(image, sym.image_scheme(s), slack=slack)
     assert abs(d0 - d1) <= 1e-12
+
+
+def _gram_floor(frame) -> float:
+    """Smallest eigenvalue of the tiling basis' Gram matrix: |c|^2 >= it * (i^2 + j^2)."""
+    *_, eix, eiy, ejx, ejy = frame
+    a, b, c = eix * eix + eiy * eiy, eix * ejx + eiy * ejy, ejx * ejx + ejy * ejy
+    return (a + c) / 2 - math.hypot((a - c) / 2, b)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=60),
+    data=st.data(),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    v=st.floats(min_value=0.0, max_value=1.0),
+    tol=st.sampled_from([1e-6, 0.3]),
+)
+def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
+    s = data.draw(scheme_for(k))
+    g1 = 0.01 + u * (math.pi - 0.03)
+    g2 = 0.01 + v * (math.pi - 0.02 - g1)
+    frame = _doubled_frame(hexagon_from_gaps(g1, g2))
+    value, near = min_gap(s, frame, tol)
+    assert value == min_gap(s, frame)
+    gap = lambda t: min_offset_distance((t,), frame)
+    assert near and all(s.contains(*t) and gap(t) <= value + tol for t in near)
+    assert min(gap(t) for t in near) == value
+    if value < SLIVER_FLOOR:
+        # possibly the shortest reduced vector's gap, an upper bound that can
+        # exceed the window's minimum: 0.0200 against 0.0050 at gaps
+        # (0.01, 0.01) for scheme (3, 3, 1)
+        return
+    slack = 1 + math.isqrt(4 * k)
+    offsets = same_color_offsets(s, slack=slack)
+    window = min_offset_distance(offsets, frame)
+    assert value <= window
+    # offsets outside the window have |i| + |j| >= B, so |c|^2 >= floor * B^2 / 2
+    reach = _gram_floor(frame) * enumeration_bound(k, slack) ** 2 / 2
+    if reach >= (value + tol + 1.0) ** 2:
+        assert value == window
+        assert near == [t for t in offsets if gap(t) <= window + tol]

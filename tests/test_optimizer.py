@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcoloring.coloring import (
+    SYMMETRIES,
     ColorScheme,
     NoTripleError,
     canonical_triple,
@@ -39,7 +40,6 @@ from hexcoloring.optimizer import (
     _rect_seeds,
     _refine_rect,
     _semi_grid,
-    _sorted_by_distance,
     optimize_scheme,
     solve,
     solve_all,
@@ -240,14 +240,18 @@ def test_rectilinear_pinned_results(k):
     assert (res.scheme.g, res.scheme.h) == (g, h)
 
 
-def test_orbit_fallback_is_logged(caplog):
-    # at k = 77 some representatives' optima sit at near-degenerate shapes
-    # where the members' own windows disagree, so members refine in full
-    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
-        solve(77, RECTILINEAR)
-    fallbacks = [r.getMessage() for r in caplog.records if "orbit fallback" in r.getMessage()]
-    assert fallbacks
-    assert all("k=77" in msg and "representative=" in msg for msg in fallbacks)
+@pytest.mark.parametrize("k", range(3, 31))
+def test_optimize_scheme_agrees_across_each_orbit(k):
+    # relabelling the gap directions maps a scheme's objective exactly onto
+    # its image's, so every member of an orbit has the same optimum
+    seen = set()
+    for scheme in schemes(k):
+        if scheme in seen:
+            continue
+        orbit = {sym.image_scheme(scheme) for sym in SYMMETRIES}
+        seen |= orbit
+        values = [optimize_scheme(k, s).d for s in sorted(orbit, key=lambda s: (s.g, s.h))]
+        assert max(values) - min(values) <= 1e-12, (scheme, values)
 
 
 def test_large_k_reference_rows():
@@ -449,17 +453,16 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
             assert abs(hess[k][m] - fd) <= 1e-4 * (1.0 + abs(fd)), (k, m, hess, fd)
 
 
-def _refine_every_start(offsets, seeds, options, cell):
+def _refine_every_start(scheme, seeds, options, cell):
     """Reference rectilinear refinement that finishes every Nelder-Mead start."""
-    ordered = _sorted_by_distance(offsets, *seeds[0])
-    fn = lambda a, b: _eval_min(a, b, ordered)
+    fn = lambda a, b: _eval_min(a, b, scheme)
     best_pt, best_val = seeds[0], fn(*seeds[0])
     for sx, sy in seeds:
         *_, (pt, pv, finished) = _nm_max(fn, sx, sy, 0.6 * cell, options, 0.0)
         assert finished
         if pv > best_val:
             best_pt, best_val = pt, pv
-    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, ordered)
+    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, scheme)
     return max(val, best_val)
 
 
@@ -470,28 +473,23 @@ def _rect_schemes(k):
         offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
         vals = grid.scheme_min(offsets)
         seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
-        yield scheme, offsets, seeds, options, grid.cell
+        yield scheme, seeds, options, grid.cell
 
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_finishing_only_the_leading_start_loses_nothing(k):
-    for scheme, offsets, seeds, options, cell in _rect_schemes(k):
+    for scheme, seeds, options, cell in _rect_schemes(k):
         starts = [0, 0]
-        val, pt = _refine_rect(offsets, seeds, options, cell, starts)
-        ref = _refine_every_start(offsets, seeds, options, cell)
-        # at an optimum on the degenerate edge (a gap near EPS_GEOM; a window
-        # mirage that _honest_refine later drops) each start stops wherever its
-        # simplex meets the edge, so starts end up to 1.2e-11 apart there
-        # (k = 15, scheme (15, 7))
-        edge = min(pt[0], pt[1], math.pi - pt[0] - pt[1]) <= 1e-6
-        assert abs(val - ref) <= (1e-10 if edge else 1e-12), scheme
+        val, pt = _refine_rect(scheme, seeds, options, cell, starts)
+        ref = _refine_every_start(scheme, seeds, options, cell)
+        assert abs(val - ref) <= 1e-12, scheme
         assert starts[0] == len(seeds) and 0 < starts[1] <= starts[0]
 
 
 @pytest.mark.parametrize("k", [6, 12, 15])
 def test_paused_nelder_mead_resumes_on_its_trajectory(k):
-    for _, offsets, seeds, options, cell in _rect_schemes(k):
-        fn = lambda a, b: _eval_min(a, b, offsets)
+    for scheme, seeds, options, cell in _rect_schemes(k):
+        fn = lambda a, b: _eval_min(a, b, scheme)
         for sx, sy in seeds:
             paused = list(_nm_max(fn, sx, sy, 0.6 * cell, options, _NM_COARSE))
             straight = list(_nm_max(fn, sx, sy, 0.6 * cell, options, 0.0))
