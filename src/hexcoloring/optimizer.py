@@ -4,18 +4,22 @@ The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
 over every same-colored tile: near any shape, the minimum of finitely many
 smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid seeds Nelder-Mead starts, run coarse to
-fine (of the rectilinear starts only the best is finished), and an active-set
-Newton step on closed-form offset derivatives sharpens the result to near
-machine precision so rational squared gaps can be reconstructed from the floats.
+deterministic: a fixed coarse grid seeds the local searches.  A rectilinear
+search is a trust-region ascent on closed-form offset gradients (of its seeds
+only the leading one is finished), a semi-regular one a golden-section line
+search.  An active-set Newton step on closed-form offset derivatives then
+sharpens the result to near machine precision, so that rational squared gaps
+can be reconstructed from the floats.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,9 +59,12 @@ _REGULAR_GAP = math.pi / 3.0
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search effort and tolerances.  ``enumeration_slack`` widens the offset
-    window of ``same_color_offsets``, which only sizes the coarse scan's
-    offsets and the witness triple search; the objective covers every tile."""
+    """Search effort and tolerances.  ``starts_per_axis`` sets the number of
+    rectilinear seeds, ``max_iters`` caps each one's ascent and ``param_tol``
+    ends the semi-regular line search; ``value_tol`` is read by nothing and
+    deprecated.  ``enumeration_slack`` widens ``same_color_offsets``' window,
+    which only sizes the coarse scan and the witness triple search (the
+    objective covers every tile)."""
 
     starts_per_axis: int = 12
     coarse_grid: int = 48
@@ -76,9 +83,10 @@ class SolveOptions:
         if self.enumeration_slack < 0:
             raise DomainError("enumeration_slack must be non-negative")
         for name in ("value_tol", "param_tol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol < 1e-6:
+            if not 0.0 < getattr(self, name) < 1e-6:
                 raise DomainError(f"{name} must lie in (0, 1e-6)")
+        if self.value_tol != SolveOptions.value_tol:
+            warnings.warn("SolveOptions.value_tol is no longer read", DeprecationWarning, 3)
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -143,7 +151,7 @@ def _offset_dist(g1: float, g2: float, i: int, j: int) -> float:
     return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
 
 
-def _offset_jet(g1: float, g2: float, i: int, j: int):
+def _offset_jet(g1: float, g2: float, i: int, j: int, hessian: bool = True):
     """Offset (i, j)'s gap at shape (g1, g2), its gradient and its Hessian in the gaps.
 
     The gap is ``_offset_dist``'s, bit for bit: the kernel's distance from c
@@ -155,6 +163,7 @@ def _offset_jet(g1: float, g2: float, i: int, j: int):
     so dM is M turned a quarter, and the Hessian is u . dM + (P P' - Q Q') /
     gap, with P the part of M along the boundary and Q = |b - a| dt, zero at
     a vertex.  Points are complex numbers; inside the hexagon all are zero.
+    Without ``hessian``, returns only the gap and the gradient.
     """
     vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
     px, py = i * eix + j * ejx, i * eiy + j * ejy
@@ -170,25 +179,28 @@ def _offset_jet(g1: float, g2: float, i: int, j: int):
         if d2 < best:
             best, near = d2, (m, t, complex(ex, ey))
     if inside:
-        return 0.0, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0))
+        return (0.0, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))[: 2 + hessian]
     m, t, e = near
     gap, edge = math.sqrt(best), 0.0 < t < 1.0
-    v = [complex(x, y) for x, y in zip(vx, vy)]
+    v = lambda a: complex(vx[a], vy[a])
     dot = lambda z, w: z.real * w.real + z.imag * w.imag
     # u from the edge's normal or the vertex itself, not the rounded q, so an
     # offset and its mirror image on the diagonal get mirrored slopes
-    u = -1j * e / abs(e) if edge else (complex(px, py) - v[m if t == 1.0 else m - 1]) / gap
-    rows = []
+    u = -1j * e / abs(e) if edge else (complex(px, py) - v(m if t == 1.0 else m - 1)) / gap
+    grad, rows = [], []
     for spin, h, n in (-1j, 0.5 * (i + j), 0), (1j, 0.5 * i, 2):
-        da, db = (spin * v[a] if a % 3 == n else 0.0 for a in (m - 1, m))
-        mk = -1j * h * v[n] - (1.0 - t) * da - t * db
-        pk = dot(1j * u, mk)
-        qk = pk + gap * dot(u, db - da) / abs(e) if edge else 0.0
-        rows.append((dot(u, mk), dot(u, spin * mk), pk, qk))
-    (ga, ca, pa, qa), (gb, cb, pb, qb) = rows
+        da, db = (spin * v(a) if a % 3 == n else 0.0 for a in (m - 1, m))
+        mk = -1j * h * v(n) - (1.0 - t) * da - t * db
+        grad.append(dot(u, mk))
+        if hessian:
+            pk = dot(1j * u, mk)
+            rows.append((dot(u, spin * mk), pk, pk + gap * dot(u, db - da) / abs(e) if edge else 0.0))
+    if not hessian:
+        return gap, tuple(grad)
+    (ca, pa, qa), (cb, pb, qb) = rows
     cross = (pa * pb - qa * qb) / gap
     hess = ((ca + (pa * pa - qa * qa) / gap, cross), (cross, cb + (pb * pb - qb * qb) / gap))
-    return gap, (ga, gb), hess
+    return gap, tuple(grad), hess
 
 
 def _lipschitz(i: int, j: int) -> float:
@@ -388,69 +400,73 @@ def _local_maxima_1d(vals: np.ndarray) -> np.ndarray:
     return idx[order]
 
 
-# 47% of Nelder-Mead's evaluations over rectilinear k = 3..30 fell below this
-# size; the start leading there finishes highest, within 1e-12
-_NM_COARSE = 1e-5
+# the ascent keeps shapes _EDGE inside the valid triangle; every seed ascends
+# to a trust radius of _LEAD, and only the leader there goes on to _FINE
+_EDGE, _LEAD, _FINE = 2.0 * EPS_GEOM, 1e-3, 1e-9
 
 
-def _nm_max(fn, x0: float, y0: float, step: float, options: SolveOptions, pause: float):
-    """Deterministic Nelder-Mead ascent from a fixed right-triangle simplex.
+def _lp_step(x: float, y: float, rows, radius: float):
+    """The step (dx, dy) and value of the highest point of the model min over
+    rows (a, gx, gy) of a + gx dx + gy dy, with |dx|, |dy| <= radius and
+    (x + dx, y + dy) at least _EDGE inside the valid triangle.
 
-    Yields (best vertex, its value, finished) when the simplex first shrinks
-    to ``pause`` and when the exit test passes or ``max_iters`` have run.
+    The model is concave and piecewise linear, so it peaks at a vertex of the
+    arrangement of the feasible polygon's edges and the lines where two rows
+    are equal: a corner, a crossing of such a line with an edge, or a point
+    where three rows are equal.  Every crossing is tried."""
+    lo1, lo2, cut = max(-radius, _EDGE - x), max(-radius, _EDGE - y), math.pi - _EDGE - x - y
+    # the box's edges, and the triangle's third edge where it can cut the box
+    lines = [(1.0, 0.0, lo1), (1.0, 0.0, radius), (0.0, 1.0, lo2), (0.0, 1.0, radius)]
+    lines += [(1.0, 1.0, cut)] * (cut < 2.0 * radius)
+    lines += [(gx - hx, gy - hy, b - a) for (a, gx, gy), (b, hx, hy) in combinations(rows, 2)]
+    slack, best = 1e-9 * radius, (0.0, 0.0, -math.inf)
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0.0:
+            continue
+        dx, dy = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+        if lo1 - slack <= dx <= radius + slack and lo2 - slack <= dy <= radius + slack:
+            if dx + dy <= cut + slack:
+                dx, dy = min(max(dx, lo1), radius), min(max(dy, lo2), radius)
+                value = min(a + gx * dx + gy * dy for a, gx, gy in rows)
+                if value > best[2]:
+                    best = (dx, dy, value)
+    return best
+
+
+def _ascend(fn, x: float, y: float, radius: float, max_iters: int, pause: float):
+    """Trust-region minimax ascent of fn(x, y, tol) from (x, y) (Madsen 1975).
+
+    Each step maximises the linear model of the offsets within 2 radius of
+    the minimum (``_lp_step``) and is taken if it gains over 0.01 of the
+    predicted gain.  The radius doubles after a full-length step gaining
+    over 0.75 of it, else shrinks fourfold.  Yields ((x, y), value, finished)
+    when the radius first falls below ``pause``, and when the model predicts
+    no gain, the radius falls below _FINE or ``max_iters`` steps have run.
     """
-    exit_size = max(options.param_tol, 1e-9)
-    simplex = [(x0, y0), (x0 + step, y0), (x0, y0 + step)]
-    vals = [fn(x, y) for x, y in simplex]
-    for _ in range(options.max_iters):
-        order = sorted(range(3), key=lambda m: -vals[m])
-        simplex = [simplex[m] for m in order]
-        vals = [vals[m] for m in order]
-        size = max(
-            abs(simplex[0][0] - simplex[2][0]),
-            abs(simplex[0][1] - simplex[2][1]),
-            abs(simplex[0][0] - simplex[1][0]),
-            abs(simplex[0][1] - simplex[1][1]),
-        )
-        if vals[0] - vals[2] <= options.value_tol and size <= exit_size:
-            break
-        if size <= pause:
+    val, near = fn(x, y, 4.0 * radius)
+    rows = None
+    for _ in range(max_iters):
+        if radius < pause:
             pause = -1.0
-            yield simplex[0], vals[0], False
-        (bx, by), (wx, wy) = simplex[0], simplex[2]
-        cx = (bx + simplex[1][0]) * 0.5
-        cy = (by + simplex[1][1]) * 0.5
-        rx, ry = cx + (cx - wx), cy + (cy - wy)
-        fr = fn(rx, ry)
-        if fr > vals[0]:
-            ex_, ey_ = cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy)
-            fe = fn(ex_, ey_)
-            if fe > fr:
-                simplex[2], vals[2] = (ex_, ey_), fe
-            else:
-                simplex[2], vals[2] = (rx, ry), fr
-        elif fr > vals[1]:
-            simplex[2], vals[2] = (rx, ry), fr
-        else:
-            if fr > vals[2]:
-                px, py = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
-            else:
-                px, py = cx + 0.5 * (wx - cx), cy + 0.5 * (wy - cy)
-            fc = fn(px, py)
-            if fc > max(fr, vals[2]):
-                simplex[2], vals[2] = (px, py), fc
-            else:
-                for m in (1, 2):
-                    sx = (bx + simplex[m][0]) * 0.5
-                    sy = (by + simplex[m][1]) * 0.5
-                    simplex[m] = (sx, sy)
-                    vals[m] = fn(sx, sy)
-    top = max(range(3), key=lambda m: (vals[m], -m))
-    yield simplex[top], vals[top], True
+            yield (x, y), val, False
+        if radius < _FINE:
+            break
+        if rows is None:
+            rows = [(g, *grad) for g, grad in (_offset_jet(x, y, i, j, False) for i, j in near)]
+        dx, dy, model = _lp_step(x, y, [r for r in rows if r[0] <= val + 2.0 * radius], radius)
+        if model <= val:
+            break
+        new, new_near = fn(x + dx, y + dy, 4.0 * radius)
+        gain = (new - val) / (model - val)
+        if gain > 0.01:
+            x, y, val, near, rows = x + dx, y + dy, new, new_near, None
+        radius *= 2.0 if gain > 0.75 and max(abs(dx), abs(dy)) == radius else 0.25
+    yield (x, y), val, True
 
 
-def _newton_loop(system, x: float, y: float, scheme, val: float, max_rounds: int = 30):
-    """Damped Newton on system(x, y) -> (values, Jacobian rows), guarded by the objective.
+def _newton_loop(system, x: float, y: float, fn, val: float, max_rounds: int = 30):
+    """Damped Newton on system(x, y) -> (values, Jacobian rows), guarded by the objective fn.
 
     Returns (x, y, val) of the best accepted point.  Steps that leave the
     valid triangle or reduce the minimum gap are halved, then abandoned.
@@ -466,54 +482,49 @@ def _newton_loop(system, x: float, y: float, scheme, val: float, max_rounds: int
         dx, dy = float(step[0]), float(step[1])
         if not math.isfinite(dx) or not math.isfinite(dy):
             break
-        scale = 1.0
-        accepted = False
-        for _ in range(3):
-            cand = (x + scale * dx, y + scale * dy)
-            cand_val = _eval_min(cand[0], cand[1], scheme)
+        for scale in (1.0, 0.5, 0.25):
+            cand_val = fn(x + scale * dx, y + scale * dy)
             if cand_val >= val - 1e-12:
-                x, y = cand
-                val = max(val, cand_val)
-                accepted = True
+                x, y, val = x + scale * dx, y + scale * dy, max(val, cand_val)
                 break
-            scale *= 0.5
-        if not accepted:
+        else:
             break
         if math.hypot(scale * dx, scale * dy) <= 1e-13:
             break
     return x, y, val
 
 
-def _polish_rect(x: float, y: float, val: float, scheme: ColorScheme, max_rounds: int = 3):
-    """Sharpen a simplex result by solving the active kink equations."""
+def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int = 3):
+    """Sharpen an ascent's end by Newton on the offsets within ``tol`` of its minimum.
+
+    Three or more such offsets meet at a vertex; two that differ to first order
+    meet on a ridge, along which the first is stationary; a single one, or a
+    mirror pair varying identically, is stationary at a smooth maximum."""
     for _ in range(max_rounds):
-        _, active = _eval_min(x, y, scheme, 1e-6)
-        if len(active) <= 1:
-            break
+        _, active = fn(x, y, tol)
         jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
+        (_, ga, _), *rest = jets(x, y)
+        nx_, ny_ = (ga[0] - rest[0][1][0], ga[1] - rest[0][1][1]) if rest else (0.0, 0.0)
+        norm = math.hypot(nx_, ny_)
         if len(active) >= 3:
             def system(px: float, py: float):
                 (d0, (gx0, gy0), _), *rest = jets(px, py)
                 jac = [(gx - gx0, gy - gy0) for _, (gx, gy), _ in rest]
                 return [d - d0 for d, _, _ in rest], jac
-        else:
-            (_, ga, _), (_, gb, _) = jets(x, y)
-            nx_, ny_ = ga[0] - gb[0], ga[1] - gb[1]
-            norm = math.hypot(nx_, ny_)
-            if norm <= 1e-9:
-                # the two branches vary identically (mirror pair); treat the
-                # common value as smooth and accept the simplex point
-                break
+        elif norm > 1e-9:
             tx, ty = -ny_ / norm, nx_ / norm
 
             def system(px: float, py: float):
                 (da, (gax, gay), (ha0, ha1)), (db, (gbx, gby), _) = jets(px, py)
                 tha = (tx * ha0[0] + ty * ha1[0], tx * ha0[1] + ty * ha1[1])
                 return [da - db, tx * gax + ty * gay], [(gax - gbx, gay - gby), tha]
+        else:
+            def system(px: float, py: float):
+                _, grad, hess = _offset_jet(px, py, *active[0])
+                return list(grad), hess
 
-        nx, ny, nval = _newton_loop(system, x, y, scheme, val)
-        moved = math.hypot(nx - x, ny - y)
-        x, y, val = nx, ny, max(val, nval)
+        nx, ny, val = _newton_loop(system, x, y, fn, val)
+        x, y, moved = nx, ny, math.hypot(nx - x, ny - y)
         if moved <= 1e-13:
             break
     return x, y, val
@@ -565,24 +576,14 @@ def _polish_semi(gamma: float, val: float, scheme: ColorScheme, cell: float):
     if len(active) <= 1:
         return gamma, val
     slopes = [sum(_offset_jet(gamma, gamma, *off)[1]) for off in active]
-    best_pair = None
-    best_gap = 0.0
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            gap = abs(slopes[a] - slopes[b])
-            if gap > best_gap:
-                best_gap = gap
-                best_pair = (active[a], active[b])
-    if best_pair is None or best_gap < 1e-3:
+    # the first pair whose slopes differ most
+    a, b = max(combinations(range(len(active)), 2), key=lambda p: abs(slopes[p[0]] - slopes[p[1]]))
+    if abs(slopes[a] - slopes[b]) < 1e-3:
         # all active branches run parallel along the diagonal (mirror
         # images); the golden-section point already is the maximum
         return gamma, val
-    offa, offb = best_pair
-
-    def diff(g):
-        return _offset_dist(g, g, offa[0], offa[1]) - _offset_dist(
-            g, g, offb[0], offb[1]
-        )
+    offa, offb = active[a], active[b]
+    diff = lambda g: _offset_dist(g, g, *offa) - _offset_dist(g, g, *offb)
 
     delta = 1e-9
     while delta < cell:
@@ -600,26 +601,25 @@ def _polish_semi(gamma: float, val: float, scheme: ColorScheme, cell: float):
     return gamma, val
 
 
-def _refine_rect(scheme: ColorScheme, seeds, options: SolveOptions, cell: float, starts: list):
-    """Best (value, gap pair) over deterministic simplex starts plus polish.
+def _refine_rect(scheme: ColorScheme, seeds, options: SolveOptions, cell: float, counts: list):
+    """Best (value, gap pair) over ascents from the seeds, then the polish.
 
-    Only the start leading at _NM_COARSE, the first on ties, is finished.
-    ``starts`` counts the starts run and finished.
+    Every seed ascends to a trust radius of _LEAD; only the leader there, the
+    first on ties, is finished.  ``counts`` counts the ascents run and
+    finished and the objective evaluations.
     """
-    fn = lambda a, b: _eval_min(a, b, scheme)
-    best_pt, best_val = seeds[0], fn(*seeds[0])
-    runs = [_nm_max(fn, sx, sy, 0.6 * cell, options, _NM_COARSE) for sx, sy in seeds]
+    def fn(a: float, b: float, tol: float | None = None):
+        counts[2] += 1
+        return _eval_min(a, b, scheme, tol)
+
+    runs = [_ascend(fn, sx, sy, 0.6 * cell, options.max_iters, _LEAD) for sx, sy in seeds]
     coarse = [next(run) for run in runs]
     lead = max(range(len(runs)), key=lambda m: (coarse[m][1], -m))
-    pt, pv, _ = next(runs[lead], coarse[lead])
-    starts[0] += len(runs)
-    starts[1] += sum(c[2] for c in coarse) + (not coarse[lead][2])
-    if pv > best_val:
-        best_pt, best_val = pt, pv
-    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, scheme)
-    if val > best_val:
-        best_pt, best_val = (x, y), val
-    return best_val, best_pt
+    (x, y), val, _ = next(runs[lead], coarse[lead])
+    counts[0] += len(runs)
+    counts[1] += sum(c[2] for c in coarse) + (not coarse[lead][2])
+    x, y, val = _polish_rect(fn, x, y, val, 1e-6)
+    return val, (x, y)
 
 
 def _refine_semi(scheme: ColorScheme, gamma0: float, options: SolveOptions, cell: float):
@@ -634,13 +634,10 @@ def _refine_semi(scheme: ColorScheme, gamma0: float, options: SolveOptions, cell
 
 def _refine_semi_multi(scheme: ColorScheme, vals, centers, options: SolveOptions, cell: float):
     best_val, best_pt = -1.0, (_REGULAR_GAP, _REGULAR_GAP)
-    for idx in _local_maxima_1d(vals)[:3]:
-        v, pt = _refine_semi(scheme, float(centers[idx]), options, cell)
+    for gamma0 in [*(float(centers[idx]) for idx in _local_maxima_1d(vals)[:3]), _REGULAR_GAP]:
+        v, pt = _refine_semi(scheme, gamma0, options, cell)
         if v > best_val:
             best_val, best_pt = v, pt
-    v, pt = _refine_semi(scheme, _REGULAR_GAP, options, cell)
-    if v > best_val:
-        best_val, best_pt = v, pt
     return best_val, best_pt
 
 
@@ -697,26 +694,26 @@ def _finalize(
 
 def _rect_seeds(vals: np.ndarray, centers: np.ndarray, n: int, count: int):
     maxima = _local_maxima_2d(vals, n)[:count]
-    seeds = [(centers[f // n], centers[f % n]) for f in maxima]
+    seeds = [(float(centers[f // n]), float(centers[f % n])) for f in maxima]
     diag = np.arange(len(centers)) * (n + 1)
     dvals = vals[diag]
     if dvals.max() > 0.0:
-        c = centers[int(np.argmax(dvals))]
+        c = float(centers[int(np.argmax(dvals))])
         seeds.append((c, c))
     seeds.append((_REGULAR_GAP, _REGULAR_GAP))
     return seeds
 
 
-def _nm_start_count(options: SolveOptions) -> int:
+def _seed_count(options: SolveOptions) -> int:
     return max(3, options.starts_per_axis**2 // 24)
 
 
-def _refine(class_tag: str, scheme, vals, grid: _Field, options: SolveOptions, starts):
+def _refine(class_tag: str, scheme, vals, grid: _Field, options: SolveOptions, counts):
     """Full refinement of one scheme from its coarse values: (value, gap pair)."""
     if class_tag == SEMI_REGULAR:
         return _refine_semi_multi(scheme, vals, grid.centers, options, grid.cell)
-    seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
-    return _refine_rect(scheme, seeds, options, grid.cell, starts)
+    seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
+    return _refine_rect(scheme, seeds, options, grid.cell, counts)
 
 
 def optimize_scheme(
@@ -740,7 +737,7 @@ def optimize_scheme(
     offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
     grid = _get_field(class_tag, options.coarse_grid)
     vals = grid.scheme_min(offsets)
-    val, pt = _refine(class_tag, scheme, vals, grid, options, [0, 0])
+    val, pt = _refine(class_tag, scheme, vals, grid, options, [0, 0, 0])
     return _finalize(k, class_tag, scheme, pt, val, options, grid.scheme_upper(offsets))
 
 
@@ -827,7 +824,8 @@ def solve(
 
     refined = []
     mapped_count = 0
-    starts = [0, 0]
+    # ascents run and finished, objective evaluations; rectilinear only
+    counts = [0, 0, 0]
     best = -math.inf
     # orbit member -> its representative's optimum, moved onto the member's
     # shape; rectilinear only
@@ -837,13 +835,14 @@ def solve(
             continue
         pt = images.get(scheme)
         if pt is None:
-            v, pt = _refine(class_tag, scheme, vals, grid, options, starts)
+            v, pt = _refine(class_tag, scheme, vals, grid, options, counts)
             if class_tag == RECTILINEAR:
                 for sym in SYMMETRIES[1:]:
                     images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
         else:
             v = _eval_min(pt[0], pt[1], scheme)
             mapped_count += 1
+            counts[2] += 1
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
@@ -851,7 +850,8 @@ def solve(
         "best %.12g, d_upper %.12g%s",
         k, class_tag, len(refined) - mapped_count, mapped_count,
         len(coarse) - len(refined), best, d_upper,
-        "; NM starts run %d, finished %d" % tuple(starts) if class_tag == RECTILINEAR else "",
+        "; starts run %d, finished %d, evaluations %d" % tuple(counts)
+        if class_tag == RECTILINEAR else "",
     )
 
     (val, scheme, point), triple = _pick_tied(refined, options)

@@ -21,29 +21,32 @@ from hexcoloring.geometry import (
     REGULAR,
     SEMI_REGULAR,
     DomainError,
+    gaps_valid,
     hexagon_from_gaps,
 )
 from hexcoloring.analysis import REFERENCE_TOL, load_reference
 from hexcoloring import optimizer
 from hexcoloring.optimizer import (
-    _NM_COARSE,
+    _EDGE,
+    _LEAD,
     SolveOptions,
+    _ascend,
     _eval_min,
     _get_field,
     _lipschitz,
-    _nm_max,
-    _nm_start_count,
+    _lp_step,
     _offset_dist,
     _offset_jet,
-    _polish_rect,
     _rect_grid,
     _rect_seeds,
     _refine_rect,
+    _seed_count,
     _semi_grid,
     optimize_scheme,
     solve,
     solve_all,
 )
+from nm_oracle import refine_every_start
 
 
 def test_k3_half_diameter():
@@ -203,6 +206,13 @@ def test_solve_options_validation():
         SolveOptions(value_tol=0.0)
     with pytest.raises(DomainError):
         SolveOptions(param_tol=1.0)
+
+
+def test_value_tol_is_deprecated():
+    # nothing reads it since the rectilinear search stopped using Nelder-Mead
+    with pytest.warns(DeprecationWarning, match="value_tol"):
+        options = SolveOptions(value_tol=1e-10)
+    assert solve(9, RECTILINEAR, options) == solve(9, RECTILINEAR)
 
 
 def test_coarser_options_still_close():
@@ -394,16 +404,22 @@ def test_solve_logs_one_summary(caplog):
     assert f"d_upper {res.d_upper:.12g}" in lines[0]
 
 
-def test_rectilinear_summary_counts_nelder_mead_starts(caplog):
-    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
-        solve(12, RECTILINEAR)
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
-    assert len(lines) == 1
-    assert re.match(r"solve: k=12 rectilinear refined (\d+), mapped (\d+), skipped (\d+)", lines[0])
-    starts = re.search(r"NM starts run (\d+), finished (\d+)$", lines[0])
-    assert starts
-    run, finished = int(starts[1]), int(starts[2])
+def test_rectilinear_summary_counts_starts_and_evaluations(caplog):
+    counts = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+            solve(12, RECTILINEAR)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+        assert len(lines) == 1
+        assert re.match(r"solve: k=12 rectilinear refined (\d+), mapped (\d+), skipped (\d+)", lines[0])
+        found = re.search(r"starts run (\d+), finished (\d+), evaluations (\d+)$", lines[0])
+        assert found
+        counts.append(tuple(int(c) for c in found.groups()))
+    run, finished, evaluations = counts[0]
     assert 0 < finished <= run
+    assert evaluations > 0
+    assert counts[1] == counts[0]
 
 
 def _feature(g1, g2, i, j):
@@ -453,48 +469,63 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
             assert abs(hess[k][m] - fd) <= 1e-4 * (1.0 + abs(fd)), (k, m, hess, fd)
 
 
-def _refine_every_start(scheme, seeds, options, cell):
-    """Reference rectilinear refinement that finishes every Nelder-Mead start."""
-    fn = lambda a, b: _eval_min(a, b, scheme)
-    best_pt, best_val = seeds[0], fn(*seeds[0])
-    for sx, sy in seeds:
-        *_, (pt, pv, finished) = _nm_max(fn, sx, sy, 0.6 * cell, options, 0.0)
-        assert finished
-        if pv > best_val:
-            best_pt, best_val = pt, pv
-    x, y, val = _polish_rect(best_pt[0], best_pt[1], best_val, scheme)
-    return max(val, best_val)
-
-
 def _rect_schemes(k):
     options = SolveOptions()
     grid = _get_field(RECTILINEAR, options.coarse_grid)
     for scheme in schemes(k):
         offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
         vals = grid.scheme_min(offsets)
-        seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _nm_start_count(options))
+        seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
         yield scheme, seeds, options, grid.cell
 
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_finishing_only_the_leading_start_loses_nothing(k):
+    # the leading ascent, finished and polished, matches Nelder-Mead run to
+    # the end from every seed
     for scheme, seeds, options, cell in _rect_schemes(k):
-        starts = [0, 0]
-        val, pt = _refine_rect(scheme, seeds, options, cell, starts)
-        ref = _refine_every_start(scheme, seeds, options, cell)
-        assert abs(val - ref) <= 1e-12, scheme
-        assert starts[0] == len(seeds) and 0 < starts[1] <= starts[0]
+        counts = [0, 0, 0]
+        val, _ = _refine_rect(scheme, seeds, options, cell, counts)
+        assert abs(val - refine_every_start(scheme, seeds, cell)) <= 1e-12, scheme
+        assert counts[0] == len(seeds) and 0 < counts[1] <= counts[0]
 
 
 @pytest.mark.parametrize("k", [6, 12, 15])
-def test_paused_nelder_mead_resumes_on_its_trajectory(k):
+def test_paused_ascent_resumes_on_its_trajectory(k):
     for scheme, seeds, options, cell in _rect_schemes(k):
-        fn = lambda a, b: _eval_min(a, b, scheme)
+        fn = lambda a, b, tol=None: _eval_min(a, b, scheme, tol)
         for sx, sy in seeds:
-            paused = list(_nm_max(fn, sx, sy, 0.6 * cell, options, _NM_COARSE))
-            straight = list(_nm_max(fn, sx, sy, 0.6 * cell, options, 0.0))
+            paused = list(_ascend(fn, sx, sy, 0.6 * cell, options.max_iters, _LEAD))
+            straight = list(_ascend(fn, sx, sy, 0.6 * cell, options.max_iters, 0.0))
             assert paused[-1] == straight[-1]
+            assert paused[-1][2] and len(straight) == 1
             assert paused[0][2] or paused[0][1] <= paused[-1][1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=0.0, max_value=1.0),
+    y=st.floats(min_value=0.0, max_value=1.0),
+    radius=st.sampled_from([1e-6, 1e-3, 0.05, 0.4]),
+    rows=st.lists(
+        st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 3), min_size=1, max_size=6
+    ),
+)
+def test_lp_step_finds_the_model_maximum(x, y, radius, rows):
+    # shapes near the triangle's edges and corners as well as inside it
+    g1 = 2 * _EDGE + x * (math.pi - 6 * _EDGE)
+    g2 = 2 * _EDGE + y * (math.pi - 4 * _EDGE - g1)
+    model = lambda dx, dy: min(a + gx * dx + gy * dy for a, gx, gy in rows)
+    dx, dy, value = _lp_step(g1, g2, rows, radius)
+    assert max(abs(dx), abs(dy)) <= radius and gaps_valid(g1 + dx, g2 + dy)
+    assert value == model(dx, dy)
+    # a dense grid over the box, kept where it is feasible
+    t = np.linspace(-radius, radius, 41)
+    px, py = np.meshgrid(t, t)
+    ok = (g1 + px >= _EDGE) & (g2 + py >= _EDGE) & (g1 + px + g2 + py <= math.pi - _EDGE)
+    if ok.any():
+        dense = np.min([a + gx * px[ok] + gy * py[ok] for a, gx, gy in rows], axis=0)
+        assert value >= dense.max() - 1e-12
 
 
 def test_tied_winner_triple_is_computed_once(monkeypatch):
