@@ -182,8 +182,9 @@ def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex
 # optimum, instead of scanning the long rows of a near-degenerate shape.
 SLIVER_FLOOR = 0.25
 
-# relative margin on the row and column bounds against rounding; each point
-# is then held to the exact prune
+# relative margin against rounding on the row and column bounds and on each
+# point's |c| prune, so that no offset whose gap ties the minimum to the last
+# bits is pruned (|c| = gap + 1 where a vertex of the doubled tile is nearest)
 _ROUNDING = 1.0 + 1e-9
 
 
@@ -239,7 +240,7 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
             i, j = col * i1 + i0, col * j1 + j0
             cx = i * eix + j * ejx
             cy = i * eiy + j * ejy
-            if cx * cx + cy * cy >= lim:
+            if cx * cx + cy * cy >= lim * _ROUNDING:
                 continue
             d = point_to_hexagon_distance(cx, cy, vx, vy)
             if d <= best + slack:
@@ -288,14 +289,21 @@ class TripleRepresentation:
 
 
 def _sector_candidates(scheme: ColorScheme, bound: int) -> tuple[list, list]:
+    """Same-colored offsets of the wedges 0 < i <= bound, -i <= j <= 0 and
+    i >= 0, j > 0, i + j <= bound, each sorted by (i, j).
+
+    Steps through the sublattice's rows j = a k/g, where the colored i run
+    through one residue of a h modulo g, as ``_half_plane_offsets`` does."""
+    m, g = scheme.rows_step, scheme.g
     first, second = [], []
-    for i in range(0, bound + 1):
-        for j in range(-i, 1):
-            if i > 0 and scheme.contains(i, j):
-                first.append(TileIndex(i, j))
-        for j in range(1, bound + 1 - i):
-            if scheme.contains(i, j):
-                second.append(TileIndex(i, j))
+    for j in range(-(bound // m) * m, bound + 1, m):
+        a = j // m
+        # the wedge's i range on row j
+        lo, hi, out = (max(1, -j), bound, first) if j <= 0 else (0, bound - j, second)
+        first_i = lo + (a * scheme.h - lo) % g
+        out.extend(TileIndex(i, j) for i in range(first_i, hi + 1, g))
+    first.sort()
+    second.sort()
     return first, second
 
 

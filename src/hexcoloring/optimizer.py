@@ -215,13 +215,20 @@ def _lipschitz(i: int, j: int) -> float:
     return 0.5 * (abs(i + j) + abs(i)) + 1.0
 
 
-class _Field:
-    """Lazy per-offset gap arrays over a fixed grid of shapes.
+# elements in each of the scan's chunk temporaries: 128 KB of float64
+_CHUNK = 16384
 
-    The grid is shape-only, so one field serves every k; offset arrays are
-    cached and shared between schemes that use the same offset.  ``radius``
-    gives each grid point a box, in the max norm over the gaps, and the boxes
-    of the valid points cover every valid shape of the class.
+
+class _Field:
+    """A table of offset gaps over a fixed grid of shapes, filled lazily.
+
+    The grid is shape-only, so one field serves every k.  Row r of the table
+    holds one offset's gap at each valid grid point (in the order of
+    ``points``), ``index`` maps the offset (i, j) to r and ``weight[r]`` is
+    its ``_lipschitz`` bound; rows are shared by every scheme and k that use
+    the offset.  ``radius`` gives each grid point a box, in the max norm over
+    the gaps, and the boxes of the valid points cover every valid shape of
+    the class.  ``scan`` fills and reads the table.
     """
 
     def __init__(
@@ -238,64 +245,108 @@ class _Field:
         self.g2 = g2
         self.valid = valid
         self.radius = radius
-        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = _frame(g1, g2, np.sin, np.cos)
+        self.points = np.flatnonzero(valid)
+        # the frame over the whole grid, then at its valid points, so that
+        # each element is the one the scalar kernel gets
+        frame = _frame(g1, g2, np.sin, np.cos)
+        at = lambda v: v[self.points] if isinstance(v, np.ndarray) else v
+        vx, vy = ([at(v) for v in vs] for vs in frame[:2])
+        self._basis = [at(v) for v in frame[2:]]
         self._edges = []
         for m in range(6):
             ax, ay = vx[m - 1], vy[m - 1]
             ex, ey = vx[m] - ax, vy[m] - ay
             ee = np.maximum(ex * ex + ey * ey, 1e-30)
             self._edges.append((ax, ay, ex, ey, ee))
-        self._dist: dict[tuple[int, int], np.ndarray] = {}
+        self._radius = radius[self.points]
+        # the table: rows are views into the blocks ``_point_dist`` returned,
+        # so it grows without copying or spare capacity
+        self.table: list[np.ndarray] = []
+        self.index: dict[tuple[int, int], int] = {}
+        self.weight: list[float] = []
 
-    def _point_dist(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        inside = None
+    def _point_dist(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Offset (i[r], j[r])'s gap at each valid point, as row r; i, j are columns.
+
+        Each element is the scalar kernel's, operation for operation; the
+        operations run in place where that saves a temporary."""
+        eix, eiy, ejx, ejy = self._basis
+        cx = i * eix + j * ejx
+        cy = i * eiy + j * ejy
+        inside = True
         best = None
         for ax, ay, ex, ey, ee in self._edges:
             dx = cx - ax
             dy = cy - ay
-            cross = ex * dy - ey * dx
-            inside = (cross >= 0.0) if inside is None else inside & (cross >= 0.0)
-            t = np.clip((dx * ex + dy * ey) / ee, 0.0, 1.0)
-            qx = dx - t * ex
-            qy = dy - t * ey
-            dd = qx * qx + qy * qy
-            best = dd if best is None else np.minimum(best, dd, out=best)
+            t = ex * dy
+            t -= ey * dx
+            inside &= t >= 0.0
+            np.multiply(dx, ex, out=t)
+            t += dy * ey
+            t /= ee
+            np.clip(t, 0.0, 1.0, out=t)
+            # dx, dy become q, then dx its squared length
+            dx -= t * ex
+            dy -= t * ey
+            dx *= dx
+            dy *= dy
+            dx += dy
+            best = dx if best is None else np.minimum(best, dx, out=best)
         out = np.sqrt(best, out=best)
         out[inside] = 0.0
         return out
 
-    def offset_dist(self, index: tuple[int, int]) -> np.ndarray:
-        arr = self._dist.get(index)
-        if arr is None:
-            i, j = index
-            cx = i * self.eix + j * self.ejx
-            cy = i * self.eiy + j * self.ejy
-            arr = self._point_dist(cx, cy)
-            self._dist[index] = arr
-        return arr
+    def scan(self, offset_lists) -> tuple[np.ndarray, np.ndarray]:
+        """Each offset list's minimum gap over the grid, and a bound on it.
 
-    def scheme_min(self, offsets) -> np.ndarray:
-        out = None
-        for index in offsets:
-            d = self.offset_dist((index[0], index[1]))
-            out = d.copy() if out is None else np.minimum(out, d, out=out)
-        out[~self.valid] = -1.0
-        return out
+        Returns (vals, upper).  Row s of vals is the minimum over the s-th
+        list of ``offset_lists`` of the offsets' gaps at each grid point, -1
+        at the invalid ones.  No valid shape has a larger minimum gap over
+        the list than upper[s]: on the box around valid point p, each
+        offset's gap is at most its value at p plus radius(p) times its
+        Lipschitz bound, and so is the minimum over offsets; upper[s] is the
+        largest of these over the valid points.
 
-    def scheme_upper(self, offsets) -> float:
-        """No valid shape has a larger minimum gap over ``offsets`` than this.
-
-        On the box around grid point p, each offset's gap is at most its
-        value at p plus radius(p) times its Lipschitz bound, and so is the
-        minimum over offsets; the bound is the largest of these over the
-        valid points.
+        Offsets without a row get one, computed a chunk of rows at a time.
+        The lists are then reduced a chunk at a time: each list of a chunk is
+        padded to the chunk's longest by repeating its first row, which
+        leaves its minimum unchanged, so one reduction over a (lists,
+        offsets, points) block serves the whole chunk.
         """
-        out = None
-        for index in offsets:
-            i, j = index[0], index[1]
-            u = self.offset_dist((i, j)) + _lipschitz(i, j) * self.radius
-            out = u if out is None else np.minimum(out, u, out=out)
-        return float(out[self.valid].max())
+        rows, missing, index = [], [], self.index
+        for offsets in offset_lists:
+            rs = [index.get(off) for off in offsets]
+            if None in rs:
+                for n, off in enumerate(offsets):
+                    key = (off[0], off[1])
+                    if key not in index:
+                        index[key] = len(self.table) + len(missing)
+                        missing.append(key)
+                    rs[n] = index[key]
+            rows.append(rs)
+        width = len(self.points)
+        step = max(1, _CHUNK // width)
+        for a in range(0, len(missing), step):
+            ij = np.array(missing[a : a + step], dtype=float)
+            self.table.extend(self._point_dist(ij[:, :1], ij[:, 1:]))
+            self.weight.extend(_lipschitz(i, j) for i, j in missing[a : a + step])
+
+        vals = np.full((len(rows), self.g1.size), -1.0)
+        upper = np.empty(len(rows))
+        a = 0
+        while a < len(rows):
+            b, longest = a + 1, len(rows[a])
+            while b < len(rows) and (b + 1 - a) * max(longest, len(rows[b])) * width <= _CHUNK:
+                longest = max(longest, len(rows[b]))
+                b += 1
+            idx = [r for rs in rows[a:b] for r in rs + rs[:1] * (longest - len(rs))]
+            gaps = np.concatenate([self.table[r] for r in idx]).reshape(b - a, longest, width)
+            vals[a:b, self.points] = gaps.min(axis=1)
+            weight = np.array([self.weight[r] for r in idx]).reshape(b - a, longest, 1)
+            gaps += weight * self._radius
+            upper[a:b] = gaps.min(axis=1).max(axis=1)
+            a = b
+        return vals, upper
 
 
 def _cell_edges(centers: np.ndarray, top: float) -> np.ndarray:
@@ -465,11 +516,12 @@ def _ascend(fn, x: float, y: float, radius: float, max_iters: int, pause: float)
     yield (x, y), val, True
 
 
-def _newton_loop(system, x: float, y: float, fn, val: float, max_rounds: int = 30):
+def _newton_loop(system, x: float, y: float, fn, val: float, top: float, max_rounds: int = 30):
     """Damped Newton on system(x, y) -> (values, Jacobian rows), guarded by the objective fn.
 
-    Returns (x, y, val) of the best accepted point.  Steps that leave the
-    valid triangle or reduce the minimum gap are halved, then abandoned.
+    Steps that leave the valid triangle or fall more than 1e-12 below
+    ``top``, the best value seen, are halved, then abandoned.  Returns
+    (x, y, val, top) with val the objective at the last accepted point.
     """
     for _ in range(max_rounds):
         f0, jac = system(x, y)
@@ -484,14 +536,14 @@ def _newton_loop(system, x: float, y: float, fn, val: float, max_rounds: int = 3
             break
         for scale in (1.0, 0.5, 0.25):
             cand_val = fn(x + scale * dx, y + scale * dy)
-            if cand_val >= val - 1e-12:
-                x, y, val = x + scale * dx, y + scale * dy, max(val, cand_val)
+            if cand_val >= top - 1e-12:
+                x, y, val, top = x + scale * dx, y + scale * dy, cand_val, max(top, cand_val)
                 break
         else:
             break
         if math.hypot(scale * dx, scale * dy) <= 1e-13:
             break
-    return x, y, val
+    return x, y, val, top
 
 
 def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int = 3):
@@ -499,7 +551,9 @@ def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int
 
     Three or more such offsets meet at a vertex; two that differ to first order
     meet on a ridge, along which the first is stationary; a single one, or a
-    mirror pair varying identically, is stationary at a smooth maximum."""
+    mirror pair varying identically, is stationary at a smooth maximum.
+    Returns the point and the objective there."""
+    top = val
     for _ in range(max_rounds):
         _, active = fn(x, y, tol)
         jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
@@ -523,7 +577,7 @@ def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int
                 _, grad, hess = _offset_jet(px, py, *active[0])
                 return list(grad), hess
 
-        nx, ny, val = _newton_loop(system, x, y, fn, val)
+        nx, ny, val, top = _newton_loop(system, x, y, fn, val, top)
         x, y, moved = nx, ny, math.hypot(nx - x, ny - y)
         if moved <= 1e-13:
             break
@@ -595,7 +649,7 @@ def _polish_semi(gamma: float, val: float, scheme: ColorScheme, cell: float):
             root = _illinois_root(diff, a, b, fa, fb)
             rval = line(root)
             if rval >= val - 1e-12:
-                return root, max(val, rval)
+                return root, rval
             return gamma, val
         delta *= 10.0
     return gamma, val
@@ -734,11 +788,10 @@ def optimize_scheme(
     if class_tag == REGULAR:
         return _solve_regular(k, [scheme], options)
 
-    offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
     grid = _get_field(class_tag, options.coarse_grid)
-    vals = grid.scheme_min(offsets)
-    val, pt = _refine(class_tag, scheme, vals, grid, options, [0, 0, 0])
-    return _finalize(k, class_tag, scheme, pt, val, options, grid.scheme_upper(offsets))
+    vals, upper = grid.scan([same_color_offsets(scheme, slack=options.enumeration_slack)])
+    val, pt = _refine(class_tag, scheme, vals[0], grid, options, [0, 0, 0])
+    return _finalize(k, class_tag, scheme, pt, val, options, upper[0])
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -785,7 +838,9 @@ def solve(
     """Best shape and coloring for k colors within one shape class.
 
     A coarse scan gives every scheme its peak over the grid and an upper
-    bound U_s on its objective over every valid shape.  Schemes are refined
+    bound U_s on its objective over every valid shape; one ``_Field.scan``
+    call serves every scheme of k, computing only the table rows of
+    offsets that no earlier solve on the field used.  Schemes are refined
     in descending order of peak, and a scheme is skipped once U_s falls
     below the best refined value so far by more than the tie tolerance.
     Every refined value is the objective at a valid shape, or below
@@ -793,7 +848,7 @@ def solve(
     skipped scheme could not have won or tied.  The result's ``d_upper`` is
     the largest U_s.
 
-    U_s is ``_Field.scheme_upper``: on boxes around the grid points that
+    U_s is the scan's upper bound: on boxes around the grid points that
     cover every valid shape (``_rect_radii``), each offset's gap moves by at
     most ``_lipschitz`` times the max norm of the gap change.  The scan's
     fixed offsets (``same_color_offsets``) can only overstate the minimum.
@@ -814,12 +869,15 @@ def solve(
         return _solve_regular(k, schemes(k), options)
 
     grid = _get_field(class_tag, options.coarse_grid)
-    coarse = []
-    for scheme in schemes(k):
-        offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
-        vals = grid.scheme_min(offsets)
-        coarse.append((float(vals.max()), grid.scheme_upper(offsets), scheme, vals))
-    coarse.sort(key=lambda entry: -entry[0])
+    table_rows = len(grid.table)
+    candidates = schemes(k)
+    vals, upper = grid.scan(
+        same_color_offsets(scheme, slack=options.enumeration_slack) for scheme in candidates
+    )
+    table_rows = len(grid.table) - table_rows
+    coarse = sorted(
+        zip(vals.max(axis=1).tolist(), upper.tolist(), candidates, vals), key=lambda entry: -entry[0]
+    )
     d_upper = max(entry[1] for entry in coarse)
 
     refined = []
@@ -847,9 +905,9 @@ def solve(
         best = max(best, v)
     _log.debug(
         "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound; "
-        "best %.12g, d_upper %.12g%s",
+        "best %.12g, d_upper %.12g; table rows computed %d%s",
         k, class_tag, len(refined) - mapped_count, mapped_count,
-        len(coarse) - len(refined), best, d_upper,
+        len(coarse) - len(refined), best, d_upper, table_rows,
         "; starts run %d, finished %d, evaluations %d" % tuple(counts)
         if class_tag == RECTILINEAR else "",
     )

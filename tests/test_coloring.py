@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hexcoloring.coloring import (
     ColorScheme,
     TileIndex,
     _doubled_frame,
+    _sector_candidates,
     canonical_triple,
     enumeration_bound,
     lattice_basis,
@@ -17,6 +19,7 @@ from hexcoloring.coloring import (
     same_color_offsets,
     schemes,
 )
+from hexcoloring import optimizer
 from hexcoloring.geometry import DomainError, hexagon_from_gaps, regular_hexagon
 from offset_window import min_distance_over_offsets, min_offset_distance
 
@@ -271,3 +274,51 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
     if reach >= (value + tol + 1.0) ** 2:
         assert value == window
         assert near == [t for t in offsets if gap(t) <= window + tol]
+
+
+def _window(bound):
+    """The wedges of ``canonical_triple``'s candidates, point by point in the
+    order of the loop that first enumerated them."""
+    first = [(i, j) for i in range(1, bound + 1) for j in range(-i, 1)]
+    second = [(i, j) for i in range(0, bound + 1) for j in range(1, bound + 1 - i)]
+    return first, second
+
+
+def test_sector_candidates_match_the_window_loop():
+    # every window point tested with ColorScheme.contains, for small k and
+    # bounds up to four times canonical_triple's first
+    for k in range(1, 31):
+        first = enumeration_bound(k)
+        for bound in (0, 1, 2, first, 2 * first, 4 * first):
+            window = _window(bound)
+            for scheme in schemes(k):
+                expected = tuple([p for p in part if scheme.contains(*p)] for part in window)
+                assert _sector_candidates(scheme, bound) == expected, (scheme, bound)
+
+
+def test_sector_candidates_match_the_window_for_every_k():
+    # the same membership test over every window point, vectorised, for
+    # every scheme of k <= 175
+    for k in range(1, 176):
+        bound = enumeration_bound(k)
+        window = [np.array(part, dtype=np.int64).reshape(-1, 2) for part in _window(bound)]
+        for scheme in schemes(k):
+            m, g, h = scheme.rows_step, scheme.g, scheme.h
+            expected = []
+            for part in window:
+                i, j = part[:, 0], part[:, 1]
+                kept = part[(j % m == 0) & ((i - (j // m) * h) % g == 0)]
+                expected.append(list(map(tuple, kept.tolist())))
+            assert _sector_candidates(scheme, bound) == tuple(expected), scheme
+
+
+def test_min_gap_keeps_a_tie_at_the_prune():
+    # at this shape the offset (-1, 2) is nearest a vertex of the doubled
+    # tile, so |c| = gap + 1, and its gap is one ulp below (4, 1)'s
+    scheme = ColorScheme(9, 9, 4)
+    frame = optimizer._frame(0.27824682273479706, 0.27824682273479723)
+    best, near = min_gap(scheme, frame, 1e-6)
+    assert TileIndex(-1, 2) in near
+    assert min_gap(scheme, frame) == best == optimizer._offset_dist(
+        0.27824682273479706, 0.27824682273479723, -1, 2
+    )

@@ -47,6 +47,7 @@ from hexcoloring.optimizer import (
     solve_all,
 )
 from nm_oracle import refine_every_start
+from scan_oracle import PerOffsetScan
 
 
 def test_k3_half_diameter():
@@ -364,22 +365,56 @@ _PIN_OFFSETS = [
 
 @pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
 def test_field_matches_scalar_kernel(make_grid):
-    # the array form of the distance kernel agrees with the scalar one bit for bit
+    # the array form of the distance kernel agrees with the scalar one bit for
+    # bit: a list of one offset scans to that offset's table row
     grid = make_grid(48)
     points = np.flatnonzero(grid.valid)
-    for i, j in _PIN_OFFSETS:
-        arr = grid.offset_dist((i, j))
+    vals, _ = grid.scan([[off] for off in _PIN_OFFSETS])
+    for (i, j), arr in zip(_PIN_OFFSETS, vals):
         bad = [
             p for p in points
             if arr[p] != _offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
         ]
         assert bad == [], (i, j)
+        assert (arr[~grid.valid] == -1.0).all()
+        assert arr[points].tobytes() == grid.table[grid.index[i, j]].tobytes()
+
+
+_SCAN_KS = [*range(3, 46), 49, 56, 77, 112, 156, 175]
+
+
+@pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
+def test_scan_matches_the_per_offset_scan(make_grid):
+    # batched over schemes and restricted to valid points, the scan gives
+    # every scheme the grid values and bound of one offset at a time, bit for
+    # bit; one field serves every k, so later k's reuse earlier rows
+    grid = make_grid(48)
+    oracle = PerOffsetScan(grid)
+    for k in _SCAN_KS:
+        lists = [same_color_offsets(scheme) for scheme in schemes(k)]
+        vals, upper = grid.scan(lists)
+        assert vals.shape == (len(lists), grid.g1.size) and upper.shape == (len(lists),)
+        for s, offsets in enumerate(lists):
+            assert vals[s].tobytes() == oracle.scheme_min(offsets).tobytes(), (k, s)
+            assert upper[s] == oracle.scheme_upper(offsets), (k, s)
+    assert len(grid.table) == len(grid.index) == len(grid.weight) == len(oracle._dist)
 
 
 @pytest.mark.parametrize("classes", [(), ("hexagonal",), (REGULAR, "semi"), "regular"])
 def test_solve_all_rejects_bad_classes(classes):
     with pytest.raises(DomainError):
         solve_all(5, classes=classes)
+
+
+@pytest.mark.parametrize(
+    "class_tag, ks", [(RECTILINEAR, range(3, 21)), (SEMI_REGULAR, range(3, 61))]
+)
+def test_reported_d_is_attained_at_the_gaps(class_tag, ks):
+    # the polish may step to a point up to 1e-12 worse; d is the value there
+    for k in ks:
+        for scheme in schemes(k):
+            res = optimize_scheme(k, scheme, class_tag)
+            assert res.d == _eval_min(*res.gaps, scheme), (k, scheme)
 
 
 def test_d_upper_bounds_d(champions):
@@ -391,17 +426,26 @@ def test_d_upper_bounds_d(champions):
 
 
 def test_solve_logs_one_summary(caplog):
-    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
-        res = solve(8, SEMI_REGULAR)
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
-    assert len(lines) == 1
-    counts = re.match(
-        r"solve: k=8 semi_regular refined (\d+), mapped (\d+), skipped (\d+) by the bound",
-        lines[0],
-    )
-    assert counts
-    assert sum(int(c) for c in counts.groups()) == len(schemes(8))
-    assert f"d_upper {res.d_upper:.12g}" in lines[0]
+    # a cold field computes table rows; the same solve again finds them all
+    optimizer._FIELD_CACHE.clear()
+    computed = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+            res = solve(8, SEMI_REGULAR)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+        assert len(lines) == 1
+        counts = re.match(
+            r"solve: k=8 semi_regular refined (\d+), mapped (\d+), skipped (\d+) by the bound",
+            lines[0],
+        )
+        assert counts
+        assert sum(int(c) for c in counts.groups()) == len(schemes(8))
+        assert f"d_upper {res.d_upper:.12g}" in lines[0]
+        rows = re.search(r"; table rows computed (\d+)$", lines[0])
+        assert rows
+        computed.append(int(rows.group(1)))
+    assert computed[0] > 0 and computed[1] == 0
 
 
 def test_rectilinear_summary_counts_starts_and_evaluations(caplog):
@@ -472,9 +516,11 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
 def _rect_schemes(k):
     options = SolveOptions()
     grid = _get_field(RECTILINEAR, options.coarse_grid)
-    for scheme in schemes(k):
-        offsets = same_color_offsets(scheme, slack=options.enumeration_slack)
-        vals = grid.scheme_min(offsets)
+    candidates = schemes(k)
+    all_vals, _ = grid.scan(
+        same_color_offsets(scheme, slack=options.enumeration_slack) for scheme in candidates
+    )
+    for scheme, vals in zip(candidates, all_vals):
         seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
         yield scheme, seeds, options, grid.cell
 
