@@ -770,6 +770,11 @@ def _refine(class_tag: str, scheme, vals, grid: _Field, options: SolveOptions, c
     return _refine_rect(scheme, seeds, options, grid.cell, counts)
 
 
+def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
+    """The distinct images of ``scheme`` under ``coloring.SYMMETRIES``, itself first."""
+    return list(dict.fromkeys(sym.image_scheme(scheme) for sym in SYMMETRIES))
+
+
 def optimize_scheme(
     k: int,
     scheme: ColorScheme,
@@ -778,8 +783,10 @@ def optimize_scheme(
 ) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
-    A ``d`` below ``coloring.SLIVER_FLOOR`` may be an upper bound on the
-    scheme's optimum, which then lies below SLIVER_FLOOR too."""
+    ``d_upper`` is the scheme's bound U_s from ``solve``, so for the
+    rectilinear class the least scan bound over the scheme's orbit.  A ``d``
+    below ``coloring.SLIVER_FLOOR`` may be an upper bound on the scheme's
+    optimum, which then lies below SLIVER_FLOOR too."""
     options = options or _DEFAULT_OPTIONS
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
@@ -789,9 +796,12 @@ def optimize_scheme(
         return _solve_regular(k, [scheme], options)
 
     grid = _get_field(class_tag, options.coarse_grid)
-    vals, upper = grid.scan([same_color_offsets(scheme, slack=options.enumeration_slack)])
+    orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
+    vals, upper = grid.scan(
+        same_color_offsets(member, slack=options.enumeration_slack) for member in orbit
+    )
     val, pt = _refine(class_tag, scheme, vals[0], grid, options, [0, 0, 0])
-    return _finalize(k, class_tag, scheme, pt, val, options, upper[0])
+    return _finalize(k, class_tag, scheme, pt, val, options, upper.min())
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -848,16 +858,19 @@ def solve(
     skipped scheme could not have won or tied.  The result's ``d_upper`` is
     the largest U_s.
 
-    U_s is the scan's upper bound: on boxes around the grid points that
-    cover every valid shape (``_rect_radii``), each offset's gap moves by at
-    most ``_lipschitz`` times the max norm of the gap change.  The scan's
-    fixed offsets (``same_color_offsets``) can only overstate the minimum.
+    The scan's upper bound holds because on boxes around the grid points
+    that cover every valid shape (``_rect_radii``), each offset's gap moves
+    by at most ``_lipschitz`` times the max norm of the gap change, and the
+    scan's fixed offsets (``same_color_offsets``) can only overstate the
+    minimum.  Outside the rectilinear class U_s is that bound.
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's objective exactly onto that of every scheme in its orbit
-    (see ``coloring.SYMMETRIES``).  Only the first scheme of an orbit to be
-    refined gets a full refinement; later ones take its optimum, moved onto
-    their own shape.
+    (see ``coloring.SYMMETRIES``), and valid shapes onto valid shapes.  So
+    the members of an orbit share one maximum, each member's scan bound
+    bounds it, and U_s is the least scan bound in the orbit of s.  Only the
+    first scheme of an orbit to be refined gets a full refinement; later
+    ones take its optimum, moved onto their own shape.
     """
     options = options or _DEFAULT_OPTIONS
     if k < 3:
@@ -875,21 +888,30 @@ def solve(
         same_color_offsets(scheme, slack=options.enumeration_slack) for scheme in candidates
     )
     table_rows = len(grid.table) - table_rows
-    coarse = sorted(
-        zip(vals.max(axis=1).tolist(), upper.tolist(), candidates, vals), key=lambda entry: -entry[0]
-    )
-    d_upper = max(entry[1] for entry in coarse)
+    own = dict(zip(candidates, upper.tolist()))
+    bound = own
+    if class_tag == RECTILINEAR:
+        bound = {}
+        for scheme in candidates:
+            if scheme not in bound:
+                orbit = _orbit(scheme)
+                bound.update(dict.fromkeys(orbit, min(own[member] for member in orbit)))
+    coarse = sorted(zip(vals.max(axis=1).tolist(), candidates, vals), key=lambda entry: -entry[0])
+    d_upper = max(bound.values())
 
     refined = []
     mapped_count = 0
+    # skipped by the orbit's bound, not by their own
+    partner_skips = 0
     # ascents run and finished, objective evaluations; rectilinear only
     counts = [0, 0, 0]
     best = -math.inf
     # orbit member -> its representative's optimum, moved onto the member's
     # shape; rectilinear only
     images = {}
-    for _, upper, scheme, vals in coarse:
-        if upper < best - _TIE_TOL:
+    for _, scheme, vals in coarse:
+        if bound[scheme] < best - _TIE_TOL:
+            partner_skips += own[scheme] >= best - _TIE_TOL
             continue
         pt = images.get(scheme)
         if pt is None:
@@ -904,10 +926,12 @@ def solve(
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
-        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound; "
+        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
         "best %.12g, d_upper %.12g; table rows computed %d%s",
         k, class_tag, len(refined) - mapped_count, mapped_count,
-        len(coarse) - len(refined), best, d_upper, table_rows,
+        len(coarse) - len(refined),
+        " (%d only by an orbit partner's)" % partner_skips if class_tag == RECTILINEAR else "",
+        best, d_upper, table_rows,
         "; starts run %d, finished %d, evaluations %d" % tuple(counts)
         if class_tag == RECTILINEAR else "",
     )

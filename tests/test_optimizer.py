@@ -341,19 +341,25 @@ def test_boxes_cover_every_shape(n):
 
 
 _EVERY_SCHEME_CASES = [(k, SEMI_REGULAR) for k in range(3, 31)] + [
-    (k, RECTILINEAR) for k in (6, 8, 10, 12, 15)
+    (k, RECTILINEAR) for k in (6, 8, 10, 12, 15, 20, 30)
 ]
 
 
 @pytest.mark.parametrize("k, class_tag", _EVERY_SCHEME_CASES)
 def test_skipping_matches_refining_every_scheme(k, class_tag):
     # schemes skipped by their bound could not have beaten the answer
-    per_scheme = [optimize_scheme(k, s, class_tag) for s in schemes(k)]
+    per_scheme = {s: optimize_scheme(k, s, class_tag) for s in schemes(k)}
     res = solve(k, class_tag)
-    assert abs(res.d - max(r.d for r in per_scheme)) <= 1e-12
-    assert res.d_upper == max(r.d_upper for r in per_scheme)
-    for r in per_scheme:
+    assert abs(res.d - max(r.d for r in per_scheme.values())) <= 1e-12
+    assert res.d_upper == max(r.d_upper for r in per_scheme.values())
+    for scheme, r in per_scheme.items():
         assert r.d <= r.d_upper
+        if class_tag == RECTILINEAR:
+            # an orbit shares one maximum, so its members share one bound
+            for sym in SYMMETRIES:
+                partner = per_scheme[sym.image_scheme(scheme)]
+                assert partner.d_upper == r.d_upper, (scheme, sym)
+                assert partner.d <= r.d_upper, (scheme, sym)
 
 
 # offsets with |i|, |j| <= 30 in every sign pattern, near and far
@@ -423,6 +429,9 @@ def test_d_upper_bounds_d(champions):
         for tag, res in results[k].per_class.items():
             assert res.d <= res.d_upper, (k, tag)
         assert results[k].per_class[REGULAR].d_upper == results[k].per_class[REGULAR].d
+        # the orbit's least bound certifies the rectilinear answer closely
+        rect = results[k].per_class[RECTILINEAR]
+        assert rect.d_upper - rect.d <= 0.15, k
 
 
 def test_solve_logs_one_summary(caplog):
@@ -446,6 +455,24 @@ def test_solve_logs_one_summary(caplog):
         assert rows
         computed.append(int(rows.group(1)))
     assert computed[0] > 0 and computed[1] == 0
+
+
+@pytest.mark.parametrize("k", [56, 77, 112, 156])
+def test_orbit_bound_skips_and_certifies_large_k(k, caplog):
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        res = solve(k, RECTILINEAR)
+    assert res.d <= res.d_upper <= res.d + 0.3
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    assert len(lines) == 1
+    counts = re.match(
+        rf"solve: k={k} rectilinear refined (\d+), mapped (\d+), skipped (\d+) by the bound "
+        r"\((\d+) only by an orbit partner's\); ",
+        lines[0],
+    )
+    assert counts
+    refined, mapped, skipped, by_partner = (int(c) for c in counts.groups())
+    assert refined + mapped + skipped == len(schemes(k))
+    assert 0 < by_partner <= skipped
 
 
 def test_rectilinear_summary_counts_starts_and_evaluations(caplog):
