@@ -7,17 +7,19 @@ smooth with kinks where the active offset changes.  Everything here is
 deterministic: a fixed coarse grid seeds the local searches.  A rectilinear
 search is a trust-region ascent on closed-form offset gradients (of its seeds
 only the leading one is finished), a semi-regular one a golden-section line
-search.  An active-set Newton step on closed-form offset derivatives then
-sharpens the result to near machine precision, so that rational squared gaps
-can be reconstructed from the floats.
+search.  Newton on closed-form offset derivatives then sharpens the result to
+near machine precision, so that rational squared gaps can be reconstructed
+from the floats: the rectilinear polish at the active offsets' vertex, ridge
+or smooth maximum, the semi-regular one at the crossing of two branches on the
+diagonal, both on one solver, ``_newton_loop``.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -45,7 +47,6 @@ from .geometry import (
     DomainError,
     gaps_valid,
     hexagon_from_gaps,
-    point_to_hexagon_distance,
 )
 
 # coarse grids stay this far from the degenerate boundary; EPS_GEOM remains
@@ -146,16 +147,12 @@ def _eval_min(g1: float, g2: float, scheme: ColorScheme, tol: float | None = Non
     return min_gap(scheme, _frame(g1, g2), tol)
 
 
-def _offset_dist(g1: float, g2: float, i: int, j: int) -> float:
-    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
-    return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
-
-
 def _offset_jet(g1: float, g2: float, i: int, j: int, hessian: bool = True):
     """Offset (i, j)'s gap at shape (g1, g2), its gradient and its Hessian in the gaps.
 
-    The gap is ``_offset_dist``'s, bit for bit: the kernel's distance from c
-    to its nearest boundary point q = a + t (b - a), t clamped to [0, 1].  By
+    The gap is ``geometry.point_to_hexagon_distance``'s from c = i e_i + j e_j
+    to the doubled hexagon of ``_frame``, bit for bit: the distance from c to
+    its nearest boundary point q = a + t (b - a), t clamped to [0, 1].  By
     the envelope theorem the gradient is u . M, with u = (c - q) / gap and
     M = dc - (1 - t) da - t db.  With gap1, c moves by (i + j) / 2 (cos g1,
     -sin g1) and v0, v3 turn clockwise; with gap2, c moves by i / 2 (cos g2,
@@ -410,21 +407,9 @@ def _semi_grid(n: int) -> _Field:
     return _Field(centers, centers, centers.copy(), valid, radius)
 
 
-_FIELD_CACHE: OrderedDict = OrderedDict()
-_FIELD_CACHE_MAX = 4
-
-
+@functools.lru_cache(maxsize=4)
 def _get_field(class_tag: str, n: int) -> _Field:
-    key = (class_tag, n)
-    hit = _FIELD_CACHE.get(key)
-    if hit is None:
-        hit = _semi_grid(n) if class_tag == SEMI_REGULAR else _rect_grid(n)
-        _FIELD_CACHE[key] = hit
-        while len(_FIELD_CACHE) > _FIELD_CACHE_MAX:
-            _FIELD_CACHE.popitem(last=False)
-    else:
-        _FIELD_CACHE.move_to_end(key)
-    return hit
+    return _semi_grid(n) if class_tag == SEMI_REGULAR else _rect_grid(n)
 
 
 def _local_maxima_2d(vals: np.ndarray, n: int) -> np.ndarray:
@@ -516,34 +501,36 @@ def _ascend(fn, x: float, y: float, radius: float, max_iters: int, pause: float)
     yield (x, y), val, True
 
 
-def _newton_loop(system, x: float, y: float, fn, val: float, top: float, max_rounds: int = 30):
-    """Damped Newton on system(x, y) -> (values, Jacobian rows), guarded by the objective fn.
+def _newton_loop(system, pt: tuple, fn, val: float, top: float, max_rounds: int = 30):
+    """Damped Newton on system(*pt) -> (values, Jacobian rows), guarded by the objective fn(*pt).
 
-    Steps that leave the valid triangle or fall more than 1e-12 below
-    ``top``, the best value seen, are halved, then abandoned.  Returns
-    (x, y, val, top) with val the objective at the last accepted point.
+    Works in any dimension.  Steps that leave the valid shapes or fall more
+    than 1e-12 below ``top``, the best value seen, are halved, then
+    abandoned.  Returns (pt, val, top) with val the objective at the last
+    accepted point.
     """
     for _ in range(max_rounds):
-        f0, jac = system(x, y)
+        f0, jac = system(*pt)
         if max(abs(v) for v in f0) <= 1e-14:
             break
         try:
             step, *_ = np.linalg.lstsq(np.asarray(jac), -np.asarray(f0), rcond=None)
         except np.linalg.LinAlgError:
             break
-        dx, dy = float(step[0]), float(step[1])
-        if not math.isfinite(dx) or not math.isfinite(dy):
+        step = [float(v) for v in step]
+        if not all(map(math.isfinite, step)):
             break
         for scale in (1.0, 0.5, 0.25):
-            cand_val = fn(x + scale * dx, y + scale * dy)
+            cand = tuple(x + scale * dx for x, dx in zip(pt, step))
+            cand_val = fn(*cand)
             if cand_val >= top - 1e-12:
-                x, y, val, top = x + scale * dx, y + scale * dy, cand_val, max(top, cand_val)
+                pt, val, top = cand, cand_val, max(top, cand_val)
                 break
         else:
             break
-        if math.hypot(scale * dx, scale * dy) <= 1e-13:
+        if math.hypot(*(scale * dx for dx in step)) <= 1e-13:
             break
-    return x, y, val, top
+    return pt, val, top
 
 
 def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int = 3):
@@ -577,7 +564,7 @@ def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int
                 _, grad, hess = _offset_jet(px, py, *active[0])
                 return list(grad), hess
 
-        nx, ny, val, top = _newton_loop(system, x, y, fn, val, top)
+        (nx, ny), val, top = _newton_loop(system, (x, y), fn, val, top)
         x, y, moved = nx, ny, math.hypot(nx - x, ny - y)
         if moved <= 1e-13:
             break
@@ -604,32 +591,15 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
     return x2, f2
 
 
-def _illinois_root(fn, a: float, b: float, fa: float, fb: float, iters: int = 80):
-    """Root of fn on [a, b] with fa*fb < 0, modified regula falsi."""
-    for _ in range(iters):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not (min(a, b) < c < max(a, b)):
-            c = 0.5 * (a + b)
-        fc = fn(c)
-        if fc == 0.0 or abs(b - a) <= 1e-15 * max(1.0, abs(b)):
-            return c
-        if (fc > 0.0) != (fb > 0.0):
-            a, fa = b, fb
-        else:
-            fa *= 0.5
-        b, fb = c, fc
-    return b
+def _polish_semi(line, gamma: float, val: float, scheme: ColorScheme):
+    """Resolve the kink where the two leading branches cross on the diagonal, if any.
 
-
-def _polish_semi(gamma: float, val: float, scheme: ColorScheme, cell: float):
-    """Resolve the kink where the two leading branches cross, if any."""
-    line = lambda g: _eval_min(g, g, scheme)
+    Newton on the difference of the two branches' gaps, guarded by ``line``,
+    the objective along the diagonal."""
     _, active = _eval_min(gamma, gamma, scheme, 1e-6)
     if len(active) <= 1:
         return gamma, val
-    slopes = [sum(_offset_jet(gamma, gamma, *off)[1]) for off in active]
+    slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
     # the first pair whose slopes differ most
     a, b = max(combinations(range(len(active)), 2), key=lambda p: abs(slopes[p[0]] - slopes[p[1]]))
     if abs(slopes[a] - slopes[b]) < 1e-3:
@@ -637,21 +607,12 @@ def _polish_semi(gamma: float, val: float, scheme: ColorScheme, cell: float):
         # images); the golden-section point already is the maximum
         return gamma, val
     offa, offb = active[a], active[b]
-    diff = lambda g: _offset_dist(g, g, *offa) - _offset_dist(g, g, *offb)
 
-    delta = 1e-9
-    while delta < cell:
-        a, b = gamma - delta, gamma + delta
-        fa, fb = diff(a), diff(b)
-        if fa == 0.0 and fb == 0.0:
-            return gamma, val
-        if (fa > 0.0) != (fb > 0.0):
-            root = _illinois_root(diff, a, b, fa, fb)
-            rval = line(root)
-            if rval >= val - 1e-12:
-                return root, rval
-            return gamma, val
-        delta *= 10.0
+    def system(g: float):
+        (da, ga), (db, gb) = (_offset_jet(g, g, *off, False) for off in (offa, offb))
+        return [da - db], [[sum(ga) - sum(gb)]]
+
+    (gamma,), val, _ = _newton_loop(system, (gamma,), line, val, val)
     return gamma, val
 
 
@@ -676,22 +637,19 @@ def _refine_rect(scheme: ColorScheme, seeds, options: SolveOptions, cell: float,
     return val, (x, y)
 
 
-def _refine_semi(scheme: ColorScheme, gamma0: float, options: SolveOptions, cell: float):
+def _refine_semi(scheme: ColorScheme, vals, grid: _Field, options: SolveOptions):
+    """Best (value, gap pair) over golden sections around the leading coarse
+    maxima and the regular shape, each followed by the crossing polish."""
     line = lambda g: _eval_min(g, g, scheme)
     hi_edge = (math.pi - EPS_GEOM) / 2.0
-    lo = max(EPS_GEOM * 2.0, gamma0 - cell)
-    hi = min(hi_edge - EPS_GEOM, gamma0 + cell)
-    gamma, val = _golden_max(line, lo, hi, tol=max(options.param_tol, 1e-12))
-    gamma, val = _polish_semi(gamma, val, scheme, cell)
-    return val, (gamma, gamma)
-
-
-def _refine_semi_multi(scheme: ColorScheme, vals, centers, options: SolveOptions, cell: float):
     best_val, best_pt = -1.0, (_REGULAR_GAP, _REGULAR_GAP)
-    for gamma0 in [*(float(centers[idx]) for idx in _local_maxima_1d(vals)[:3]), _REGULAR_GAP]:
-        v, pt = _refine_semi(scheme, gamma0, options, cell)
-        if v > best_val:
-            best_val, best_pt = v, pt
+    for gamma0 in [*(float(grid.centers[idx]) for idx in _local_maxima_1d(vals)[:3]), _REGULAR_GAP]:
+        lo = max(EPS_GEOM * 2.0, gamma0 - grid.cell)
+        hi = min(hi_edge - EPS_GEOM, gamma0 + grid.cell)
+        gamma, val = _golden_max(line, lo, hi, tol=max(options.param_tol, 1e-12))
+        gamma, val = _polish_semi(line, gamma, val, scheme)
+        if val > best_val:
+            best_val, best_pt = val, (gamma, gamma)
     return best_val, best_pt
 
 
@@ -765,7 +723,7 @@ def _seed_count(options: SolveOptions) -> int:
 def _refine(class_tag: str, scheme, vals, grid: _Field, options: SolveOptions, counts):
     """Full refinement of one scheme from its coarse values: (value, gap pair)."""
     if class_tag == SEMI_REGULAR:
-        return _refine_semi_multi(scheme, vals, grid.centers, options, grid.cell)
+        return _refine_semi(scheme, vals, grid, options)
     seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
     return _refine_rect(scheme, seeds, options, grid.cell, counts)
 

@@ -2,11 +2,19 @@
 
 The package's ``coloring.min_gap`` covers every same-colored tile.  These
 helpers take the minimum over a given offset list instead, such as the
-|i| + j window of ``same_color_offsets``, so the tests can compare the two.
+|i| + j window of ``same_color_offsets``, so the tests can compare the two,
+or the gap of one offset at one shape.
 """
 
 from hexcoloring.coloring import _doubled_frame, same_color_offsets
 from hexcoloring.geometry import point_to_hexagon_distance
+from hexcoloring.optimizer import _frame
+
+
+def offset_dist(g1: float, g2: float, i: int, j: int) -> float:
+    """Offset (i, j)'s gap at shape (g1, g2), straight from the distance kernel."""
+    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
+    return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
 
 
 def min_offset_distance(offsets, frame) -> float:

@@ -21,7 +21,7 @@ from hexcoloring.coloring import (
 )
 from hexcoloring import optimizer
 from hexcoloring.geometry import DomainError, hexagon_from_gaps, regular_hexagon
-from offset_window import min_distance_over_offsets, min_offset_distance
+from offset_window import min_distance_over_offsets, min_offset_distance, offset_dist
 
 gap_pairs = st.tuples(
     st.floats(min_value=0.1, max_value=2.6, allow_nan=False),
@@ -319,6 +319,6 @@ def test_min_gap_keeps_a_tie_at_the_prune():
     frame = optimizer._frame(0.27824682273479706, 0.27824682273479723)
     best, near = min_gap(scheme, frame, 1e-6)
     assert TileIndex(-1, 2) in near
-    assert min_gap(scheme, frame) == best == optimizer._offset_dist(
+    assert min_gap(scheme, frame) == best == offset_dist(
         0.27824682273479706, 0.27824682273479723, -1, 2
     )

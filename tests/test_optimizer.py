@@ -35,7 +35,6 @@ from hexcoloring.optimizer import (
     _get_field,
     _lipschitz,
     _lp_step,
-    _offset_dist,
     _offset_jet,
     _rect_grid,
     _rect_seeds,
@@ -47,6 +46,7 @@ from hexcoloring.optimizer import (
     solve_all,
 )
 from nm_oracle import refine_every_start
+from offset_window import offset_dist
 from scan_oracle import PerOffsetScan
 
 
@@ -274,6 +274,36 @@ def test_large_k_reference_rows():
         assert res.champion_class == row.class_of_best, row.k
 
 
+# at k = 15 and 77 the optimum is a smooth maximum on the diagonal, not a
+# crossing, and the golden section stops on it about sqrt(eps) off
+_FLAT_MAXIMUM = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: the golden section stops on a flat maximum"
+)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(row, id=f"k{row.k}", marks=_FLAT_MAXIMUM if row.k in (15, 77) else ())
+        for row in load_reference()
+        if row.r_rational is not None
+    ],
+)
+def test_reference_r_rational_is_reproduced(row):
+    num, den = row.r_rational
+    assert abs(solve(row.k, row.class_of_best).r - num / den) <= 1e-12
+
+
+def test_semi_regular_rationals_sit_on_the_crossing():
+    # the crossing polish resolves a kinked maximum to within rounding; the
+    # golden section alone leaves dsq further off (by 7.2e-14 from 1/4 at k = 3)
+    for k in range(3, 121):
+        res = solve(k, SEMI_REGULAR)
+        if res.dsq_rational is not None:
+            p, q = res.dsq_rational
+            assert abs(res.dsq - p / q) <= 1e-14 * p / q, (k, res.dsq_rational)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     i=st.integers(min_value=-30, max_value=30),
@@ -299,7 +329,7 @@ def test_offset_gap_lipschitz_bound(i, j, u, v, step, du, dv, diagonal):
         y = (g1 + step * du, g2 + step * dv)
     if min(y) <= 0.0 or y[0] + y[1] >= math.pi:
         return
-    change = abs(_offset_dist(*y, i, j) - _offset_dist(*x, i, j))
+    change = abs(offset_dist(*y, i, j) - offset_dist(*x, i, j))
     assert change <= _lipschitz(i, j) * max(abs(y[0] - x[0]), abs(y[1] - x[1])) + 1e-12
 
 
@@ -379,7 +409,7 @@ def test_field_matches_scalar_kernel(make_grid):
     for (i, j), arr in zip(_PIN_OFFSETS, vals):
         bad = [
             p for p in points
-            if arr[p] != _offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
+            if arr[p] != offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
         ]
         assert bad == [], (i, j)
         assert (arr[~grid.valid] == -1.0).all()
@@ -436,7 +466,7 @@ def test_d_upper_bounds_d(champions):
 
 def test_solve_logs_one_summary(caplog):
     # a cold field computes table rows; the same solve again finds them all
-    optimizer._FIELD_CACHE.clear()
+    optimizer._get_field.cache_clear()
     computed = []
     for _ in range(2):
         caplog.clear()
@@ -525,14 +555,14 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
         g1 = eps + u * (math.pi - 3 * eps)
         g2 = eps + v * (math.pi - 2 * eps - g1)
     gap, grad, hess = _offset_jet(g1, g2, i, j)
-    assert gap == _offset_dist(g1, g2, i, j)
+    assert gap == offset_dist(g1, g2, i, j)
     h = 1e-6
     steps = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
     feature = _feature(g1, g2, i, j)
     if gap < 1e-3 or any(_feature(g1 + a, g2 + b, i, j) != feature for a, b in steps):
         return  # inside the hexagon, or the nearest vertex or edge changes nearby
     for k, ((a1, b1), (a2, b2)) in enumerate([steps[:2], steps[2:]]):
-        fd = (_offset_dist(g1 + a1, g2 + b1, i, j) - _offset_dist(g1 + a2, g2 + b2, i, j)) / (2 * h)
+        fd = (offset_dist(g1 + a1, g2 + b1, i, j) - offset_dist(g1 + a2, g2 + b2, i, j)) / (2 * h)
         assert abs(grad[k] - fd) <= 1e-6 * (1.0 + abs(fd)), (k, grad, fd)
         up, down = _offset_jet(g1 + a1, g2 + b1, i, j)[1], _offset_jet(g1 + a2, g2 + b2, i, j)[1]
         for m in range(2):
