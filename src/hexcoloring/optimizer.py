@@ -4,14 +4,16 @@ The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
 over every same-colored tile: near any shape, the minimum of finitely many
 smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid seeds the local searches.  A rectilinear
-search is a trust-region ascent on closed-form offset gradients (of its seeds
-only the leading one is finished), a semi-regular one a golden-section line
-search.  Newton on closed-form offset derivatives then sharpens the result to
-near machine precision, so that rational squared gaps can be reconstructed
-from the floats: the rectilinear polish at the active offsets' vertex, ridge
-or smooth maximum, the semi-regular one at the crossing of two branches on the
-diagonal, both on one solver, ``_newton_loop``.
+deterministic: a fixed coarse grid seeds the local searches, and its
+Lipschitz bounds, bisected for semi-regular schemes, skip the schemes that
+cannot win.  A rectilinear search is a trust-region ascent on closed-form
+offset gradients (of its seeds only the leading one is finished), a
+semi-regular one a golden-section line search.  Newton on closed-form offset
+derivatives then sharpens the result to near machine precision, so that
+rational squared gaps can be reconstructed from the floats: the rectilinear
+polish at the active offsets' vertex, ridge or smooth maximum, the
+semi-regular one at the crossing of two branches on the diagonal, both on one
+solver, ``_newton_loop``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .coloring import (
     TripleRepresentation,
     canonical_triple,
     min_gap,
+    # not called here; bench/tracer.py counts calls made through this name
     same_color_offsets,
     schemes,
+    window_offsets,
 )
 from .evaluator import QUARTICS, cubic_f, quartic_dsq, regular_dsq
 from .geometry import (
@@ -63,9 +67,9 @@ class SolveOptions:
     """Search effort and tolerances.  ``starts_per_axis`` sets the number of
     rectilinear seeds, ``max_iters`` caps each one's ascent and ``param_tol``
     ends the semi-regular line search; ``value_tol`` is read by nothing and
-    deprecated.  ``enumeration_slack`` widens ``same_color_offsets``' window,
-    which only sizes the coarse scan and the witness triple search (the
-    objective covers every tile)."""
+    deprecated.  ``enumeration_slack`` widens the one offset window each k
+    enumerates (``coloring.window_offsets``), which only sizes the coarse
+    scan and the witness triple search (the objective covers every tile)."""
 
     starts_per_axis: int = 12
     coarse_grid: int = 48
@@ -216,6 +220,42 @@ def _lipschitz(i: int, j: int) -> float:
 _CHUNK = 16384
 
 
+def _offset_gaps(frame, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Offset (i[r], j[r])'s gap at each shape of ``frame``, as row r; i, j are columns.
+
+    ``frame`` is ``_frame``'s over arrays of shapes.  Each element is the
+    scalar kernel's, operation for operation; the operations run in place
+    where that saves a temporary."""
+    vx, vy, eix, eiy, ejx, ejy = frame
+    cx = i * eix + j * ejx
+    cy = i * eiy + j * ejy
+    inside = True
+    best = None
+    for m in range(6):
+        ax, ay = vx[m - 1], vy[m - 1]
+        ex, ey = vx[m] - ax, vy[m] - ay
+        ee = np.maximum(ex * ex + ey * ey, 1e-30)
+        dx = cx - ax
+        dy = cy - ay
+        t = ex * dy
+        t -= ey * dx
+        inside &= t >= 0.0
+        np.multiply(dx, ex, out=t)
+        t += dy * ey
+        t /= ee
+        np.clip(t, 0.0, 1.0, out=t)
+        # dx, dy become q, then dx its squared length
+        dx -= t * ex
+        dy -= t * ey
+        dx *= dx
+        dy *= dy
+        dx += dy
+        best = dx if best is None else np.minimum(best, dx, out=best)
+    out = np.sqrt(best, out=best)
+    out[inside] = 0.0
+    return out
+
+
 class _Field:
     """A table of offset gaps over a fixed grid of shapes, filled lazily.
 
@@ -228,14 +268,8 @@ class _Field:
     the class.  ``scan`` fills and reads the table.
     """
 
-    def __init__(
-        self,
-        centers: np.ndarray,
-        g1: np.ndarray,
-        g2: np.ndarray,
-        valid: np.ndarray,
-        radius: np.ndarray,
-    ):
+    def __init__(self, centers: np.ndarray, g1: np.ndarray, g2: np.ndarray, valid: np.ndarray,
+                 radius: np.ndarray):
         self.centers = centers
         self.cell = float(centers[1] - centers[0])
         self.g1 = g1
@@ -247,103 +281,98 @@ class _Field:
         # each element is the one the scalar kernel gets
         frame = _frame(g1, g2, np.sin, np.cos)
         at = lambda v: v[self.points] if isinstance(v, np.ndarray) else v
-        vx, vy = ([at(v) for v in vs] for vs in frame[:2])
-        self._basis = [at(v) for v in frame[2:]]
-        self._edges = []
-        for m in range(6):
-            ax, ay = vx[m - 1], vy[m - 1]
-            ex, ey = vx[m] - ax, vy[m] - ay
-            ee = np.maximum(ex * ex + ey * ey, 1e-30)
-            self._edges.append((ax, ay, ex, ey, ee))
+        self._frame = [[at(v) for v in vs] for vs in frame[:2]] + [at(v) for v in frame[2:]]
         self._radius = radius[self.points]
-        # the table: rows are views into the blocks ``_point_dist`` returned,
+        # the table: rows are views into the blocks ``_offset_gaps`` returned,
         # so it grows without copying or spare capacity
         self.table: list[np.ndarray] = []
         self.index: dict[tuple[int, int], int] = {}
-        self.weight: list[float] = []
+        self.weight = np.empty(0)
 
-    def _point_dist(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Offset (i[r], j[r])'s gap at each valid point, as row r; i, j are columns.
+    def scan(self, owner: np.ndarray, i: np.ndarray, j: np.ndarray):
+        """Each scheme's minimum gap over the grid, and a bound on it.
 
-        Each element is the scalar kernel's, operation for operation; the
-        operations run in place where that saves a temporary."""
-        eix, eiy, ejx, ejy = self._basis
-        cx = i * eix + j * ejx
-        cy = i * eiy + j * ejy
-        inside = True
-        best = None
-        for ax, ay, ex, ey, ee in self._edges:
-            dx = cx - ax
-            dy = cy - ay
-            t = ex * dy
-            t -= ey * dx
-            inside &= t >= 0.0
-            np.multiply(dx, ex, out=t)
-            t += dy * ey
-            t /= ee
-            np.clip(t, 0.0, 1.0, out=t)
-            # dx, dy become q, then dx its squared length
-            dx -= t * ex
-            dy -= t * ey
-            dx *= dx
-            dy *= dy
-            dx += dy
-            best = dx if best is None else np.minimum(best, dx, out=best)
-        out = np.sqrt(best, out=best)
-        out[inside] = 0.0
-        return out
-
-    def scan(self, offset_lists) -> tuple[np.ndarray, np.ndarray]:
-        """Each offset list's minimum gap over the grid, and a bound on it.
-
-        Returns (vals, upper).  Row s of vals is the minimum over the s-th
-        list of ``offset_lists`` of the offsets' gaps at each grid point, -1
-        at the invalid ones.  No valid shape has a larger minimum gap over
-        the list than upper[s]: on the box around valid point p, each
-        offset's gap is at most its value at p plus radius(p) times its
+        Offset (i[e], j[e]) belongs to scheme owner[e], as
+        ``coloring.window_offsets`` gives them: owners ascend from 0.
+        Returns (vals, upper, rows).  Row s of vals is the minimum of scheme
+        s's offsets' gaps at each grid point, -1 at the invalid ones, and
+        rows[e] is offset e's table row.  No valid shape has a larger minimum
+        gap over the offsets than upper[s]: on the box around valid point p,
+        each offset's gap is at most its value at p plus radius(p) times its
         Lipschitz bound, and so is the minimum over offsets; upper[s] is the
         largest of these over the valid points.
 
-        Offsets without a row get one, computed a chunk of rows at a time.
-        The lists are then reduced a chunk at a time: each list of a chunk is
-        padded to the chunk's longest by repeating its first row, which
-        leaves its minimum unchanged, so one reduction over a (lists,
-        offsets, points) block serves the whole chunk.
+        Each distinct offset is looked up once, and those without a row get
+        one, a chunk of rows at a time.  The schemes, ordered by their number
+        of offsets, are reduced a chunk at a time: each one's rows are padded
+        to the chunk's longest list by repeating its first row, which leaves
+        its minimum unchanged, so one reduction over an (offsets, schemes,
+        points) block serves the chunk.
         """
-        rows, missing, index = [], [], self.index
-        for offsets in offset_lists:
-            rs = [index.get(off) for off in offsets]
-            if None in rs:
-                for n, off in enumerate(offsets):
-                    key = (off[0], off[1])
-                    if key not in index:
-                        index[key] = len(self.table) + len(missing)
-                        missing.append(key)
-                    rs[n] = index[key]
-            rows.append(rs)
+        # (i, j) as one integer, for |j| < 2**31
+        _, first, inverse = np.unique(i * 2**32 + j, return_index=True, return_inverse=True)
+        keys = list(zip(i[first].tolist(), j[first].tolist()))
+        found = np.array([self.index.get(key, -1) for key in keys], dtype=np.int64)
+        new = np.flatnonzero(found < 0)
+        found[new] = np.arange(len(self.table), len(self.table) + new.size)
+        self.index.update(zip([keys[n] for n in new.tolist()], found[new].tolist()))
         width = len(self.points)
         step = max(1, _CHUNK // width)
-        for a in range(0, len(missing), step):
-            ij = np.array(missing[a : a + step], dtype=float)
-            self.table.extend(self._point_dist(ij[:, :1], ij[:, 1:]))
-            self.weight.extend(_lipschitz(i, j) for i, j in missing[a : a + step])
+        new_i, new_j = i[first[new], None].astype(float), j[first[new], None].astype(float)
+        for a in range(0, new.size, step):
+            self.table.extend(_offset_gaps(self._frame, new_i[a : a + step], new_j[a : a + step]))
+        self.weight = np.concatenate((self.weight, _lipschitz(new_i[:, 0], new_j[:, 0])))
+        rows = found[inverse]
 
-        vals = np.full((len(rows), self.g1.size), -1.0)
-        upper = np.empty(len(rows))
+        count = np.bincount(owner)
+        # the schemes by their number of offsets, so that little padding is needed
+        order = np.argsort(count, kind="stable")
+        start, count = (np.cumsum(count) - count)[order], count[order]
+        vals = np.full((count.size, self.g1.size), -1.0)
+        upper = np.empty(count.size)
         a = 0
-        while a < len(rows):
-            b, longest = a + 1, len(rows[a])
-            while b < len(rows) and (b + 1 - a) * max(longest, len(rows[b])) * width <= _CHUNK:
-                longest = max(longest, len(rows[b]))
-                b += 1
-            idx = [r for rs in rows[a:b] for r in rs + rs[:1] * (longest - len(rs))]
-            gaps = np.concatenate([self.table[r] for r in idx]).reshape(b - a, longest, width)
-            vals[a:b, self.points] = gaps.min(axis=1)
-            weight = np.array([self.weight[r] for r in idx]).reshape(b - a, longest, 1)
-            gaps += weight * self._radius
-            upper[a:b] = gaps.min(axis=1).max(axis=1)
+        while a < count.size:
+            # the most schemes from a whose padded block fits in a chunk
+            block = count[a:] * np.arange(1, count.size - a + 1) * width
+            b = a + max(1, int((block <= _CHUNK).sum()))
+            t = np.arange(count[b - 1])[:, None]
+            # row t of each scheme, or its first row once t passes its last
+            idx = rows[start[a:b] + np.where(t < count[a:b], t, 0)]
+            gaps = np.concatenate(list(map(self.table.__getitem__, idx.ravel().tolist())))
+            gaps = gaps.reshape(*idx.shape, width)
+            vals[order[a:b, None], self.points] = gaps.min(axis=0)
+            gaps += self.weight[idx][..., None] * self._radius
+            upper[order[a:b]] = gaps.min(axis=0).max(axis=1)
             a = b
-        return vals, upper
+        return vals, upper, rows
+
+
+# halvings of a cell in ``_bisected_bound``: the skips they add saturate at 4 to 5
+_BISECT_DEPTH = 5
+
+
+def _bisected_bound(grid: _Field, i, j, rows, target: float = -math.inf) -> float:
+    """A bound on one scheme's semi-regular objective, at most its scan bound.
+
+    The scheme's offsets are (i[e], j[e]), rows[e] their rows in the table of
+    ``grid``, the semi-regular field.  A cell's scan bound is the minimum over
+    the offsets of row plus weight times radius.  Each cell whose bound
+    reaches ``target`` is halved _BISECT_DEPTH times over, in one pass
+    (Piyavskii 1972), and each part bounded in the same way at its centre
+    with its radius, and by its cell's bound.  The parts cover their cell,
+    so the largest bound, returned, holds by the argument of ``_Field.scan``.
+    """
+    weight = grid.weight[rows][:, None]
+    gaps = np.stack(list(map(grid.table.__getitem__, rows.tolist())))
+    bound = (gaps + weight * grid.radius).min(axis=0)
+    split = bound >= target
+    parts = 2**_BISECT_DEPTH
+    radius = np.tile(grid.radius[split] / parts, parts)
+    gamma = np.tile(grid.centers[split], parts) + radius * np.repeat(
+        np.arange(1 - parts, parts, 2), split.sum())
+    gaps = _offset_gaps(_frame(gamma, gamma, np.sin, np.cos), i[:, None] * 1.0, j[:, None] * 1.0)
+    fine = np.minimum((gaps + weight * radius).min(axis=0), np.tile(bound[split], parts))
+    return float(max(bound.max(initial=-math.inf, where=~split), fine.max(initial=-math.inf)))
 
 
 def _cell_edges(centers: np.ndarray, top: float) -> np.ndarray:
@@ -673,16 +702,9 @@ def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
     return "none"
 
 
-def _finalize(
-    k: int,
-    class_tag: str,
-    scheme: ColorScheme,
-    point: tuple[float, float],
-    val: float,
-    options: SolveOptions,
-    d_upper: float,
-    triple: TripleRepresentation | None = None,
-) -> SolveResult:
+def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, float], val: float,
+              options: SolveOptions, d_upper: float,
+              triple: TripleRepresentation | None = None) -> SolveResult:
     point = (float(point[0]), float(point[1]))
     hexagon = hexagon_from_gaps(point[0], point[1])
     triple = triple or canonical_triple(hexagon, scheme, slack=options.enumeration_slack)
@@ -755,9 +777,7 @@ def optimize_scheme(
 
     grid = _get_field(class_tag, options.coarse_grid)
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
-    vals, upper = grid.scan(
-        same_color_offsets(member, slack=options.enumeration_slack) for member in orbit
-    )
+    vals, upper, _ = grid.scan(*window_offsets(k, orbit, options.enumeration_slack))
     val, pt = _refine(class_tag, scheme, vals[0], grid, options, [0, 0, 0])
     return _finalize(k, class_tag, scheme, pt, val, options, upper.min())
 
@@ -793,9 +813,8 @@ def _pick_tied(cands, options: SolveOptions):
 def _solve_regular(k: int, candidates, options: SolveOptions) -> SolveResult:
     """The best of the ``candidates`` schemes on the regular hexagon."""
     pt = (_REGULAR_GAP, _REGULAR_GAP)
-    cands = []
-    for scheme in candidates:
-        cands.append((_eval_min(pt[0], pt[1], scheme), scheme, pt))
+    frame = _frame(*pt)
+    cands = [(min_gap(scheme, frame), scheme, pt) for scheme in candidates]
     (val, scheme, pt), triple = _pick_tied(cands, options)
     return _finalize(k, REGULAR, scheme, pt, val, options, val, triple)
 
@@ -805,22 +824,24 @@ def solve(
 ) -> SolveResult:
     """Best shape and coloring for k colors within one shape class.
 
-    A coarse scan gives every scheme its peak over the grid and an upper
-    bound U_s on its objective over every valid shape; one ``_Field.scan``
-    call serves every scheme of k, computing only the table rows of
-    offsets that no earlier solve on the field used.  Schemes are refined
-    in descending order of peak, and a scheme is skipped once U_s falls
-    below the best refined value so far by more than the tie tolerance.
-    Every refined value is the objective at a valid shape, or below
-    ``coloring.SLIVER_FLOOR`` and so below every class optimum, so a
-    skipped scheme could not have won or tied.  The result's ``d_upper`` is
-    the largest U_s.
+    One ``coloring.window_offsets`` and one ``_Field.scan`` call give every
+    scheme of k its peak over the grid and an upper bound U_s on its
+    objective over every valid shape, the scan computing only the table rows
+    that no earlier solve on the field used.  Schemes are refined in
+    descending order of peak, and a scheme is skipped once U_s falls below
+    the best refined value so far by more than the tie tolerance.  Every
+    refined value is the objective at a valid shape, or below
+    ``coloring.SLIVER_FLOOR`` and so below every class optimum, so a skipped
+    scheme could not have won or tied.  The result's ``d_upper`` is the
+    largest U_s.
 
-    The scan's upper bound holds because on boxes around the grid points
-    that cover every valid shape (``_rect_radii``), each offset's gap moves
-    by at most ``_lipschitz`` times the max norm of the gap change, and the
-    scan's fixed offsets (``same_color_offsets``) can only overstate the
-    minimum.  Outside the rectilinear class U_s is that bound.
+    The scan's bound holds because on boxes around the grid points that
+    cover every valid shape (``_rect_radii``), each offset's gap moves by at
+    most ``_lipschitz`` times the max norm of the gap change, and the scan's
+    fixed offsets can only overstate the minimum.  Outside the rectilinear
+    class U_s is that bound.  A semi-regular scheme is also skipped when
+    ``_bisected_bound``, the same argument on its cells halved five times
+    over, puts it below the threshold.
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's objective exactly onto that of every scheme in its orbit
@@ -842,9 +863,8 @@ def solve(
     grid = _get_field(class_tag, options.coarse_grid)
     table_rows = len(grid.table)
     candidates = schemes(k)
-    vals, upper = grid.scan(
-        same_color_offsets(scheme, slack=options.enumeration_slack) for scheme in candidates
-    )
+    owner, i, j = window_offsets(k, candidates, options.enumeration_slack)
+    vals, upper, rows = grid.scan(owner, i, j)
     table_rows = len(grid.table) - table_rows
     own = dict(zip(candidates, upper.tolist()))
     bound = own
@@ -854,26 +874,29 @@ def solve(
             if scheme not in bound:
                 orbit = _orbit(scheme)
                 bound.update(dict.fromkeys(orbit, min(own[member] for member in orbit)))
-    coarse = sorted(zip(vals.max(axis=1).tolist(), candidates, vals), key=lambda entry: -entry[0])
     d_upper = max(bound.values())
 
     refined = []
     mapped_count = 0
-    # skipped by the orbit's bound, not by their own
-    partner_skips = 0
+    # skipped by the orbit's bound or after bisection, not by their own bound
+    late_skips = 0
     # ascents run and finished, objective evaluations; rectilinear only
     counts = [0, 0, 0]
     best = -math.inf
     # orbit member -> its representative's optimum, moved onto the member's
     # shape; rectilinear only
     images = {}
-    for _, scheme, vals in coarse:
-        if bound[scheme] < best - _TIE_TOL:
-            partner_skips += own[scheme] >= best - _TIE_TOL
+    for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
+        scheme, target = candidates[n], best - _TIE_TOL
+        if bound[scheme] < target or (
+            class_tag == SEMI_REGULAR and refined
+            and _bisected_bound(grid, *(a[owner == n] for a in (i, j, rows)), target) < target
+        ):
+            late_skips += own[scheme] >= target
             continue
         pt = images.get(scheme)
         if pt is None:
-            v, pt = _refine(class_tag, scheme, vals, grid, options, counts)
+            v, pt = _refine(class_tag, scheme, vals[n], grid, options, counts)
             if class_tag == RECTILINEAR:
                 for sym in SYMMETRIES[1:]:
                     images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
@@ -884,11 +907,11 @@ def solve(
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
-        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
+        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound (%d only %s); "
         "best %.12g, d_upper %.12g; table rows computed %d%s",
         k, class_tag, len(refined) - mapped_count, mapped_count,
-        len(coarse) - len(refined),
-        " (%d only by an orbit partner's)" % partner_skips if class_tag == RECTILINEAR else "",
+        len(candidates) - len(refined), late_skips,
+        "by an orbit partner's" if class_tag == RECTILINEAR else "after bisection",
         best, d_upper, table_rows,
         "; starts run %d, finished %d, evaluations %d" % tuple(counts)
         if class_tag == RECTILINEAR else "",

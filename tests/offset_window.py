@@ -1,14 +1,37 @@
-"""The minimum gap over a fixed window of same-color offsets.
+"""The same-color offset window, and the minimum gap over a fixed offset list.
 
-The package's ``coloring.min_gap`` covers every same-colored tile.  These
-helpers take the minimum over a given offset list instead, such as the
-|i| + j window of ``same_color_offsets``, so the tests can compare the two,
-or the gap of one offset at one shape.
+``tile_by_tile_window`` enumerates the |i| + j window of
+``coloring.window_offsets`` one tile at a time, as the package first did, so the tests can check the
+vectorised enumerator against it.  The package's ``coloring.min_gap`` covers
+every same-colored tile; the other helpers take the minimum over a given
+offset list instead, so the tests can compare the two, or the gap of one
+offset at one shape.
 """
 
-from hexcoloring.coloring import _doubled_frame, same_color_offsets
+from hexcoloring.coloring import TileIndex, _doubled_frame, enumeration_bound, same_color_offsets
 from hexcoloring.geometry import point_to_hexagon_distance
 from hexcoloring.optimizer import _frame
+
+
+def half_plane_offsets(scheme, bound: int):
+    """Same-colored offsets with |i| + j < bound, one per +/- pair: j > 0, or j = 0 with i > 0."""
+    m = scheme.rows_step
+    for j in range(0, bound, m):
+        a = j // m
+        lo = 1 if j == 0 else -(bound - 1 - j)
+        hi = bound - 1 - j
+        # smallest i >= lo with i = a * h (mod g)
+        first = lo + (a * scheme.h - lo) % scheme.g
+        for i in range(first, hi + 1, scheme.g):
+            yield TileIndex(i, j)
+
+
+def tile_by_tile_window(scheme, slack: int = 1) -> list:
+    """The scheme's window with both generators (g, 0) and (h, k/g) added, sorted by (j, i)."""
+    found = set(half_plane_offsets(scheme, enumeration_bound(scheme.k, slack)))
+    found.add(TileIndex(scheme.g, 0))
+    found.add(TileIndex(scheme.h, scheme.rows_step))
+    return sorted(found, key=lambda t: (t.j, t.i))
 
 
 def offset_dist(g1: float, g2: float, i: int, j: int) -> float:

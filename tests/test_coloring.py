@@ -18,10 +18,16 @@ from hexcoloring.coloring import (
     min_gap,
     same_color_offsets,
     schemes,
+    window_offsets,
 )
 from hexcoloring import optimizer
 from hexcoloring.geometry import DomainError, hexagon_from_gaps, regular_hexagon
-from offset_window import min_distance_over_offsets, min_offset_distance, offset_dist
+from offset_window import (
+    min_distance_over_offsets,
+    min_offset_distance,
+    offset_dist,
+    tile_by_tile_window,
+)
 
 gap_pairs = st.tuples(
     st.floats(min_value=0.1, max_value=2.6, allow_nan=False),
@@ -104,6 +110,22 @@ def test_offsets_frozen_sets():
     assert got == [(-3, 1), (-2, 3), (-1, 5), (1, 2), (2, 4), (4, 1), (7, 0)]
     got = sorted(map(tuple, same_color_offsets(ColorScheme(22, 11, 6))))
     assert got == [(-5, 2), (-4, 6), (1, 4), (2, 8), (6, 2), (11, 0)]
+
+
+def test_window_offsets_match_the_tile_by_tile_window():
+    # the vectorised enumerator gives every scheme the window the first
+    # tile-by-tile loop gave it, and same_color_offsets (checked up to k = 60,
+    # past which it costs seconds) its (j, i)-sorted list
+    for k in range(3, 176):
+        candidates = schemes(k)
+        for slack in (0, 1, 2):
+            expected = [tile_by_tile_window(s, slack) for s in candidates]
+            owner, i, j = window_offsets(k, candidates, slack)
+            assert list(zip(owner.tolist(), i.tolist(), j.tolist())) == [
+                (n, *t) for n, offsets in enumerate(expected) for t in offsets
+            ], (k, slack)
+            for s, offsets in zip(candidates, expected if k <= 60 else []):
+                assert same_color_offsets(s, slack=slack) == offsets, (s, slack)
 
 
 @given(k=small_k, data=st.data())

@@ -14,6 +14,7 @@ from hexcoloring.coloring import (
     canonical_triple,
     same_color_offsets,
     schemes,
+    window_offsets,
 )
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (
@@ -31,6 +32,7 @@ from hexcoloring.optimizer import (
     _LEAD,
     SolveOptions,
     _ascend,
+    _bisected_bound,
     _eval_min,
     _get_field,
     _lipschitz,
@@ -370,7 +372,8 @@ def test_boxes_cover_every_shape(n):
     assert _covered(_semi_grid(n), gamma, gamma).all()
 
 
-_EVERY_SCHEME_CASES = [(k, SEMI_REGULAR) for k in range(3, 31)] + [
+# semi-regular k = 41, 56 and 77 are where the bisection skips the most
+_EVERY_SCHEME_CASES = [(k, SEMI_REGULAR) for k in (*range(3, 31), 41, 56, 77)] + [
     (k, RECTILINEAR) for k in (6, 8, 10, 12, 15, 20, 30)
 ]
 
@@ -405,7 +408,8 @@ def test_field_matches_scalar_kernel(make_grid):
     # bit: a list of one offset scans to that offset's table row
     grid = make_grid(48)
     points = np.flatnonzero(grid.valid)
-    vals, _ = grid.scan([[off] for off in _PIN_OFFSETS])
+    i, j = np.array(_PIN_OFFSETS).T
+    vals, _, _ = grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
     for (i, j), arr in zip(_PIN_OFFSETS, vals):
         bad = [
             p for p in points
@@ -428,7 +432,9 @@ def test_scan_matches_the_per_offset_scan(make_grid):
     oracle = PerOffsetScan(grid)
     for k in _SCAN_KS:
         lists = [same_color_offsets(scheme) for scheme in schemes(k)]
-        vals, upper = grid.scan(lists)
+        owner, i, j = window_offsets(k, schemes(k))
+        vals, upper, rows = grid.scan(owner, i, j)
+        assert rows.tolist() == [grid.index[key] for key in zip(i.tolist(), j.tolist())]
         assert vals.shape == (len(lists), grid.g1.size) and upper.shape == (len(lists),)
         for s, offsets in enumerate(lists):
             assert vals[s].tobytes() == oracle.scheme_min(offsets).tobytes(), (k, s)
@@ -485,6 +491,42 @@ def test_solve_logs_one_summary(caplog):
         assert rows
         computed.append(int(rows.group(1)))
     assert computed[0] > 0 and computed[1] == 0
+
+
+def test_bisection_skips_semi_regular_schemes(caplog):
+    # over k = 3..120 the scan's bound alone left 364 semi-regular refinements
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        for k in range(3, 121):
+            solve(k, SEMI_REGULAR)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    assert len(lines) == 118
+    refined = after = 0
+    for line in lines:
+        counts = re.match(
+            r"solve: k=(\d+) semi_regular refined (\d+), mapped 0, skipped (\d+) by the bound "
+            r"\((\d+) only after bisection\); ",
+            line,
+        )
+        assert counts, line
+        k, r, skipped, late = (int(c) for c in counts.groups())
+        assert r + skipped == len(schemes(k)) and late <= skipped
+        refined, after = refined + r, after + late
+    assert refined <= 240
+    assert after > 0
+
+
+@pytest.mark.parametrize("k", [*range(3, 46), 77])
+def test_bisected_bound_lies_between_optimum_and_scan_bound(k):
+    # bisected to full depth with no target, each scheme's bound still holds
+    # its optimum and never exceeds its scan bound
+    grid = _get_field(SEMI_REGULAR, SolveOptions().coarse_grid)
+    candidates = schemes(k)
+    owner, i, j = window_offsets(k, candidates)
+    _, upper, rows = grid.scan(owner, i, j)
+    for n, scheme in enumerate(candidates):
+        own = owner == n
+        bound = _bisected_bound(grid, i[own], j[own], rows[own])
+        assert optimize_scheme(k, scheme, SEMI_REGULAR).d <= bound <= upper[n], scheme
 
 
 @pytest.mark.parametrize("k", [56, 77, 112, 156])
@@ -574,9 +616,7 @@ def _rect_schemes(k):
     options = SolveOptions()
     grid = _get_field(RECTILINEAR, options.coarse_grid)
     candidates = schemes(k)
-    all_vals, _ = grid.scan(
-        same_color_offsets(scheme, slack=options.enumeration_slack) for scheme in candidates
-    )
+    all_vals, _, _ = grid.scan(*window_offsets(k, candidates, options.enumeration_slack))
     for scheme, vals in zip(candidates, all_vals):
         seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
         yield scheme, seeds, options, grid.cell
