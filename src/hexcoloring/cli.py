@@ -173,12 +173,15 @@ def _summary_line(result: SolveResult) -> str:
     )
 
 
+# ``SolveOptions.starts_per_axis`` has no reader; the flag stays so that old
+# command lines still parse
+_STARTS_HELP = "deprecated and ignored"
+
+
 def _options_from(args: argparse.Namespace) -> SolveOptions:
     kwargs = {}
     if getattr(args, "grid", None) is not None:
         kwargs["coarse_grid"] = args.grid
-    if getattr(args, "starts", None) is not None:
-        kwargs["starts_per_axis"] = args.starts
     return SolveOptions(**kwargs)
 
 
@@ -298,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--class", dest="class_name", choices=[*_CLASS_FLAGS, "all"], default="all"
     )
     p_solve.add_argument("--grid", type=int, default=None)
-    p_solve.add_argument("--starts", type=int, default=None)
+    p_solve.add_argument("--starts", type=int, default=None, help=_STARTS_HELP)
     p_solve.add_argument("--json", default=None, metavar="PATH")
     p_solve.add_argument("--svg", default=None, metavar="PATH")
     p_solve.set_defaults(func=cmd_solve)
@@ -311,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--csv", default=None, metavar="PATH")
     p_table.add_argument("--grid", type=int, default=None)
-    p_table.add_argument("--starts", type=int, default=None)
+    p_table.add_argument("--starts", type=int, default=None, help=_STARTS_HELP)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="regression against the reference table")
@@ -320,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kmax", type=int, default=None, help="check only rows up to this k (default: all)"
     )
     p_verify.add_argument("--grid", type=int, default=None)
-    p_verify.add_argument("--starts", type=int, default=None)
+    p_verify.add_argument("--starts", type=int, default=None, help=_STARTS_HELP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_closed = sub.add_parser("closedform", help="closed-form values for one k")

@@ -4,16 +4,17 @@ The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
 over every same-colored tile: near any shape, the minimum of finitely many
 smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid seeds the local searches, and its
-Lipschitz bounds, bisected for semi-regular schemes, skip the schemes that
-cannot win.  A rectilinear search is a trust-region ascent on closed-form
-offset gradients (of its seeds only the leading one is finished), a
-semi-regular one a golden-section line search.  Newton on closed-form offset
-derivatives then sharpens the result to near machine precision, so that
-rational squared gaps can be reconstructed from the floats: the rectilinear
-polish at the active offsets' vertex, ridge or smooth maximum, the
-semi-regular one at the crossing of two branches on the diagonal, both on one
-solver, ``_newton_loop``.
+deterministic: a fixed coarse grid gives each scheme its best grid point,
+and its Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
+that cannot win.  One refinement, ``_refine``, serves both shape classes: a
+local search from that grid point and one from the regular shape, a
+trust-region ascent on closed-form offset gradients for a rectilinear scheme
+and a golden-section line search for a semi-regular one.  Newton on
+closed-form offset derivatives then sharpens the result to near machine
+precision, so that rational squared gaps can be reconstructed from the
+floats: the rectilinear polish at the active offsets' vertex, ridge or
+smooth maximum, the semi-regular one at the crossing of two branches on the
+diagonal, both on one solver, ``_newton_loop``.
 """
 
 from __future__ import annotations
@@ -64,12 +65,13 @@ _REGULAR_GAP = math.pi / 3.0
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search effort and tolerances.  ``starts_per_axis`` sets the number of
-    rectilinear seeds, ``max_iters`` caps each one's ascent and ``param_tol``
-    ends the semi-regular line search; ``value_tol`` is read by nothing and
-    deprecated.  ``enumeration_slack`` widens the one offset window each k
-    enumerates (``coloring.window_offsets``), which only sizes the coarse
-    scan and the witness triple search (the objective covers every tile)."""
+    """Search effort and tolerances.  ``coarse_grid`` sets the coarse scan's
+    points per axis, ``max_iters`` caps each rectilinear ascent and
+    ``param_tol`` ends the semi-regular line search; ``starts_per_axis`` and
+    ``value_tol`` are read by nothing and deprecated.  ``enumeration_slack``
+    widens the one offset window each k enumerates
+    (``coloring.window_offsets``), which only sizes the coarse scan and the
+    witness triple search (the objective covers every tile)."""
 
     starts_per_axis: int = 12
     coarse_grid: int = 48
@@ -90,8 +92,9 @@ class SolveOptions:
         for name in ("value_tol", "param_tol"):
             if not 0.0 < getattr(self, name) < 1e-6:
                 raise DomainError(f"{name} must lie in (0, 1e-6)")
-        if self.value_tol != SolveOptions.value_tol:
-            warnings.warn("SolveOptions.value_tol is no longer read", DeprecationWarning, 3)
+        for name in ("starts_per_axis", "value_tol"):
+            if getattr(self, name) != getattr(SolveOptions, name):
+                warnings.warn(f"SolveOptions.{name} is no longer read", DeprecationWarning, 3)
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -441,33 +444,9 @@ def _get_field(class_tag: str, n: int) -> _Field:
     return _semi_grid(n) if class_tag == SEMI_REGULAR else _rect_grid(n)
 
 
-def _local_maxima_2d(vals: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices of strict-or-plateau grid maxima, best first, ties by index."""
-    grid = vals.reshape(n, n)
-    padded = np.full((n + 2, n + 2), -np.inf)
-    padded[1:-1, 1:-1] = grid
-    ok = np.ones((n, n), bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            ok &= grid >= padded[1 + dr : n + 1 + dr, 1 + dc : n + 1 + dc]
-    idx = np.flatnonzero(ok.ravel() & (vals > 0.0))
-    order = np.argsort(-vals[idx], kind="stable")
-    return idx[order]
-
-
-def _local_maxima_1d(vals: np.ndarray) -> np.ndarray:
-    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-    ok = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals > 0.0)
-    idx = np.flatnonzero(ok)
-    order = np.argsort(-vals[idx], kind="stable")
-    return idx[order]
-
-
-# the ascent keeps shapes _EDGE inside the valid triangle; every seed ascends
-# to a trust radius of _LEAD, and only the leader there goes on to _FINE
-_EDGE, _LEAD, _FINE = 2.0 * EPS_GEOM, 1e-3, 1e-9
+# the ascent keeps shapes _EDGE inside the valid triangle and stops once its
+# trust radius falls below _FINE
+_EDGE, _FINE = 2.0 * EPS_GEOM, 1e-9
 
 
 def _lp_step(x: float, y: float, rows, radius: float):
@@ -499,22 +478,19 @@ def _lp_step(x: float, y: float, rows, radius: float):
     return best
 
 
-def _ascend(fn, x: float, y: float, radius: float, max_iters: int, pause: float):
+def _ascend(fn, x: float, y: float, radius: float, max_iters: int):
     """Trust-region minimax ascent of fn(x, y, tol) from (x, y) (Madsen 1975).
 
     Each step maximises the linear model of the offsets within 2 radius of
     the minimum (``_lp_step``) and is taken if it gains over 0.01 of the
     predicted gain.  The radius doubles after a full-length step gaining
-    over 0.75 of it, else shrinks fourfold.  Yields ((x, y), value, finished)
-    when the radius first falls below ``pause``, and when the model predicts
-    no gain, the radius falls below _FINE or ``max_iters`` steps have run.
+    over 0.75 of it, else shrinks fourfold.  Returns ((x, y), value) once the
+    model predicts no gain, the radius falls below _FINE or ``max_iters``
+    steps have run.
     """
     val, near = fn(x, y, 4.0 * radius)
     rows = None
     for _ in range(max_iters):
-        if radius < pause:
-            pause = -1.0
-            yield (x, y), val, False
         if radius < _FINE:
             break
         if rows is None:
@@ -527,7 +503,7 @@ def _ascend(fn, x: float, y: float, radius: float, max_iters: int, pause: float)
         if gain > 0.01:
             x, y, val, near, rows = x + dx, y + dy, new, new_near, None
         radius *= 2.0 if gain > 0.75 and max(abs(dx), abs(dy)) == radius else 0.25
-    yield (x, y), val, True
+    return (x, y), val
 
 
 def _newton_loop(system, pt: tuple, fn, val: float, top: float, max_rounds: int = 30):
@@ -620,12 +596,13 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
     return x2, f2
 
 
-def _polish_semi(line, gamma: float, val: float, scheme: ColorScheme):
+def _polish_semi(fn, gamma: float, val: float):
     """Resolve the kink where the two leading branches cross on the diagonal, if any.
 
-    Newton on the difference of the two branches' gaps, guarded by ``line``,
-    the objective along the diagonal."""
-    _, active = _eval_min(gamma, gamma, scheme, 1e-6)
+    Newton on the difference of the two branches' gaps, guarded by the
+    objective fn(g, g) along the diagonal."""
+    line = lambda g: fn(g, g)
+    _, active = fn(gamma, gamma, 1e-6)
     if len(active) <= 1:
         return gamma, val
     slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
@@ -643,43 +620,6 @@ def _polish_semi(line, gamma: float, val: float, scheme: ColorScheme):
 
     (gamma,), val, _ = _newton_loop(system, (gamma,), line, val, val)
     return gamma, val
-
-
-def _refine_rect(scheme: ColorScheme, seeds, options: SolveOptions, cell: float, counts: list):
-    """Best (value, gap pair) over ascents from the seeds, then the polish.
-
-    Every seed ascends to a trust radius of _LEAD; only the leader there, the
-    first on ties, is finished.  ``counts`` counts the ascents run and
-    finished and the objective evaluations.
-    """
-    def fn(a: float, b: float, tol: float | None = None):
-        counts[2] += 1
-        return _eval_min(a, b, scheme, tol)
-
-    runs = [_ascend(fn, sx, sy, 0.6 * cell, options.max_iters, _LEAD) for sx, sy in seeds]
-    coarse = [next(run) for run in runs]
-    lead = max(range(len(runs)), key=lambda m: (coarse[m][1], -m))
-    (x, y), val, _ = next(runs[lead], coarse[lead])
-    counts[0] += len(runs)
-    counts[1] += sum(c[2] for c in coarse) + (not coarse[lead][2])
-    x, y, val = _polish_rect(fn, x, y, val, 1e-6)
-    return val, (x, y)
-
-
-def _refine_semi(scheme: ColorScheme, vals, grid: _Field, options: SolveOptions):
-    """Best (value, gap pair) over golden sections around the leading coarse
-    maxima and the regular shape, each followed by the crossing polish."""
-    line = lambda g: _eval_min(g, g, scheme)
-    hi_edge = (math.pi - EPS_GEOM) / 2.0
-    best_val, best_pt = -1.0, (_REGULAR_GAP, _REGULAR_GAP)
-    for gamma0 in [*(float(grid.centers[idx]) for idx in _local_maxima_1d(vals)[:3]), _REGULAR_GAP]:
-        lo = max(EPS_GEOM * 2.0, gamma0 - grid.cell)
-        hi = min(hi_edge - EPS_GEOM, gamma0 + grid.cell)
-        gamma, val = _golden_max(line, lo, hi, tol=max(options.param_tol, 1e-12))
-        gamma, val = _polish_semi(line, gamma, val, scheme)
-        if val > best_val:
-            best_val, best_pt = val, (gamma, gamma)
-    return best_val, best_pt
 
 
 def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
@@ -726,28 +666,41 @@ def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, f
     )
 
 
-def _rect_seeds(vals: np.ndarray, centers: np.ndarray, n: int, count: int):
-    maxima = _local_maxima_2d(vals, n)[:count]
-    seeds = [(float(centers[f // n]), float(centers[f % n])) for f in maxima]
-    diag = np.arange(len(centers)) * (n + 1)
-    dvals = vals[diag]
-    if dvals.max() > 0.0:
-        c = float(centers[int(np.argmax(dvals))])
-        seeds.append((c, c))
-    seeds.append((_REGULAR_GAP, _REGULAR_GAP))
-    return seeds
+def _starts(vals: np.ndarray, grid: _Field):
+    """Where a scheme's local searches start: its best coarse grid point, the
+    first on ties and only if positive, then the regular shape."""
+    top, regular = int(np.argmax(vals)), (_REGULAR_GAP, _REGULAR_GAP)
+    if vals[top] <= 0.0:
+        return [regular]
+    return [(float(grid.g1[top]), float(grid.g2[top])), regular]
 
 
-def _seed_count(options: SolveOptions) -> int:
-    return max(3, options.starts_per_axis**2 // 24)
+def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, options: SolveOptions,
+            counts: list):
+    """Best (value, gap pair) of one local search from each of ``_starts``, the first on ties.
 
+    A rectilinear search is ``_ascend`` then ``_polish_rect``; a semi-regular
+    one a golden section within a grid cell of its start along the diagonal,
+    then ``_polish_semi``.  counts[0] counts the objective evaluations.
+    """
+    def fn(a: float, b: float, tol: float | None = None):
+        counts[0] += 1
+        return _eval_min(a, b, scheme, tol)
 
-def _refine(class_tag: str, scheme, vals, grid: _Field, options: SolveOptions, counts):
-    """Full refinement of one scheme from its coarse values: (value, gap pair)."""
-    if class_tag == SEMI_REGULAR:
-        return _refine_semi(scheme, vals, grid, options)
-    seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
-    return _refine_rect(scheme, seeds, options, grid.cell, counts)
+    best_val, best_pt = -math.inf, None
+    for x, y in _starts(vals, grid):
+        if class_tag == SEMI_REGULAR:
+            lo = max(EPS_GEOM * 2.0, x - grid.cell)
+            hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, x + grid.cell)
+            gamma, val = _golden_max(lambda g: fn(g, g), lo, hi, max(options.param_tol, 1e-12))
+            gamma, val = _polish_semi(fn, gamma, val)
+            x = y = gamma
+        else:
+            (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell, options.max_iters)
+            x, y, val = _polish_rect(fn, x, y, val, 1e-6)
+        if val > best_val:
+            best_val, best_pt = val, (x, y)
+    return best_val, best_pt
 
 
 def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
@@ -763,8 +716,10 @@ def optimize_scheme(
 ) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
-    ``d_upper`` is the scheme's bound U_s from ``solve``, so for the
-    rectilinear class the least scan bound over the scheme's orbit.  A ``d``
+    The answer is the best of the local searches from ``_starts``, so it may
+    be a local maximum only.  ``d_upper`` bounds the scheme's true maximum:
+    it is the scheme's bound U_s from ``solve``, so for the rectilinear class
+    the least scan bound over the scheme's orbit.  A ``d``
     below ``coloring.SLIVER_FLOOR`` may be an upper bound on the scheme's
     optimum, which then lies below SLIVER_FLOOR too."""
     options = options or _DEFAULT_OPTIONS
@@ -778,7 +733,7 @@ def optimize_scheme(
     grid = _get_field(class_tag, options.coarse_grid)
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
     vals, upper, _ = grid.scan(*window_offsets(k, orbit, options.enumeration_slack))
-    val, pt = _refine(class_tag, scheme, vals[0], grid, options, [0, 0, 0])
+    val, pt = _refine(class_tag, scheme, vals[0], grid, options, [0])
     return _finalize(k, class_tag, scheme, pt, val, options, upper.min())
 
 
@@ -880,8 +835,8 @@ def solve(
     mapped_count = 0
     # skipped by the orbit's bound or after bisection, not by their own bound
     late_skips = 0
-    # ascents run and finished, objective evaluations; rectilinear only
-    counts = [0, 0, 0]
+    # objective evaluations
+    counts = [0]
     best = -math.inf
     # orbit member -> its representative's optimum, moved onto the member's
     # shape; rectilinear only
@@ -903,18 +858,16 @@ def solve(
         else:
             v = _eval_min(pt[0], pt[1], scheme)
             mapped_count += 1
-            counts[2] += 1
+            counts[0] += 1
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
         "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound (%d only %s); "
-        "best %.12g, d_upper %.12g; table rows computed %d%s",
+        "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d",
         k, class_tag, len(refined) - mapped_count, mapped_count,
         len(candidates) - len(refined), late_skips,
         "by an orbit partner's" if class_tag == RECTILINEAR else "after bisection",
-        best, d_upper, table_rows,
-        "; starts run %d, finished %d, evaluations %d" % tuple(counts)
-        if class_tag == RECTILINEAR else "",
+        best, d_upper, table_rows, counts[0],
     )
 
     (val, scheme, point), triple = _pick_tied(refined, options)

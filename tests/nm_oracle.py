@@ -1,13 +1,67 @@
-"""Reference rectilinear refinement: Nelder-Mead from every seed, each run to the end.
+"""Reference refinements: every start of the solver's former multistart, each run to the end.
 
-The solver ascends from its seeds on closed-form offset gradients and
-finishes only the leading ascent.  This slower, derivative-free search is
-what the tests compare it against.
+The solver runs one local search from each scheme's best coarse grid point
+and one from the regular shape (``optimizer._starts``).  Before, it started
+rectilinear searches from the six best grid maxima, the best diagonal grid
+point and the regular shape (``rect_seeds``), and semi-regular searches from
+the three best grid maxima along the diagonal and the regular shape
+(``semi_starts``).  The tests compare the solver against those starts:
+rectilinear ones refined by a slower, derivative-free Nelder-Mead run to the
+end and then polished (``refine_every_start``), semi-regular ones by the
+solver's own golden section and crossing polish (``refine_semi_every_start``).
 """
 
 from __future__ import annotations
 
-from hexcoloring.optimizer import _eval_min, _polish_rect
+import math
+
+import numpy as np
+
+from hexcoloring.geometry import EPS_GEOM
+from hexcoloring.optimizer import _eval_min, _golden_max, _polish_rect, _polish_semi
+
+_REGULAR = (math.pi / 3.0, math.pi / 3.0)
+
+
+def local_maxima_2d(vals: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices of an n x n grid's positive strict-or-plateau maxima, best first.
+
+    Ties are ordered by index."""
+    grid = vals.reshape(n, n)
+    padded = np.full((n + 2, n + 2), -np.inf)
+    padded[1:-1, 1:-1] = grid
+    ok = np.ones((n, n), bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                ok &= grid >= padded[1 + dr : n + 1 + dr, 1 + dc : n + 1 + dc]
+    idx = np.flatnonzero(ok.ravel() & (vals > 0.0))
+    return idx[np.argsort(-vals[idx], kind="stable")]
+
+
+def local_maxima_1d(vals: np.ndarray) -> np.ndarray:
+    """Indices of the positive strict-or-plateau maxima of a row, best first, ties by index."""
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    idx = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]) & (vals > 0.0))
+    return idx[np.argsort(-vals[idx], kind="stable")]
+
+
+def rect_seeds(vals: np.ndarray, centers: np.ndarray, count: int = 6):
+    """The former rectilinear seeds: the ``count`` best grid maxima, the best
+    diagonal grid point if positive, then the regular shape."""
+    n = len(centers)
+    maxima = local_maxima_2d(vals, n)[:count]
+    seeds = [(float(centers[f // n]), float(centers[f % n])) for f in maxima]
+    diag = vals[np.arange(n) * (n + 1)]
+    if diag.max() > 0.0:
+        c = float(centers[int(np.argmax(diag))])
+        seeds.append((c, c))
+    return [*seeds, _REGULAR]
+
+
+def semi_starts(vals: np.ndarray, centers: np.ndarray):
+    """The former semi-regular starts: the three best grid maxima, then the regular shape."""
+    return [*(float(centers[idx]) for idx in local_maxima_1d(vals)[:3]), _REGULAR[0]]
 
 
 def nm_max(fn, x0: float, y0: float, step: float, max_iters: int = 400):
@@ -72,3 +126,18 @@ def refine_every_start(scheme, seeds, cell: float) -> float:
             best_pt, best_val = pt, pv
     x, y, val = _polish_rect(fn, best_pt[0], best_pt[1], best_val, 1e-6)
     return max(val, best_val)
+
+
+def refine_semi_every_start(scheme, starts, cell: float, param_tol: float):
+    """(value, gaps) of the best golden section and crossing polish over the
+    starts, the first on ties, each searched within a grid cell."""
+    fn = lambda a, b, tol=None: _eval_min(a, b, scheme, tol)
+    best_val, best_pt = -1.0, _REGULAR
+    for gamma0 in starts:
+        lo = max(EPS_GEOM * 2.0, gamma0 - cell)
+        hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, gamma0 + cell)
+        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi, max(param_tol, 1e-12))
+        gamma, val = _polish_semi(fn, gamma, val)
+        if val > best_val:
+            best_val, best_pt = val, (gamma, gamma)
+    return best_val, best_pt

@@ -29,9 +29,7 @@ from hexcoloring.analysis import REFERENCE_TOL, load_reference
 from hexcoloring import optimizer
 from hexcoloring.optimizer import (
     _EDGE,
-    _LEAD,
     SolveOptions,
-    _ascend,
     _bisected_bound,
     _eval_min,
     _get_field,
@@ -39,15 +37,13 @@ from hexcoloring.optimizer import (
     _lp_step,
     _offset_jet,
     _rect_grid,
-    _rect_seeds,
-    _refine_rect,
-    _seed_count,
+    _refine,
     _semi_grid,
     optimize_scheme,
     solve,
     solve_all,
 )
-from nm_oracle import refine_every_start
+from nm_oracle import rect_seeds, refine_every_start, refine_semi_every_start, semi_starts
 from offset_window import offset_dist
 from scan_oracle import PerOffsetScan
 
@@ -218,8 +214,15 @@ def test_value_tol_is_deprecated():
     assert solve(9, RECTILINEAR, options) == solve(9, RECTILINEAR)
 
 
+def test_starts_per_axis_is_deprecated():
+    # nothing reads it since every scheme's search starts at its best grid point
+    with pytest.warns(DeprecationWarning, match="starts_per_axis"):
+        options = SolveOptions(starts_per_axis=4)
+    assert solve(9, RECTILINEAR, options) == solve(9, RECTILINEAR)
+
+
 def test_coarser_options_still_close():
-    fast = solve(9, RECTILINEAR, SolveOptions(starts_per_axis=4, coarse_grid=24))
+    fast = solve(9, RECTILINEAR, SolveOptions(coarse_grid=24))
     full = solve(9, RECTILINEAR)
     assert abs(fast.d - full.d) <= 1e-6
 
@@ -487,7 +490,7 @@ def test_solve_logs_one_summary(caplog):
         assert counts
         assert sum(int(c) for c in counts.groups()) == len(schemes(8))
         assert f"d_upper {res.d_upper:.12g}" in lines[0]
-        rows = re.search(r"; table rows computed (\d+)$", lines[0])
+        rows = re.search(r"; table rows computed (\d+); evaluations \d+$", lines[0])
         assert rows
         computed.append(int(rows.group(1)))
     assert computed[0] > 0 and computed[1] == 0
@@ -547,21 +550,20 @@ def test_orbit_bound_skips_and_certifies_large_k(k, caplog):
     assert 0 < by_partner <= skipped
 
 
-def test_rectilinear_summary_counts_starts_and_evaluations(caplog):
+@pytest.mark.parametrize("class_tag", [SEMI_REGULAR, RECTILINEAR])
+def test_summary_counts_evaluations(class_tag, caplog):
     counts = []
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
-            solve(12, RECTILINEAR)
+            solve(12, class_tag)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
         assert len(lines) == 1
-        assert re.match(r"solve: k=12 rectilinear refined (\d+), mapped (\d+), skipped (\d+)", lines[0])
-        found = re.search(r"starts run (\d+), finished (\d+), evaluations (\d+)$", lines[0])
+        assert re.match(rf"solve: k=12 {class_tag} refined \d+, mapped \d+, skipped \d+", lines[0])
+        found = re.search(r"; evaluations (\d+)$", lines[0])
         assert found
-        counts.append(tuple(int(c) for c in found.groups()))
-    run, finished, evaluations = counts[0]
-    assert 0 < finished <= run
-    assert evaluations > 0
+        counts.append(int(found.group(1)))
+    assert counts[0] > 0
     assert counts[1] == counts[0]
 
 
@@ -612,37 +614,46 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
             assert abs(hess[k][m] - fd) <= 1e-4 * (1.0 + abs(fd)), (k, m, hess, fd)
 
 
-def _rect_schemes(k):
+def _scheme_vals(class_tag, k, candidates=None):
     options = SolveOptions()
-    grid = _get_field(RECTILINEAR, options.coarse_grid)
-    candidates = schemes(k)
+    grid = _get_field(class_tag, options.coarse_grid)
+    candidates = candidates or schemes(k)
     all_vals, _, _ = grid.scan(*window_offsets(k, candidates, options.enumeration_slack))
     for scheme, vals in zip(candidates, all_vals):
-        seeds = _rect_seeds(vals, grid.centers, len(grid.centers), _seed_count(options))
-        yield scheme, seeds, options, grid.cell
+        yield scheme, vals, grid, options
 
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_finishing_only_the_leading_start_loses_nothing(k):
-    # the leading ascent, finished and polished, matches Nelder-Mead run to
-    # the end from every seed
-    for scheme, seeds, options, cell in _rect_schemes(k):
-        counts = [0, 0, 0]
-        val, _ = _refine_rect(scheme, seeds, options, cell, counts)
-        assert abs(val - refine_every_start(scheme, seeds, cell)) <= 1e-12, scheme
-        assert counts[0] == len(seeds) and 0 < counts[1] <= counts[0]
+    # the ascents from the leading start, the best grid point, and from the
+    # regular shape, each polished, match Nelder-Mead run to the end from each
+    # of the former multistart's eight seeds
+    for scheme, vals, grid, options in _scheme_vals(RECTILINEAR, k):
+        val, _ = _refine(RECTILINEAR, scheme, vals, grid, options, [0])
+        seeds = rect_seeds(vals, grid.centers)
+        assert abs(val - refine_every_start(scheme, seeds, grid.cell)) <= 1e-12, scheme
 
 
-@pytest.mark.parametrize("k", [6, 12, 15])
-def test_paused_ascent_resumes_on_its_trajectory(k):
-    for scheme, seeds, options, cell in _rect_schemes(k):
-        fn = lambda a, b, tol=None: _eval_min(a, b, scheme, tol)
-        for sx, sy in seeds:
-            paused = list(_ascend(fn, sx, sy, 0.6 * cell, options.max_iters, _LEAD))
-            straight = list(_ascend(fn, sx, sy, 0.6 * cell, options.max_iters, 0.0))
-            assert paused[-1] == straight[-1]
-            assert paused[-1][2] and len(straight) == 1
-            assert paused[0][2] or paused[0][1] <= paused[-1][1]
+def _assert_semi_matches_former_starts(k, candidates=None):
+    for scheme, vals, grid, options in _scheme_vals(SEMI_REGULAR, k, candidates):
+        counts = [0]
+        got = _refine(SEMI_REGULAR, scheme, vals, grid, options, counts)
+        starts = semi_starts(vals, grid.centers)
+        assert got == refine_semi_every_start(scheme, starts, grid.cell, options.param_tol), scheme
+        assert counts[0] > 0
+
+
+@pytest.mark.parametrize("k", range(3, 31))
+def test_semi_regular_starts_past_the_best_change_nothing(k):
+    # the former starts also searched the second and third coarse maxima
+    _assert_semi_matches_former_starts(k)
+
+
+def test_semi_regular_plateau_schemes_match_their_former_starts():
+    # for k <= 175, (k, k, 0) and (k, k, k - 1) are the only schemes with
+    # more than one coarse maximum; their objective is near 0 on a plateau
+    for k in range(3, 121):
+        _assert_semi_matches_former_starts(k, [ColorScheme(k, k, 0), ColorScheme(k, k, k - 1)])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
