@@ -119,28 +119,39 @@ class ReferenceRow:
                 raise ValueError(f"k={self.k}: d_approx disagrees with dsq rational")
         if self.r_rational is not None:
             num, den = self.r_rational
-            if not 0 < num / den < 1:
+            if den <= 0 or not 0 < num / den < 1:
                 raise ValueError(f"k={self.k}: r must lie in (0, 1)")
 
 
 def _parse_row(raw: Mapping[str, str]) -> ReferenceRow:
+    def field(name: str) -> str:
+        # csv.DictReader leaves a column that the header or a short row
+        # lacks as absent or None
+        value = raw.get(name)
+        if value is None:
+            raise ValueError(f"missing column {name!r}")
+        return value.strip()
+
     def opt_pair(a: str, b: str):
-        sa, sb = raw[a].strip(), raw[b].strip()
+        sa, sb = field(a), field(b)
         if not sa and not sb:
             return None
         return (int(sa), int(sb))
 
+    record = field("record")
+    if record not in ("0", "1"):
+        raise ValueError(f"record must be 0 or 1: got {record!r}")
     row = ReferenceRow(
-        k=int(raw["k"]),
-        i1=int(raw["i1"]),
-        j1=int(raw["j1"]),
-        i2=int(raw["i2"]),
-        j2=int(raw["j2"]),
-        class_of_best=raw["class"].strip(),
+        k=int(field("k")),
+        i1=int(field("i1")),
+        j1=int(field("j1")),
+        i2=int(field("i2")),
+        j2=int(field("j2")),
+        class_of_best=field("class"),
         dsq_rational=opt_pair("dsq_num", "dsq_den"),
         r_rational=opt_pair("r_num", "r_den"),
-        d_approx=float(raw["d_approx"]),
-        record_flag={"0": False, "1": True}[raw["record"].strip()],
+        d_approx=float(field("d_approx")),
+        record_flag=record == "1",
     )
     row.validate()
     return row

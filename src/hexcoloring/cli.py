@@ -1,5 +1,9 @@
 """Command line surface: solve one k, tabulate a range, verify, closed forms.
 
+``table`` and ``verify`` solve their color counts independently, one worker
+process per usable CPU (in-process when that is one); results come back in k
+order, so the output is the same as a single-process run's.
+
 Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure.
 """
 
@@ -12,6 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
 
 from .analysis import (
@@ -205,17 +210,44 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _map_over_cpus(fn, ks: list[int], *args) -> list:
+    """``[fn(k, *args) for k in ks]``, one worker process per usable CPU.
+
+    ``fn`` must be a module-level function, so that workers can unpickle it.
+    With one usable CPU (or one k) everything runs in this process.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(ks))
+    iterables = (ks, *map(repeat, args))
+    if workers <= 1:
+        return list(map(fn, *iterables))
+    # imported here: the pool modules cost a noticeable share of import time
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the with block joins every worker before the command returns
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+def _table_rows(k: int, tags: list[str], options: SolveOptions) -> list[str]:
+    """One k's CSV lines: a row per class in ``tags``, flagging the champion."""
+    solved = solve_all(k, options, classes=tags)
+    return [
+        f"{k},{tag},{res.scheme.g},{res.scheme.h},"
+        f"{res.gaps[0]:.9f},{res.gaps[1]:.9f},{res.r:.9f},"
+        f"{res.d:.9f},{res.dsq:.9f},{int(tag == solved.champion_class)}"
+        for tag, res in solved.per_class.items()
+    ]
+
+
 def _table_text(kmin: int, kmax: int, class_names: list[str], options: SolveOptions) -> str:
     tags = [_CLASS_FLAGS[name] for name in class_names]
     lines = ["k,class,g,h,gap1,gap2,r,d,dsq,champion"]
-    for k in range(kmin, kmax + 1):
-        solved = solve_all(k, options, classes=tags)
-        for tag, res in solved.per_class.items():
-            lines.append(
-                f"{k},{tag},{res.scheme.g},{res.scheme.h},"
-                f"{res.gaps[0]:.9f},{res.gaps[1]:.9f},{res.r:.9f},"
-                f"{res.d:.9f},{res.dsq:.9f},{int(tag == solved.champion_class)}"
-            )
+    for rows in _map_over_cpus(_table_rows, list(range(kmin, kmax + 1)), tags, options):
+        lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -234,18 +266,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _champion(k: int, options: SolveOptions) -> SolveResult:
+    return solve_all(k, options).champion
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         table = load_reference(args.reference)
     except OSError as exc:
         print(f"error: cannot read reference table: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: invalid reference table: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rows = [row for row in table if args.kmax is None or row.k <= args.kmax]
     if not rows:
         print(f"error: no reference rows with k <= {args.kmax}", file=sys.stderr)
         return EXIT_USAGE
     options = _options_from(args)
-    results = [solve_all(row.k, options).champion for row in rows]
+    results = _map_over_cpus(_champion, [row.k for row in rows], options)
     report = compare_reference(results, rows)
     for entry in report.entries:
         print(

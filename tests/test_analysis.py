@@ -131,6 +131,9 @@ def test_load_reference_from_path(tmp_path):
         "3,2,-1,1,1,regular,1,4,,,-0.5,1",  # negative d
         "3,2,-1,1,1,regular,1,3,,,0.500000,1",  # d disagrees with rational
         "3,2,-1,1,1,regular,1,4,7,5,0.500000,1",  # r outside (0,1)
+        "3,2,-1,1,1,regular,1,4,1,0,0.500000,1",  # r denominator 0
+        "3,2,-1,1,1,regular,1,4,,,0.500000,yes",  # record flag not 0 or 1
+        "3,2,-1",  # short row: i2 and every later column missing
     ],
 )
 def test_load_reference_rejects_bad_rows(tmp_path, row):

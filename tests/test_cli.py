@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -13,7 +14,7 @@ from hexcoloring.cli import (
     parse_result,
     serialize_result,
 )
-from hexcoloring.geometry import REGULAR, SEMI_REGULAR
+from hexcoloring.geometry import CLASS_TAGS, REGULAR, SEMI_REGULAR
 from hexcoloring.optimizer import solve, solve_all
 
 
@@ -118,6 +119,55 @@ def test_table_rows_follow_solve_all(capsys):
     assert champions == {"6": SEMI_REGULAR, "7": REGULAR, "8": SEMI_REGULAR, "9": REGULAR}
 
 
+def _solved_table_text(ks, tags):
+    lines = ["k,class,g,h,gap1,gap2,r,d,dsq,champion"]
+    for k in ks:
+        solved = solve_all(k, classes=tags)
+        for tag, res in solved.per_class.items():
+            lines.append(
+                f"{k},{tag},{res.scheme.g},{res.scheme.h},{res.gaps[0]:.9f},"
+                f"{res.gaps[1]:.9f},{res.r:.9f},{res.d:.9f},{res.dsq:.9f},"
+                f"{int(tag == solved.champion_class)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kmax, names, tags",
+    [
+        (60, ["regular", "semi"], (REGULAR, SEMI_REGULAR)),
+        (12, ["regular", "semi", "rect"], CLASS_TAGS),
+    ],
+)
+def test_pooled_table_matches_in_process_solves(kmax, names, tags, monkeypatch, capsys):
+    # two workers even on a one-CPU host, so that the pool is what runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["table", "--kmin", "3", "--kmax", str(kmax), "--classes", *names]) == EXIT_OK
+    assert capsys.readouterr().out == _solved_table_text(range(3, kmax + 1), tags)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_leaves_no_worker_running(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["verify", "--kmax", "8"]) == EXIT_OK
+    assert "verified 6 rows" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
+
+
+def test_one_usable_cpu_builds_no_pool(monkeypatch, capsys):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built for one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["table", "--kmin", "3", "--kmax", "6", "--classes", "regular"]) == EXIT_OK
+    assert capsys.readouterr().out == _solved_table_text(range(3, 7), (REGULAR,))
+    assert main(["verify", "--kmax", "6"]) == EXIT_OK
+    assert "verified 4 rows" in capsys.readouterr().out
+
+
 def test_verify_passes_on_small_range(capsys):
     assert main(["verify", "--kmax", "8"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -178,6 +228,25 @@ def test_verify_missing_reference_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["verify", "--reference", str(missing)]) == EXIT_USAGE
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header, row, reason",
+    [
+        ("k,i1,j1,i2,j2", "3,2,-1,1,1,hexagonal,1,4,,,0.500000,1", "bad class 'hexagonal'"),
+        ("k,i1,j1,j2", "3,2,-1,1,regular,1,4,,,0.500000,1", "missing column 'i2'"),
+        ("k,i1,j1,i2,j2", "3,2,-1,1,1,regular,1,4,1,0,0.500000,1", "r must lie in (0, 1)"),
+    ],
+    ids=["bad class", "no i2 column", "r denominator 0"],
+)
+def test_verify_rejects_malformed_reference(header, row, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header},class,dsq_num,dsq_den,r_num,r_den,d_approx,record\n{row}\n")
+    assert main(["verify", "--reference", str(bad)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid reference table: ")
+    assert reason in captured.err
 
 
 def test_svg_output(tmp_path, capsys):
