@@ -4,7 +4,8 @@
 process per usable CPU (in-process when that is one); results come back in k
 order, so the output is the same as a single-process run's.
 
-Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure.
+Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
+141 stdout's reader gone (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 141
 
 _CLASS_FLAGS = {"regular": REGULAR, "semi": SEMI_REGULAR, "rect": RECTILINEAR}
 
@@ -379,10 +381,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a reader that has gone shows below
+        return status
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # stdout's reader has gone (``verify | head``): send what is left to
+        # devnull, so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

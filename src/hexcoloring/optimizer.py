@@ -6,8 +6,8 @@ smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
 deterministic: a fixed coarse grid gives each scheme its best grid point,
 and its Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
-that cannot win.  One refinement, ``_refine``, serves both shape classes: a
-local search from that grid point and one from the regular shape, a
+that cannot win.  One refinement, ``_refine``, serves both shape classes: one
+local search from that grid point, which may end at a local maximum only, a
 trust-region ascent on closed-form offset gradients for a rectilinear scheme
 and a golden-section line search for a semi-regular one.  Newton on
 closed-form offset derivatives then sharpens the result to near machine
@@ -511,8 +511,8 @@ def _newton_loop(system, pt: tuple, fn, val: float, top: float, max_rounds: int 
 
     Works in any dimension.  Steps that leave the valid shapes or fall more
     than 1e-12 below ``top``, the best value seen, are halved, then
-    abandoned.  Returns (pt, val, top) with val the objective at the last
-    accepted point.
+    abandoned with a DEBUG event.  Returns (pt, val, top) with val the
+    objective at the last accepted point.
     """
     for _ in range(max_rounds):
         f0, jac = system(*pt)
@@ -532,6 +532,7 @@ def _newton_loop(system, pt: tuple, fn, val: float, top: float, max_rounds: int 
                 pt, val, top = cand, cand_val, max(top, cand_val)
                 break
         else:
+            _log.debug("newton: step abandoned at %r: %.17g below best %.17g", pt, cand_val, top)
             break
         if math.hypot(*(scale * dx for dx in step)) <= 1e-13:
             break
@@ -648,6 +649,9 @@ def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, f
     point = (float(point[0]), float(point[1]))
     hexagon = hexagon_from_gaps(point[0], point[1])
     triple = triple or canonical_triple(hexagon, scheme, slack=options.enumeration_slack)
+    if not triple.canonical:
+        _log.debug("finalize: k=%d %s scheme (%d, %d) has a non-canonical triple t1=%s t2=%s",
+                   k, class_tag, scheme.g, scheme.h, tuple(triple.t1), tuple(triple.t2))
     val = float(val)
     dsq = val * val
     return SolveResult(
@@ -666,18 +670,18 @@ def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, f
     )
 
 
-def _starts(vals: np.ndarray, grid: _Field):
-    """Where a scheme's local searches start: its best coarse grid point, the
-    first on ties and only if positive, then the regular shape."""
-    top, regular = int(np.argmax(vals)), (_REGULAR_GAP, _REGULAR_GAP)
+def _start(vals: np.ndarray, grid: _Field) -> tuple[float, float]:
+    """Where a scheme's local search starts: its best coarse grid point, the
+    first on ties, or the regular shape when no grid value is positive."""
+    top = int(np.argmax(vals))
     if vals[top] <= 0.0:
-        return [regular]
-    return [(float(grid.g1[top]), float(grid.g2[top])), regular]
+        return _REGULAR_GAP, _REGULAR_GAP
+    return float(grid.g1[top]), float(grid.g2[top])
 
 
 def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, options: SolveOptions,
             counts: list):
-    """Best (value, gap pair) of one local search from each of ``_starts``, the first on ties.
+    """(value, gap pair) of one local search from ``_start``, maybe a local maximum only.
 
     A rectilinear search is ``_ascend`` then ``_polish_rect``; a semi-regular
     one a golden section within a grid cell of its start along the diagonal,
@@ -687,20 +691,16 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, options: So
         counts[0] += 1
         return _eval_min(a, b, scheme, tol)
 
-    best_val, best_pt = -math.inf, None
-    for x, y in _starts(vals, grid):
-        if class_tag == SEMI_REGULAR:
-            lo = max(EPS_GEOM * 2.0, x - grid.cell)
-            hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, x + grid.cell)
-            gamma, val = _golden_max(lambda g: fn(g, g), lo, hi, max(options.param_tol, 1e-12))
-            gamma, val = _polish_semi(fn, gamma, val)
-            x = y = gamma
-        else:
-            (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell, options.max_iters)
-            x, y, val = _polish_rect(fn, x, y, val, 1e-6)
-        if val > best_val:
-            best_val, best_pt = val, (x, y)
-    return best_val, best_pt
+    x, y = _start(vals, grid)
+    if class_tag == SEMI_REGULAR:
+        lo = max(EPS_GEOM * 2.0, x - grid.cell)
+        hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, x + grid.cell)
+        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi, max(options.param_tol, 1e-12))
+        gamma, val = _polish_semi(fn, gamma, val)
+        return val, (gamma, gamma)
+    (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell, options.max_iters)
+    x, y, val = _polish_rect(fn, x, y, val, 1e-6)
+    return val, (x, y)
 
 
 def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
@@ -716,12 +716,12 @@ def optimize_scheme(
 ) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
-    The answer is the best of the local searches from ``_starts``, so it may
-    be a local maximum only.  ``d_upper`` bounds the scheme's true maximum:
-    it is the scheme's bound U_s from ``solve``, so for the rectilinear class
-    the least scan bound over the scheme's orbit.  A ``d``
-    below ``coloring.SLIVER_FLOOR`` may be an upper bound on the scheme's
-    optimum, which then lies below SLIVER_FLOOR too."""
+    The answer is one local search from the scheme's best coarse grid point
+    (``_refine``), so it may be a local maximum only.  ``d_upper`` bounds the
+    scheme's true maximum: it is the scheme's bound U_s from ``solve``, so
+    for the rectilinear class the least scan bound over the scheme's orbit.
+    A ``d`` below ``coloring.SLIVER_FLOOR`` may be an upper bound on the
+    scheme's optimum, which then lies below SLIVER_FLOOR too."""
     options = options or _DEFAULT_OPTIONS
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")

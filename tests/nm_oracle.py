@@ -1,14 +1,16 @@
-"""Reference refinements: every start of the solver's former multistart, each run to the end.
+"""Reference refinements: the solver's former starts, each run to the end.
 
-The solver runs one local search from each scheme's best coarse grid point
-and one from the regular shape (``optimizer._starts``).  Before, it started
-rectilinear searches from the six best grid maxima, the best diagonal grid
-point and the regular shape (``rect_seeds``), and semi-regular searches from
-the three best grid maxima along the diagonal and the regular shape
-(``semi_starts``).  The tests compare the solver against those starts:
-rectilinear ones refined by a slower, derivative-free Nelder-Mead run to the
-end and then polished (``refine_every_start``), semi-regular ones by the
-solver's own golden section and crossing polish (``refine_semi_every_start``).
+The solver runs one local search from each scheme's best coarse grid point,
+or from the regular shape when no grid value is positive
+(``optimizer._start``).  Before, it also searched from the regular shape
+(``refine_from_both_starts``).  Before that, it started rectilinear searches
+from the six best grid maxima, the best diagonal grid point and the regular
+shape (``rect_seeds``), and semi-regular searches from the three best grid
+maxima along the diagonal (``semi_starts``).  The tests compare the solver
+against those starts: rectilinear ones refined by a slower, derivative-free
+Nelder-Mead run to the end and then polished (``refine_every_start``),
+semi-regular ones by the solver's own golden section and crossing polish
+(``refine_semi_every_start``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from hexcoloring.geometry import EPS_GEOM
-from hexcoloring.optimizer import _eval_min, _golden_max, _polish_rect, _polish_semi
+from hexcoloring.optimizer import _eval_min, _golden_max, _polish_rect, _polish_semi, _refine
 
 _REGULAR = (math.pi / 3.0, math.pi / 3.0)
 
@@ -60,8 +62,18 @@ def rect_seeds(vals: np.ndarray, centers: np.ndarray, count: int = 6):
 
 
 def semi_starts(vals: np.ndarray, centers: np.ndarray):
-    """The former semi-regular starts: the three best grid maxima, then the regular shape."""
-    return [*(float(centers[idx]) for idx in local_maxima_1d(vals)[:3]), _REGULAR[0]]
+    """The former semi-regular starts: the three best grid maxima, or the
+    regular shape when there is no positive maximum."""
+    return [float(centers[idx]) for idx in local_maxima_1d(vals)[:3]] or [_REGULAR[0]]
+
+
+def refine_from_both_starts(class_tag, scheme, vals, grid, options, counts):
+    """The former ``optimizer._refine``: the better (value, gaps) of its one
+    search and one from the regular shape, the first on ties."""
+    best = _refine(class_tag, scheme, vals, grid, options, counts)
+    # with no positive grid value, ``_start`` gives the regular shape
+    other = _refine(class_tag, scheme, np.full_like(vals, -1.0), grid, options, counts)
+    return other if other[0] > best[0] else best
 
 
 def nm_max(fn, x0: float, y0: float, step: float, max_iters: int = 400):

@@ -1,10 +1,13 @@
+import io
 import json
 import multiprocessing
 import os
+import sys
 
 import pytest
 
 from hexcoloring.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
@@ -151,6 +154,42 @@ def test_verify_leaves_no_worker_running(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["verify", "--kmax", "8"]) == EXIT_OK
     assert "verified 6 rows" in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
+
+
+class _ClosedAfterOneLine(io.RawIOBase):
+    """The write end of a pipe whose reader takes the first line, then closes its end."""
+
+    def __init__(self):
+        self.read_end, self.write_end = os.pipe()
+        self.first = None
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.write_end
+
+    def write(self, data):
+        written = os.write(self.write_end, data)
+        if self.first is None and b"\n" in bytes(data):
+            self.first = os.read(self.read_end, 1 << 16).split(b"\n")[0]
+            os.close(self.read_end)
+        return written
+
+
+def test_verify_into_a_pipe_closed_after_one_line(monkeypatch, capsys):
+    # as in ``hexcoloring verify | head -n 1`` with unbuffered output
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pipe = _ClosedAfterOneLine()
+    stdout = io.TextIOWrapper(io.BufferedWriter(pipe), line_buffering=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify", "--kmax", "8"]) == EXIT_BROKEN_PIPE == 141
+    # the interpreter's last flush: what is left now goes to devnull
+    stdout.close()
+    os.close(pipe.write_end)
+    assert pipe.first.startswith(b"k=3 status=match")
+    assert capsys.readouterr().err == ""
     assert multiprocessing.active_children() == []
 
 

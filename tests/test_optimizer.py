@@ -35,6 +35,7 @@ from hexcoloring.optimizer import (
     _get_field,
     _lipschitz,
     _lp_step,
+    _newton_loop,
     _offset_jet,
     _rect_grid,
     _refine,
@@ -43,7 +44,13 @@ from hexcoloring.optimizer import (
     solve,
     solve_all,
 )
-from nm_oracle import rect_seeds, refine_every_start, refine_semi_every_start, semi_starts
+from nm_oracle import (
+    rect_seeds,
+    refine_every_start,
+    refine_from_both_starts,
+    refine_semi_every_start,
+    semi_starts,
+)
 from offset_window import offset_dist
 from scan_oracle import PerOffsetScan
 
@@ -496,6 +503,28 @@ def test_solve_logs_one_summary(caplog):
     assert computed[0] > 0 and computed[1] == 0
 
 
+def test_non_canonical_triples_are_logged(caplog):
+    for k, tag, canonical in [(5, REGULAR, False), (8, SEMI_REGULAR, True)]:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+            res = solve(k, tag)
+        assert res.triple.canonical is canonical
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("finalize:")]
+        t1, t2 = tuple(res.triple.t1), tuple(res.triple.t2)
+        event = (f"finalize: k={k} {tag} scheme ({res.scheme.g}, {res.scheme.h}) has a "
+                 f"non-canonical triple t1={t1} t2={t2}")
+        assert lines == ([] if canonical else [event])
+
+
+def test_newton_loop_logs_an_abandoned_step(caplog):
+    # the root x = 1 lies downhill of the start, so even a quarter step loses
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        got = _newton_loop(lambda x: ([x - 1.0], [[1.0]]), (0.0,), lambda x: -abs(x), 0.0, 0.0)
+    assert got == ((0.0,), 0.0, 0.0)
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines == ["newton: step abandoned at (0.0,): -0.25 below best 0"]
+
+
 def test_bisection_skips_semi_regular_schemes(caplog):
     # over k = 3..120 the scan's bound alone left 364 semi-regular refinements
     with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
@@ -625,13 +654,26 @@ def _scheme_vals(class_tag, k, candidates=None):
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_finishing_only_the_leading_start_loses_nothing(k):
-    # the ascents from the leading start, the best grid point, and from the
-    # regular shape, each polished, match Nelder-Mead run to the end from each
-    # of the former multistart's eight seeds
+    # the polished ascent from the best grid point matches Nelder-Mead run
+    # to the end from each of the former multistart's eight seeds
     for scheme, vals, grid, options in _scheme_vals(RECTILINEAR, k):
         val, _ = _refine(RECTILINEAR, scheme, vals, grid, options, [0])
         seeds = rect_seeds(vals, grid.centers)
         assert abs(val - refine_every_start(scheme, seeds, grid.cell)) <= 1e-12, scheme
+
+
+@pytest.mark.parametrize("k", _SCAN_KS)
+def test_dropping_the_regular_start_changes_no_class_answer(k, monkeypatch):
+    got = solve_all(k)
+    monkeypatch.setattr(optimizer, "_refine", refine_from_both_starts)
+    want = solve_all(k)
+    assert got.champion_class == want.champion_class
+    for tag, res in got.per_class.items():
+        ref = want.per_class[tag]
+        assert abs(res.d - ref.d) <= 1e-12, tag
+        assert (res.scheme, res.dsq_rational, res.d_upper) == (
+            ref.scheme, ref.dsq_rational, ref.d_upper), tag
+        assert (res.triple.t1, res.triple.t2) == (ref.triple.t1, ref.triple.t2), tag
 
 
 def _assert_semi_matches_former_starts(k, candidates=None):
