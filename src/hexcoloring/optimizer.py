@@ -6,7 +6,9 @@ smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
 deterministic: a fixed coarse grid gives each scheme its best grid point,
 and its Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
-that cannot win.  One refinement, ``_refine``, serves both shape classes: one
+that cannot win.  The rectilinear grid covers one sixth of the shapes, the
+sextant gap3 >= gap1 >= gap2, and one scheme of each symmetry orbit is
+refined for all.  One refinement, ``_refine``, serves both shape classes: one
 local search from that grid point, which may end at a local maximum only, a
 trust-region ascent on closed-form offset gradients for a rectilinear scheme
 and a golden-section line search for a semi-regular one.  Newton on
@@ -267,8 +269,9 @@ class _Field:
     ``points``), ``index`` maps the offset (i, j) to r and ``weight[r]`` is
     its ``_lipschitz`` bound; rows are shared by every scheme and k that use
     the offset.  ``radius`` gives each grid point a box, in the max norm over
-    the gaps, and the boxes of the valid points cover every valid shape of
-    the class.  ``scan`` fills and reads the table.
+    the gaps, and the boxes of the valid points cover every shape the class
+    scans: the diagonal, or the rectilinear sextant of ``_rect_grid``.
+    ``scan`` fills and reads the table.
     """
 
     def __init__(self, centers: np.ndarray, g1: np.ndarray, g2: np.ndarray, valid: np.ndarray,
@@ -421,12 +424,21 @@ def _rect_radii(centers: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _rect_grid(n: int) -> _Field:
+    """The grid points whose ``_rect_radii`` boxes meet the sextant
+    S = {gap3 >= gap1 >= gap2} of the triangle, with gap3 = pi - gap1 - gap2.
+
+    A box of radius r around p holds a shape with gap1 >= gap2 only if
+    p's gap1 - gap2 + 2 r >= 0, and one with gap3 >= gap1 only if p's
+    2 gap1 + gap2 - 3 r <= pi.  The boxes cover the triangle, so the kept
+    ones cover S."""
     span = math.pi - 2.0 * GRID_MARGIN
     centers = GRID_MARGIN + span * (np.arange(n) + 0.5) / n
     g1 = np.repeat(centers, n)
     g2 = np.tile(centers, n)
     valid = g1 + g2 < math.pi - GRID_MARGIN
-    return _Field(centers, g1, g2, valid, _rect_radii(centers, valid))
+    radius = _rect_radii(centers, valid)
+    valid &= (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
+    return _Field(centers, g1, g2, valid, radius)
 
 
 def _semi_grid(n: int) -> _Field:
@@ -704,8 +716,9 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, options: So
 
 
 def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
-    """The distinct images of ``scheme`` under ``coloring.SYMMETRIES``, itself first."""
-    return list(dict.fromkeys(sym.image_scheme(scheme) for sym in SYMMETRIES))
+    """The distinct images of ``scheme`` under ``coloring.SYMMETRIES``, in the
+    (g, h) order of ``schemes``."""
+    return sorted({sym.image_scheme(scheme) for sym in SYMMETRIES}, key=lambda s: (s.g, s.h))
 
 
 def optimize_scheme(
@@ -716,10 +729,16 @@ def optimize_scheme(
 ) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
-    The answer is one local search from the scheme's best coarse grid point
-    (``_refine``), so it may be a local maximum only.  ``d_upper`` bounds the
-    scheme's true maximum: it is the scheme's bound U_s from ``solve``, so
-    for the rectilinear class the least scan bound over the scheme's orbit.
+    The answer is one local search (``_refine``) from a best coarse grid
+    point, so it may be a local maximum only.  For the rectilinear class, as
+    in ``solve``, the search is the orbit's: it runs for the member with the
+    highest grid value, the first of the orbit in ``schemes`` order on ties,
+    and its optimum is mapped onto ``scheme``.  When that image is not a
+    valid shape (a sliver optimum whose third gap rounds to EPS_GEOM), the
+    search runs from the scheme's own best grid point instead.  ``d_upper``
+    bounds the scheme's true maximum: it is the scheme's bound U_s from
+    ``solve``, so for the rectilinear class the largest scan bound over the
+    scheme's orbit.
     A ``d`` below ``coloring.SLIVER_FLOOR`` may be an upper bound on the
     scheme's optimum, which then lies below SLIVER_FLOOR too."""
     options = options or _DEFAULT_OPTIONS
@@ -731,10 +750,19 @@ def optimize_scheme(
         return _solve_regular(k, [scheme], options)
 
     grid = _get_field(class_tag, options.coarse_grid)
+    # in the order of ``schemes``, so that ties in peak go as in ``solve``
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
     vals, upper, _ = grid.scan(*window_offsets(k, orbit, options.enumeration_slack))
-    val, pt = _refine(class_tag, scheme, vals[0], grid, options, [0])
-    return _finalize(k, class_tag, scheme, pt, val, options, upper.min())
+    top = int(np.argmax(vals.max(axis=1)))
+    val, pt = _refine(class_tag, orbit[top], vals[top], grid, options, [0])
+    if orbit[top] != scheme:
+        sym = next(sym for sym in SYMMETRIES if sym.image_scheme(orbit[top]) == scheme)
+        pt = sym.image_gaps(*pt)
+        if gaps_valid(*pt):
+            val = _eval_min(pt[0], pt[1], scheme)
+        else:
+            val, pt = _refine(class_tag, scheme, vals[orbit.index(scheme)], grid, options, [0])
+    return _finalize(k, class_tag, scheme, pt, val, options, upper.max())
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -791,8 +819,8 @@ def solve(
     largest U_s.
 
     The scan's bound holds because on boxes around the grid points that
-    cover every valid shape (``_rect_radii``), each offset's gap moves by at
-    most ``_lipschitz`` times the max norm of the gap change, and the scan's
+    cover every shape scanned, each offset's gap moves by at most
+    ``_lipschitz`` times the max norm of the gap change, and the scan's
     fixed offsets can only overstate the minimum.  Outside the rectilinear
     class U_s is that bound.  A semi-regular scheme is also skipped when
     ``_bisected_bound``, the same argument on its cells halved five times
@@ -800,11 +828,18 @@ def solve(
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's objective exactly onto that of every scheme in its orbit
-    (see ``coloring.SYMMETRIES``), and valid shapes onto valid shapes.  So
-    the members of an orbit share one maximum, each member's scan bound
-    bounds it, and U_s is the least scan bound in the orbit of s.  Only the
-    first scheme of an orbit to be refined gets a full refinement; later
-    ones take its optimum, moved onto their own shape.
+    (see ``coloring.SYMMETRIES``), and valid shapes onto valid shapes, so the
+    members of an orbit share one maximum M.  The scan covers only the
+    sextant S = {gap3 >= gap1 >= gap2}: every x in S lies in the
+    ``_rect_radii`` box of a grid point that ``_rect_grid`` keeps, so each
+    member's scan bound bounds its objective on S.  One relabelling sorts
+    any gap triple into S, so if M is attained by s at x, the relabelling
+    sorting x moves it to a point of S where s's image attains M; that
+    image's scan bound is at least M.  So U_s is the largest scan bound in
+    the orbit of s, shared by the orbit: once a member is skipped, so are
+    the members after it.  The first member in descending order of peak
+    over S gets a full refinement; later ones take its optimum, moved onto
+    their own shape.
     """
     options = options or _DEFAULT_OPTIONS
     if k < 3:
@@ -821,19 +856,19 @@ def solve(
     owner, i, j = window_offsets(k, candidates, options.enumeration_slack)
     vals, upper, rows = grid.scan(owner, i, j)
     table_rows = len(grid.table) - table_rows
-    own = dict(zip(candidates, upper.tolist()))
-    bound = own
+    bound = dict(zip(candidates, upper.tolist()))
     if class_tag == RECTILINEAR:
-        bound = {}
+        shared = {}
         for scheme in candidates:
-            if scheme not in bound:
+            if scheme not in shared:
                 orbit = _orbit(scheme)
-                bound.update(dict.fromkeys(orbit, min(own[member] for member in orbit)))
+                shared.update(dict.fromkeys(orbit, max(bound[member] for member in orbit)))
+        bound = shared
     d_upper = max(bound.values())
 
     refined = []
     mapped_count = 0
-    # skipped by the orbit's bound or after bisection, not by their own bound
+    # semi-regular schemes that only the bisected bound skipped
     late_skips = 0
     # objective evaluations
     counts = [0]
@@ -843,11 +878,11 @@ def solve(
     images = {}
     for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
         scheme, target = candidates[n], best - _TIE_TOL
-        if bound[scheme] < target or (
-            class_tag == SEMI_REGULAR and refined
-            and _bisected_bound(grid, *(a[owner == n] for a in (i, j, rows)), target) < target
-        ):
-            late_skips += own[scheme] >= target
+        if bound[scheme] < target:
+            continue
+        if class_tag == SEMI_REGULAR and refined and _bisected_bound(
+                grid, *(a[owner == n] for a in (i, j, rows)), target) < target:
+            late_skips += 1
             continue
         pt = images.get(scheme)
         if pt is None:
@@ -862,11 +897,10 @@ def solve(
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
-        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound (%d only %s); "
+        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
         "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d",
-        k, class_tag, len(refined) - mapped_count, mapped_count,
-        len(candidates) - len(refined), late_skips,
-        "by an orbit partner's" if class_tag == RECTILINEAR else "after bisection",
+        k, class_tag, len(refined) - mapped_count, mapped_count, len(candidates) - len(refined),
+        f" ({late_skips} only after bisection)" if class_tag == SEMI_REGULAR else "",
         best, d_upper, table_rows, counts[0],
     )
 

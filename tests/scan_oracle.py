@@ -1,14 +1,25 @@
 """The coarse scan as first written, kept as the reference for ``_Field.scan``.
 
 One gap array over the whole grid per offset, cached, and each scheme's grid
-values and upper bound reduced from them one offset at a time.
+values and upper bound reduced from them one offset at a time.  Also the
+rectilinear field as it was before the scan kept only the sextant
+gap3 >= gap1 >= gap2 (``full_triangle_grid``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from hexcoloring.optimizer import _frame, _lipschitz
+from hexcoloring.optimizer import GRID_MARGIN, _Field, _frame, _lipschitz, _rect_grid
+
+
+def full_triangle_grid(n: int) -> _Field:
+    """``optimizer._rect_grid(n)`` with every grid point of the triangle kept."""
+    grid = _rect_grid(n)
+    valid = grid.g1 + grid.g2 < math.pi - GRID_MARGIN
+    return _Field(grid.centers, grid.g1, grid.g2, valid, grid.radius)
 
 
 class PerOffsetScan:

@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import re
@@ -52,7 +53,7 @@ from nm_oracle import (
     semi_starts,
 )
 from offset_window import offset_dist
-from scan_oracle import PerOffsetScan
+from scan_oracle import PerOffsetScan, full_triangle_grid
 
 
 def test_k3_half_diameter():
@@ -375,7 +376,21 @@ def test_boxes_cover_every_shape(n):
                          (1 - t) * pi * rng.uniform(0.0, 1.0, m)])
     ok = (g1 > 0.0) & (g2 > 0.0) & (g1 + g2 < pi)
     assert ok.mean() > 0.9
-    assert _covered(_rect_grid(n), g1[ok], g2[ok]).all()
+    # the rectilinear grid covers S = {gap3 >= gap1 >= gap2}: the relabelling
+    # that sorts a shape's three gaps moves it into S
+    low, mid, _ = np.sort([g1[ok], g2[ok], pi - g1[ok] - g2[ok]], axis=0)
+    # and S's own edges gap1 = gap2, gap3 = gap1 and gap2 near 0, and its corners
+    edges = (
+        [t * pi / 3, pi / 2 - t * pi / 6, t * pi / 2, near, pi / 2 - near, pi / 3 - near],
+        [t * pi / 3, t * pi / 3, near, 0.5 * near, near, pi / 3 - near],
+    )
+    g1, g2 = np.concatenate([mid, *edges[0]]), np.concatenate([low, *edges[1]])
+    ok = (g1 > 0.0) & (g2 > 0.0) & (g1 + g2 < pi)
+    grid = _rect_grid(n)
+    assert _covered(grid, g1[ok], g2[ok]).all()
+    if n == 48:
+        # the default grid scans at most a quarter of the triangle's points
+        assert 4 * grid.valid.sum() <= (grid.g1 + grid.g2 < pi - optimizer.GRID_MARGIN).sum()
 
     gamma = np.concatenate([near, pi / 2 - near, t * pi / 2])
     gamma = gamma[(gamma > 0.0) & (gamma < pi / 2)]
@@ -569,14 +584,18 @@ def test_orbit_bound_skips_and_certifies_large_k(k, caplog):
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
     assert len(lines) == 1
     counts = re.match(
-        rf"solve: k={k} rectilinear refined (\d+), mapped (\d+), skipped (\d+) by the bound "
-        r"\((\d+) only by an orbit partner's\); ",
+        rf"solve: k={k} rectilinear refined (\d+), mapped (\d+), skipped (\d+) by the bound; ",
         lines[0],
     )
     assert counts
-    refined, mapped, skipped, by_partner = (int(c) for c in counts.groups())
+    refined, mapped, skipped = (int(c) for c in counts.groups())
     assert refined + mapped + skipped == len(schemes(k))
-    assert 0 < by_partner <= skipped
+    assert skipped > 0
+    # an orbit's bound is the largest of its members' scan bounds, one for all
+    per_scheme = {s: optimize_scheme(k, s) for s in schemes(k)}
+    for scheme, r in per_scheme.items():
+        assert {per_scheme[sym.image_scheme(scheme)].d_upper for sym in SYMMETRIES} == {r.d_upper}
+    assert res.d_upper == max(r.d_upper for r in per_scheme.values())
 
 
 @pytest.mark.parametrize("class_tag", [SEMI_REGULAR, RECTILINEAR])
@@ -674,6 +693,41 @@ def test_dropping_the_regular_start_changes_no_class_answer(k, monkeypatch):
         assert (res.scheme, res.dsq_rational, res.d_upper) == (
             ref.scheme, ref.dsq_rational, ref.d_upper), tag
         assert (res.triple.t1, res.triple.t2) == (ref.triple.t1, ref.triple.t2), tag
+
+
+_full_triangle_field = functools.lru_cache(maxsize=1)(full_triangle_grid)
+
+
+@pytest.mark.parametrize("k", _SCAN_KS)
+def test_scanning_one_sextant_changes_no_rectilinear_answer(k, monkeypatch):
+    # the scan over the whole triangle finds the same rectilinear answer, and
+    # for k <= 30 it gives no scheme a better result
+    got = solve(k, RECTILINEAR)
+    per_scheme = {s: optimize_scheme(k, s) for s in schemes(k)} if k <= 30 else {}
+    monkeypatch.setattr(optimizer, "_get_field", lambda tag, n: _full_triangle_field(n))
+    want = solve(k, RECTILINEAR)
+    assert abs(got.d - want.d) <= 1e-12
+    assert (got.dsq_rational, got.scheme) == (want.dsq_rational, want.scheme)
+    for scheme, res in per_scheme.items():
+        assert res.d >= optimize_scheme(k, scheme).d - 1e-12, scheme
+
+
+def test_optimize_scheme_maps_its_orbit_optimum(monkeypatch):
+    # the refined member's sliver optimum, mapped, reaches d = 1; the search
+    # from (22, 0)'s own start stops at 0.99972
+    assert abs(optimize_scheme(44, ColorScheme(44, 22, 0)).d - 1.0) <= 1e-9
+    refines = []
+    real = optimizer._refine
+    monkeypatch.setattr(optimizer, "_refine", lambda *a: refines.append(a[1]) or real(*a))
+    # at k = 15, (5, 2) leads the orbit of (3, 0) and its optimum maps onto
+    # (3, 0); the optimum of (15, 4) is a sliver whose image on (3, 2) rounds
+    # out of the triangle, so (3, 2) is searched from its own start as well
+    for scheme, searched in [((3, 0), [(5, 2)]), ((3, 2), [(15, 4), (3, 2)])]:
+        refines.clear()
+        scheme = ColorScheme(15, *scheme)
+        res = optimize_scheme(15, scheme)
+        assert refines == [ColorScheme(15, *gh) for gh in searched]
+        assert gaps_valid(*res.gaps) and res.d == _eval_min(*res.gaps, scheme)
 
 
 def _assert_semi_matches_former_starts(k, candidates=None):
