@@ -10,7 +10,6 @@ exactly one such (g, h), so enumerating pairs enumerates colorings.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,6 +192,8 @@ def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex
 # sublattice has a vector shorter than SLIVER_FLOOR, min_gap may return that
 # vector's gap, an upper bound below SLIVER_FLOOR that cannot pose as an
 # optimum, instead of scanning the long rows of a near-degenerate shape.
+# The rows are long: a full scan for scheme (112, 56, 55) at |b1| = 1.1e-7,
+# where its ascent asks, lists 1.4 million offsets within 0.155 of the minimum.
 SLIVER_FLOOR = 0.25
 
 # relative margin against rounding on the row and column bounds and on each
@@ -201,24 +202,10 @@ SLIVER_FLOOR = 0.25
 _ROUNDING = 1.0 + 1e-9
 
 
-def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
-    """Smallest gap between the base tile and any tile of its color.
-
-    ``frame`` is (vx, vy, eix, eiy, ejx, ejy): the tile's vertices doubled
-    about its center, and the tiling's basis.  The gap to the tile at offset
-    c is the distance from the point c to the doubled tile, which fits in
-    the unit circle, so only offsets with |c| < best + 1 can lower the best
-    gap.  The generators are Lagrange-Gauss reduced at this shape and the
-    sublattice is scanned row by row, as Fincke and Pohst (1985) enumerate
-    short vectors.  Each gap is ``point_to_hexagon_distance(i * eix + j *
-    ejx, i * eiy + j * ejy, vx, vy)`` bit for bit.  Below SLIVER_FLOOR the
-    value may be an upper bound (see there).  With ``tol``, returns
-    (minimum, offsets within ``tol`` of it), the offsets in the half-plane
-    and order of ``same_color_offsets``.
-    """
-    vx, vy, eix, eiy, ejx, ejy = frame
-    # Lagrange-Gauss reduction of the generators (g, 0) and (h, k/g), kept as
-    # index pairs (i1, j1), (i2, j2) with points (x, y) and squared norms n
+def _reduced_basis(scheme: ColorScheme, eix: float, eiy: float, ejx: float, ejy: float):
+    """The generators (g, 0), (h, k/g) Lagrange-Gauss reduced at this tiling basis:
+    (i1, j1, x1, y1, n1, i2, j2, x2, y2, n2), the index pairs, points and squared
+    norms of b1, b2, with |b1| <= |b2| <= |b2 -/+ b1| up to rounding."""
     i1, j1, i2, j2 = scheme.g, 0, scheme.h, scheme.k // scheme.g
     x1, y1 = i1 * eix, i1 * eiy
     x2, y2 = i2 * eix + j2 * ejx, i2 * eiy + j2 * ejy
@@ -233,8 +220,29 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
             x2, y2 = i2 * eix + j2 * ejx, i2 * eiy + j2 * ejy
             n2 = x2 * x2 + y2 * y2
         if n2 >= n1:
-            break
+            return i1, j1, x1, y1, n1, i2, j2, x2, y2, n2
         i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = i2, j2, x2, y2, n2, i1, j1, x1, y1, n1
+
+
+def min_gap(scheme: ColorScheme, frame, tol: float | None = None, floor: float = SLIVER_FLOOR):
+    """Smallest gap between the base tile and any tile of its color.
+
+    ``frame`` is (vx, vy, eix, eiy, ejx, ejy): the tile's vertices doubled
+    about its center, and the tiling's basis.  The gap to the tile at offset
+    c is the distance from the point c to the doubled tile, which fits in
+    the unit circle, so only offsets with |c| < best + 1 can lower the best
+    gap.  The generators are Lagrange-Gauss reduced at this shape
+    (``_reduced_basis``) and the sublattice is scanned row by row, as Fincke
+    and Pohst (1985) enumerate short vectors.  Each gap is
+    ``point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx,
+    vy)`` bit for bit.  Where the reduced b1 is shorter than ``floor``, the
+    scan is skipped and b1 stands for the minimum, an upper bound (see
+    SLIVER_FLOOR); ``floor=0.0`` makes the result exact at every shape.
+    With ``tol``, returns (minimum, offsets within ``tol`` of it), the
+    offsets in the half-plane and order of ``same_color_offsets``.
+    """
+    vx, vy, eix, eiy, ejx, ejy = frame
+    i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = _reduced_basis(scheme, eix, eiy, ejx, ejy)
     best = point_to_hexagon_distance(i1 * eix + j1 * ejx, i1 * eiy + j1 * ejy, vx, vy)
     near = [(best, i1, j1)]
     slack = tol or 0.0
@@ -246,7 +254,7 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
     shift = (x1 * x2 + y1 * y2) / n1
     h2 = n2 - shift * shift * n1
     row = 0 if tol is not None else 1
-    while n1 >= SLIVER_FLOOR * SLIVER_FLOOR and row * row * h2 < lim * _ROUNDING:
+    while n1 >= floor * floor and row * row * h2 < lim * _ROUNDING:
         centre, half = -row * shift, math.sqrt((lim * _ROUNDING - row * row * h2) / n1)
         i0, j0, lo = row * i2, row * j2, 2 if row == 0 else math.floor(centre - half)
         for col in range(lo, math.ceil(centre + half) + 1):
@@ -279,18 +287,15 @@ def _doubled_frame(hexagon: Hexagon) -> tuple:
     return (vx, vy, *basis.e_i, *basis.e_j)
 
 
-class NoTripleError(RuntimeError):
-    """No index pair with determinant k was found for the scheme."""
-
-
 @dataclass(frozen=True)
 class TripleRepresentation:
     """Two offsets t1, t2 whose tiles, with the base tile, frame the coloring.
 
     d01 and d02 are the base tile's gaps to the tiles at t1 and t2; d12 is
     the gap between those two tiles.  The pair has determinant k, so it
-    generates the color sublattice.  canonical is True when the selected
-    pair realizes the scheme minimum with d01 = d02 <= d12.
+    generates the color sublattice.  canonical is True when the pair's
+    smallest gap attains the scheme minimum and d01 = d02 <= d12; the pair
+    is chosen by its gaps alone, so it can be False even at an optimum.
     """
 
     t1: TileIndex
@@ -301,80 +306,59 @@ class TripleRepresentation:
     canonical: bool
 
 
-def _sector_candidates(scheme: ColorScheme, bound: int) -> tuple[list, list]:
-    """Same-colored offsets of the wedges 0 < i <= bound, -i <= j <= 0 and
-    i >= 0, j > 0, i + j <= bound, each sorted by (i, j).
-
-    Steps through the sublattice's rows j = a k/g, where the colored i run
-    through one residue of a h modulo g, as in ``window_offsets``."""
-    m, g = scheme.rows_step, scheme.g
-    first, second = [], []
-    for j in range(-(bound // m) * m, bound + 1, m):
-        a = j // m
-        # the wedge's i range on row j
-        lo, hi, out = (max(1, -j), bound, first) if j <= 0 else (0, bound - j, second)
-        first_i = lo + (a * scheme.h - lo) % g
-        out.extend(TileIndex(i, j) for i in range(first_i, hi + 1, g))
-    first.sort()
-    second.sort()
-    return first, second
-
-
-def canonical_triple(
-    hexagon: Hexagon, scheme: ColorScheme, *, slack: int = 1
-) -> TripleRepresentation:
+def canonical_triple(hexagon: Hexagon, scheme: ColorScheme) -> TripleRepresentation:
     """Select the triple of mutually nearest same-colored tiles.
 
     t1 is taken from the wedge i > 0, -i <= j <= 0 and t2 from i >= 0,
     j > 0, constrained to i1 * j2 - i2 * j1 = k so the pair generates the
-    sublattice.  Among pairs whose smallest pairwise gap attains the scheme
-    minimum, the one minimizing (largest gap, total gap) wins, preferring
-    equal-gap pairs on ties.  If no pair attains the minimum the best
-    remaining pair is returned with canonical set to False.
+    sublattice.  The pair minimizing (largest gap, total gap) wins,
+    preferring equal-gap pairs and then the smaller indices on ties.
+
+    The candidates are the offsets ``min_gap`` lists with gap at most C, and
+    their negations.  C is first the largest gap of the reduced triangle b1,
+    b2, b2 -/+ b1, less any excess of b1's gap over the minimum.  The choice
+    is complete once the chosen pair's largest gap is at most C, as a pair
+    with a smaller key has no larger gap, so both its offsets were listed.
+    Else C rises to that gap, and the next listing is complete; with no pair
+    listed, C grows by 1.25 (C = 0 means k = 1, where the touching tiles
+    pair up).  It ends: the generators (g, 0), (h, k/g) are such a pair.
     """
     frame = _doubled_frame(hexagon)
     vx, vy, eix, eiy, ejx, ejy = frame
-    dmin = min_gap(scheme, frame)
+    gaps = {}
 
-    @functools.lru_cache(maxsize=None)
     def dist(i: int, j: int) -> float:
-        return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+        if (i, j) not in gaps:
+            gaps[i, j] = point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+        return gaps[i, j]
 
-    bound = enumeration_bound(scheme.k, slack)
-    limit = 4 * scheme.k + 4
-    while True:
-        first, second = _sector_candidates(scheme, bound)
-        pairs = [
-            (t1, t2)
-            for t1 in first
-            for t2 in second
-            if t1.i * t2.j - t2.i * t1.j == scheme.k
-        ]
-        if pairs:
-            break
-        if bound > limit:
-            raise NoTripleError(f"no generating pair for k={scheme.k} within {bound}")
-        bound *= 2
-
-    scored = []
-    for t1, t2 in pairs:
-        d01 = dist(t1.i, t1.j)
-        d02 = dist(t2.i, t2.j)
-        d12 = dist(t2.i - t1.i, t2.j - t1.j)
+    def scored(t1: TileIndex, t2: TileIndex) -> tuple:
+        d01, d02, d12 = dist(*t1), dist(*t2), dist(t2.i - t1.i, t2.j - t1.j)
         shaped = abs(d01 - d02) <= 1e-7 and d01 <= d12 + 1e-7
-        key = (
-            max(d01, d02, d12),
-            d01 + d02 + d12,
-            0 if shaped else 1,
-            (t1.i, t1.j, t2.i, t2.j),
-        )
-        scored.append((key, t1, t2, d01, d02, d12, shaped))
+        key = (max(d01, d02, d12), d01 + d02 + d12, 0 if shaped else 1, (*t1, *t2))
+        return key, t1, t2, d01, d02, d12, shaped
 
-    attaining = [row for row in scored if min(row[3], row[4], row[5]) <= dmin + 1e-9]
-    fallback = not attaining
-    if fallback:
-        attaining = scored
-    key, t1, t2, d01, d02, d12, shaped = min(attaining, key=lambda row: row[0])
-    return TripleRepresentation(
-        t1=t1, t2=t2, d01=d01, d02=d02, d12=d12, canonical=shaped and not fallback
-    )
+    i1, j1, x1, y1, _, i2, j2, x2, y2, _ = _reduced_basis(scheme, eix, eiy, ejx, ejy)
+    sign = 1 if x1 * x2 + y1 * y2 >= 0 else -1
+    gap1 = dist(i1, j1)
+    bound = max(gap1, dist(i2, j2), dist(i2 - sign * i1, j2 - sign * j1))
+    # min_gap lists the gaps up to its minimum plus tol, and the minimum is at
+    # most b1's gap: C is the triangle's largest gap when b1 attains it
+    tol = bound * _ROUNDING - gap1
+    while True:
+        dmin, listed = min_gap(scheme, frame, tol, floor=0.0)
+        cover = dmin + tol
+        offsets = listed + [TileIndex(-i, -j) for i, j in listed]
+        first = [t for t in offsets if t.i > 0 and -t.i <= t.j <= 0]
+        second = [t for t in offsets if t.i >= 0 and t.j > 0]
+        pairs = [scored(t1, t2) for t1 in first for t2 in second
+                 if t1.i * t2.j - t2.i * t1.j == scheme.k]
+        if not pairs:
+            tol = 1.25 * cover - dmin
+            continue
+        key, t1, t2, d01, d02, d12, shaped = min(pairs)
+        if key[0] <= cover:
+            break
+        tol = key[0] * _ROUNDING - dmin
+    canonical = shaped and min(d01, d02, d12) <= dmin + 1e-9
+    return TripleRepresentation(t1=t1, t2=t2, d01=d01, d02=d02, d12=d12, canonical=canonical)

@@ -35,7 +35,6 @@ from .analysis import stable_dsq_rational
 from .coloring import (
     SYMMETRIES,
     ColorScheme,
-    NoTripleError,
     TripleRepresentation,
     canonical_triple,
     min_gap,
@@ -72,8 +71,8 @@ class SolveOptions:
     ``param_tol`` ends the semi-regular line search; ``starts_per_axis`` and
     ``value_tol`` are read by nothing and deprecated.  ``enumeration_slack``
     widens the one offset window each k enumerates
-    (``coloring.window_offsets``), which only sizes the coarse scan and the
-    witness triple search (the objective covers every tile)."""
+    (``coloring.window_offsets``), which only sizes the coarse scan (the
+    objective and the witness triple cover every tile)."""
 
     starts_per_axis: int = 12
     coarse_grid: int = 48
@@ -656,11 +655,10 @@ def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
 
 
 def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, float], val: float,
-              options: SolveOptions, d_upper: float,
-              triple: TripleRepresentation | None = None) -> SolveResult:
+              d_upper: float, triple: TripleRepresentation | None = None) -> SolveResult:
     point = (float(point[0]), float(point[1]))
     hexagon = hexagon_from_gaps(point[0], point[1])
-    triple = triple or canonical_triple(hexagon, scheme, slack=options.enumeration_slack)
+    triple = triple or canonical_triple(hexagon, scheme)
     if not triple.canonical:
         _log.debug("finalize: k=%d %s scheme (%d, %d) has a non-canonical triple t1=%s t2=%s",
                    k, class_tag, scheme.g, scheme.h, tuple(triple.t1), tuple(triple.t2))
@@ -747,7 +745,7 @@ def optimize_scheme(
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
     if class_tag == REGULAR:
-        return _solve_regular(k, [scheme], options)
+        return _solve_regular(k, [scheme])
 
     grid = _get_field(class_tag, options.coarse_grid)
     # in the order of ``schemes``, so that ties in peak go as in ``solve``
@@ -762,7 +760,7 @@ def optimize_scheme(
             val = _eval_min(pt[0], pt[1], scheme)
         else:
             val, pt = _refine(class_tag, scheme, vals[orbit.index(scheme)], grid, options, [0])
-    return _finalize(k, class_tag, scheme, pt, val, options, upper.max())
+    return _finalize(k, class_tag, scheme, pt, val, upper.max())
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -770,9 +768,9 @@ def optimize_scheme(
 _TIE_TOL = 1e-9
 
 
-def _pick_tied(cands, options: SolveOptions):
+def _pick_tied(cands):
     """cands: list of (val, scheme, point).  Returns the preferred entry and
-    its triple, None when nothing tied or the entry has none."""
+    its triple, None when nothing tied."""
     vmax = max(c[0] for c in cands)
     tied = [c for c in cands if c[0] >= vmax - _TIE_TOL]
     if len(tied) == 1:
@@ -780,26 +778,19 @@ def _pick_tied(cands, options: SolveOptions):
 
     def pref(entry):
         val, scheme, point = entry
-        try:
-            t = canonical_triple(
-                hexagon_from_gaps(point[0], point[1]),
-                scheme,
-                slack=options.enumeration_slack,
-            )
-        except NoTripleError:
-            return (False, 0, 0, 0, 0, -scheme.g, -scheme.h), entry, None
-        return (True, t.t1.j, t.t1.i, -t.t2.j, -t.t2.i, -scheme.g, -scheme.h), entry, t
+        t = canonical_triple(hexagon_from_gaps(point[0], point[1]), scheme)
+        return (t.t1.j, t.t1.i, -t.t2.j, -t.t2.i, -scheme.g, -scheme.h), entry, t
 
     return max(map(pref, tied), key=lambda ranked: ranked[0])[1:]
 
 
-def _solve_regular(k: int, candidates, options: SolveOptions) -> SolveResult:
+def _solve_regular(k: int, candidates) -> SolveResult:
     """The best of the ``candidates`` schemes on the regular hexagon."""
     pt = (_REGULAR_GAP, _REGULAR_GAP)
     frame = _frame(*pt)
     cands = [(min_gap(scheme, frame), scheme, pt) for scheme in candidates]
-    (val, scheme, pt), triple = _pick_tied(cands, options)
-    return _finalize(k, REGULAR, scheme, pt, val, options, val, triple)
+    (val, scheme, pt), triple = _pick_tied(cands)
+    return _finalize(k, REGULAR, scheme, pt, val, val, triple)
 
 
 def solve(
@@ -848,7 +839,7 @@ def solve(
         raise DomainError(f"unknown class {class_tag!r}")
 
     if class_tag == REGULAR:
-        return _solve_regular(k, schemes(k), options)
+        return _solve_regular(k, schemes(k))
 
     grid = _get_field(class_tag, options.coarse_grid)
     table_rows = len(grid.table)
@@ -904,8 +895,8 @@ def solve(
         best, d_upper, table_rows, counts[0],
     )
 
-    (val, scheme, point), triple = _pick_tied(refined, options)
-    return _finalize(k, class_tag, scheme, point, val, options, d_upper, triple)
+    (val, scheme, point), triple = _pick_tied(refined)
+    return _finalize(k, class_tag, scheme, point, val, d_upper, triple)
 
 
 def solve_all(

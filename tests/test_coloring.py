@@ -11,7 +11,6 @@ from hexcoloring.coloring import (
     ColorScheme,
     TileIndex,
     _doubled_frame,
-    _sector_candidates,
     canonical_triple,
     enumeration_bound,
     lattice_basis,
@@ -21,7 +20,12 @@ from hexcoloring.coloring import (
     window_offsets,
 )
 from hexcoloring import optimizer
-from hexcoloring.geometry import DomainError, hexagon_from_gaps, regular_hexagon
+from hexcoloring.geometry import (
+    DomainError,
+    hexagon_from_gaps,
+    point_to_hexagon_distance,
+    regular_hexagon,
+)
 from offset_window import (
     min_distance_over_offsets,
     min_offset_distance,
@@ -279,14 +283,15 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
     frame = _doubled_frame(hexagon_from_gaps(g1, g2))
     value, near = min_gap(s, frame, tol)
     assert value == min_gap(s, frame)
-    gap = lambda t: min_offset_distance((t,), frame)
-    assert near and all(s.contains(*t) and gap(t) <= value + tol for t in near)
-    assert min(gap(t) for t in near) == value
     if value < SLIVER_FLOOR:
         # possibly the shortest reduced vector's gap, an upper bound that can
         # exceed the window's minimum: 0.0200 against 0.0050 at gaps
-        # (0.01, 0.01) for scheme (3, 3, 1)
-        return
+        # (0.01, 0.01) for scheme (3, 3, 1); floor=0.0 scans there too
+        value, near = min_gap(s, frame, tol, floor=0.0)
+        assert value == min_gap(s, frame, floor=0.0)
+    gap = lambda t: min_offset_distance((t,), frame)
+    assert near and all(s.contains(*t) and gap(t) <= value + tol for t in near)
+    assert min(gap(t) for t in near) == value
     slack = 1 + math.isqrt(4 * k)
     offsets = same_color_offsets(s, slack=slack)
     window = min_offset_distance(offsets, frame)
@@ -298,40 +303,63 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
         assert near == [t for t in offsets if gap(t) <= window + tol]
 
 
-def _window(bound):
-    """The wedges of ``canonical_triple``'s candidates, point by point in the
-    order of the loop that first enumerated them."""
-    first = [(i, j) for i in range(1, bound + 1) for j in range(-i, 1)]
-    second = [(i, j) for i in range(0, bound + 1) for j in range(1, bound + 1 - i)]
-    return first, second
+def test_min_gap_with_no_floor_lists_every_offset_within_tol_at_a_sliver():
+    # the reduced b1 = (0, 1) is shorter than SLIVER_FLOOR here, so by
+    # default min_gap stops at it; floor=0.0 scans on
+    s = ColorScheme(4, 4, 0)
+    frame = _doubled_frame(hexagon_from_gaps(2.699, 0.31))
+    assert min_gap(s, frame, 1.0) == (0.0, [TileIndex(0, 1)])
+    value, near = min_gap(s, frame, 1.0, floor=0.0)
+    gap = lambda t: min_offset_distance((t,), frame)
+    window = tile_by_tile_window(s, slack=1 + math.isqrt(4 * s.k))
+    assert near == [t for t in window if gap(t) <= value + 1.0]
+    assert len(near) == 5
 
 
-def test_sector_candidates_match_the_window_loop():
-    # every window point tested with ColorScheme.contains, for small k and
-    # bounds up to four times canonical_triple's first
-    for k in range(1, 31):
-        first = enumeration_bound(k)
-        for bound in (0, 1, 2, first, 2 * first, 4 * first):
-            window = _window(bound)
-            for scheme in schemes(k):
-                expected = tuple([p for p in part if scheme.contains(*p)] for part in window)
-                assert _sector_candidates(scheme, bound) == expected, (scheme, bound)
+def _triple_key(frame, t1, t2):
+    """canonical_triple's key for the pair t1, t2, and the pair's three gaps."""
+    vx, vy, eix, eiy, ejx, ejy = frame
+    gap = lambda i, j: point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+    d01, d02, d12 = gap(*t1), gap(*t2), gap(t2[0] - t1[0], t2[1] - t1[1])
+    shaped = abs(d01 - d02) <= 1e-7 and d01 <= d12 + 1e-7
+    return (max(d01, d02, d12), d01 + d02 + d12, 0 if shaped else 1, (*t1, *t2)), (d01, d02, d12)
 
 
-def test_sector_candidates_match_the_window_for_every_k():
-    # the same membership test over every window point, vectorised, for
-    # every scheme of k <= 175
-    for k in range(1, 176):
-        bound = enumeration_bound(k)
-        window = [np.array(part, dtype=np.int64).reshape(-1, 2) for part in _window(bound)]
-        for scheme in schemes(k):
-            m, g, h = scheme.rows_step, scheme.g, scheme.h
-            expected = []
-            for part in window:
-                i, j = part[:, 0], part[:, 1]
-                kept = part[(j % m == 0) & ((i - (j // m) * h) % g == 0)]
-                expected.append(list(map(tuple, kept.tolist())))
-            assert _sector_candidates(scheme, bound) == tuple(expected), scheme
+def _box_wedge_pairs(scheme, bound):
+    """Every pair of same-colored offsets t1 in the wedge i > 0, -i <= j <= 0
+    and t2 in i >= 0, j > 0 with determinant k, in the box |i|, |j| <= bound."""
+    i, j = np.mgrid[-bound : bound + 1, -bound : bound + 1].reshape(2, -1)
+    m = scheme.rows_step
+    colored = (j % m == 0) & ((i - (j // m) * scheme.h) % scheme.g == 0)
+    first = np.stack([i, j], 1)[colored & (i > 0) & (-i <= j) & (j <= 0)]
+    second = np.stack([i, j], 1)[colored & (i >= 0) & (j > 0)]
+    det = np.outer(first[:, 0], second[:, 1]) - np.outer(first[:, 1], second[:, 0])
+    a, b = np.nonzero(det == scheme.k)
+    return zip(map(tuple, first[a].tolist()), map(tuple, second[b].tolist()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k=st.integers(min_value=1, max_value=12), data=st.data(), gaps=gap_pairs)
+def test_canonical_triple_matches_a_brute_force_box(k, data, gaps):
+    s = data.draw(scheme_for(k))
+    hx = hexagon_from_gaps(*gaps)
+    frame = _doubled_frame(hx)
+    t = canonical_triple(hx, s)
+    key, dists = _triple_key(frame, tuple(t.t1), tuple(t.t2))
+    assert (t.d01, t.d02, t.d12) == dists
+    box = (_triple_key(frame, *pair)[0] for pair in _box_wedge_pairs(s, 4 * k + 4))
+    assert min(box) >= key
+    dmin = min_gap(s, frame, floor=0.0)
+    assert t.canonical == (min(dists) <= dmin + 1e-9 and key[2] == 0)
+
+
+def test_canonical_triple_finds_a_pair_past_the_old_window():
+    # (11, 1) has i + j = 12, past the index window |i| + j <= 11 that the
+    # candidates once came from, which settled on (0, 2) with largest gap 4.5147
+    t = canonical_triple(hexagon_from_gaps(0.72, 0.18), ColorScheme(22, 22, 11))
+    assert (tuple(t.t1), tuple(t.t2)) == ((11, -1), (11, 1))
+    assert abs(max(t.d01, t.d02, t.d12) - 4.4339) <= 1e-4
+    assert abs(t.d12 - 0.93590) <= 1e-5
 
 
 def test_min_gap_keeps_a_tie_at_the_prune():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hexcoloring.coloring import (
     SYMMETRIES,
     ColorScheme,
-    NoTripleError,
     canonical_triple,
     same_color_offsets,
     schemes,
@@ -781,9 +780,9 @@ def test_lp_step_finds_the_model_maximum(x, y, radius, rows):
 def test_tied_winner_triple_is_computed_once(monkeypatch):
     calls = []
 
-    def counted(hexagon, scheme, *, slack=1):
+    def counted(hexagon, scheme):
         calls.append((hexagon.gaps, scheme))
-        return canonical_triple(hexagon, scheme, slack=slack)
+        return canonical_triple(hexagon, scheme)
 
     monkeypatch.setattr(optimizer, "canonical_triple", counted)
     # each of these solves breaks a tie between schemes by their triples
@@ -793,12 +792,3 @@ def test_tied_winner_triple_is_computed_once(monkeypatch):
         assert len(calls) == len(set(calls)), (k, tag)
         assert res.triple == canonical_triple(hexagon_from_gaps(*res.gaps), res.scheme)
 
-
-def test_winner_without_triple_still_raises(monkeypatch):
-    def none(hexagon, scheme, *, slack=1):
-        raise NoTripleError("none")
-
-    monkeypatch.setattr(optimizer, "canonical_triple", none)
-    for k in (7, 9):
-        with pytest.raises(NoTripleError):
-            solve(k, REGULAR)
