@@ -263,31 +263,26 @@ def _offset_gaps(frame, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 class _Field:
     """A table of offset gaps over a fixed grid of shapes, filled lazily.
 
-    The grid is shape-only, so one field serves every k.  Row r of the table
-    holds one offset's gap at each valid grid point (in the order of
-    ``points``), ``index`` maps the offset (i, j) to r and ``weight[r]`` is
-    its ``_lipschitz`` bound; rows are shared by every scheme and k that use
-    the offset.  ``radius`` gives each grid point a box, in the max norm over
-    the gaps, and the boxes of the valid points cover every shape the class
-    scans: the diagonal, or the rectilinear sextant of ``_rect_grid``.
-    ``scan`` fills and reads the table.
+    The grid is shape-only, so one field serves every k.  It keeps some of
+    the points spanned by ``centers`` on each gap axis, in ascending order of
+    (g1, g2), and holds every per-point array at those points only: ``g1``,
+    ``g2``, ``radius``, the frame and the table.  Row r of the table holds one
+    offset's gap at each point, ``index`` maps the offset (i, j) to r and
+    ``weight[r]`` is its ``_lipschitz`` bound; rows are shared by every scheme
+    and k that use the offset.  ``radius`` gives each point a box, in the max
+    norm over the gaps, and the boxes cover every shape the class scans: the
+    diagonal, or the rectilinear sextant of ``_rect_grid``.  ``scan`` fills
+    and reads the table.
     """
 
-    def __init__(self, centers: np.ndarray, g1: np.ndarray, g2: np.ndarray, valid: np.ndarray,
-                 radius: np.ndarray):
+    def __init__(self, centers: np.ndarray, g1: np.ndarray, g2: np.ndarray, radius: np.ndarray):
         self.centers = centers
         self.cell = float(centers[1] - centers[0])
         self.g1 = g1
         self.g2 = g2
-        self.valid = valid
         self.radius = radius
-        self.points = np.flatnonzero(valid)
-        # the frame over the whole grid, then at its valid points, so that
-        # each element is the one the scalar kernel gets
-        frame = _frame(g1, g2, np.sin, np.cos)
-        at = lambda v: v[self.points] if isinstance(v, np.ndarray) else v
-        self._frame = [[at(v) for v in vs] for vs in frame[:2]] + [at(v) for v in frame[2:]]
-        self._radius = radius[self.points]
+        # each element is the scalar kernel's where NumPy's sin and cos match math's
+        self._frame = _frame(g1, g2, np.sin, np.cos)
         # the table: rows are views into the blocks ``_offset_gaps`` returned,
         # so it grows without copying or spare capacity
         self.table: list[np.ndarray] = []
@@ -300,12 +295,12 @@ class _Field:
         Offset (i[e], j[e]) belongs to scheme owner[e], as
         ``coloring.window_offsets`` gives them: owners ascend from 0.
         Returns (vals, upper, rows).  Row s of vals is the minimum of scheme
-        s's offsets' gaps at each grid point, -1 at the invalid ones, and
+        s's offsets' gaps at each kept grid point, one column per point, and
         rows[e] is offset e's table row.  No valid shape has a larger minimum
-        gap over the offsets than upper[s]: on the box around valid point p,
-        each offset's gap is at most its value at p plus radius(p) times its
+        gap over the offsets than upper[s]: on the box around point p, each
+        offset's gap is at most its value at p plus radius(p) times its
         Lipschitz bound, and so is the minimum over offsets; upper[s] is the
-        largest of these over the valid points.
+        largest of these over the points.
 
         Each distinct offset is looked up once, and those without a row get
         one, a chunk of rows at a time.  The schemes, ordered by their number
@@ -321,7 +316,7 @@ class _Field:
         new = np.flatnonzero(found < 0)
         found[new] = np.arange(len(self.table), len(self.table) + new.size)
         self.index.update(zip([keys[n] for n in new.tolist()], found[new].tolist()))
-        width = len(self.points)
+        width = self.g1.size
         step = max(1, _CHUNK // width)
         new_i, new_j = i[first[new], None].astype(float), j[first[new], None].astype(float)
         for a in range(0, new.size, step):
@@ -333,7 +328,7 @@ class _Field:
         # the schemes by their number of offsets, so that little padding is needed
         order = np.argsort(count, kind="stable")
         start, count = (np.cumsum(count) - count)[order], count[order]
-        vals = np.full((count.size, self.g1.size), -1.0)
+        vals = np.empty((count.size, width))
         upper = np.empty(count.size)
         a = 0
         while a < count.size:
@@ -345,8 +340,8 @@ class _Field:
             idx = rows[start[a:b] + np.where(t < count[a:b], t, 0)]
             gaps = np.concatenate(list(map(self.table.__getitem__, idx.ravel().tolist())))
             gaps = gaps.reshape(*idx.shape, width)
-            vals[order[a:b, None], self.points] = gaps.min(axis=0)
-            gaps += self.weight[idx][..., None] * self._radius
+            vals[order[a:b]] = gaps.min(axis=0)
+            gaps += self.weight[idx][..., None] * self.radius
             upper[order[a:b]] = gaps.min(axis=0).max(axis=1)
             a = b
         return vals, upper, rows
@@ -373,7 +368,7 @@ def _bisected_bound(grid: _Field, i, j, rows, target: float = -math.inf) -> floa
     split = bound >= target
     parts = 2**_BISECT_DEPTH
     radius = np.tile(grid.radius[split] / parts, parts)
-    gamma = np.tile(grid.centers[split], parts) + radius * np.repeat(
+    gamma = np.tile(grid.g1[split], parts) + radius * np.repeat(
         np.arange(1 - parts, parts, 2), split.sum())
     gaps = _offset_gaps(_frame(gamma, gamma, np.sin, np.cos), i[:, None] * 1.0, j[:, None] * 1.0)
     fine = np.minimum((gaps + weight * radius).min(axis=0), np.tile(bound[split], parts))
@@ -423,8 +418,8 @@ def _rect_radii(centers: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _rect_grid(n: int) -> _Field:
-    """The grid points whose ``_rect_radii`` boxes meet the sextant
-    S = {gap3 >= gap1 >= gap2} of the triangle, with gap3 = pi - gap1 - gap2.
+    """A field of only the n x n grid points whose ``_rect_radii`` boxes
+    meet the sextant S = {gap3 >= gap1 >= gap2}, gap3 = pi - gap1 - gap2.
 
     A box of radius r around p holds a shape with gap1 >= gap2 only if
     p's gap1 - gap2 + 2 r >= 0, and one with gap3 >= gap1 only if p's
@@ -432,22 +427,21 @@ def _rect_grid(n: int) -> _Field:
     ones cover S."""
     span = math.pi - 2.0 * GRID_MARGIN
     centers = GRID_MARGIN + span * (np.arange(n) + 0.5) / n
-    g1 = np.repeat(centers, n)
-    g2 = np.tile(centers, n)
+    g1, g2 = np.repeat(centers, n), np.tile(centers, n)
     valid = g1 + g2 < math.pi - GRID_MARGIN
     radius = _rect_radii(centers, valid)
-    valid &= (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
-    return _Field(centers, g1, g2, valid, radius)
+    keep = valid & (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
+    return _Field(centers, g1[keep], g2[keep], radius[keep])
 
 
 def _semi_grid(n: int) -> _Field:
+    """The n points of the diagonal gap1 = gap2, all kept, each with its cell's radius."""
     hi = (math.pi - GRID_MARGIN) / 2.0
     centers = GRID_MARGIN + (hi - GRID_MARGIN) * (np.arange(n) + 0.5) / n
-    valid = np.ones(n, bool)
     # each point's cell, the outer ones reaching 0 and pi / 2
     edges = _cell_edges(centers, math.pi / 2.0)
     radius = np.maximum(centers - edges[:-1], edges[1:] - centers)
-    return _Field(centers, centers, centers.copy(), valid, radius)
+    return _Field(centers, centers, centers.copy(), radius)
 
 
 @functools.lru_cache(maxsize=4)
@@ -681,8 +675,9 @@ def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, f
 
 
 def _start(vals: np.ndarray, grid: _Field) -> tuple[float, float]:
-    """Where a scheme's local search starts: its best coarse grid point, the
-    first on ties, or the regular shape when no grid value is positive."""
+    """Where a scheme's local search starts: its best grid point, from its
+    row of ``_Field.scan`` values, the first on ties, or the regular shape
+    when no grid value is positive."""
     top = int(np.argmax(vals))
     if vals[top] <= 0.0:
         return _REGULAR_GAP, _REGULAR_GAP
@@ -856,6 +851,8 @@ def solve(
                 shared.update(dict.fromkeys(orbit, max(bound[member] for member in orbit)))
         bound = shared
     d_upper = max(bound.values())
+    # scheme n's offsets are the slice edges[n] : edges[n + 1], as owners ascend
+    edges = [0, *np.cumsum(np.bincount(owner)).tolist()]
 
     refined = []
     mapped_count = 0
@@ -872,7 +869,7 @@ def solve(
         if bound[scheme] < target:
             continue
         if class_tag == SEMI_REGULAR and refined and _bisected_bound(
-                grid, *(a[owner == n] for a in (i, j, rows)), target) < target:
+                grid, *(a[edges[n] : edges[n + 1]] for a in (i, j, rows)), target) < target:
             late_skips += 1
             continue
         pt = images.get(scheme)

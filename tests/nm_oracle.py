@@ -21,6 +21,7 @@ import numpy as np
 
 from hexcoloring.geometry import EPS_GEOM
 from hexcoloring.optimizer import _eval_min, _golden_max, _polish_rect, _polish_semi, _refine
+from scan_oracle import square_values
 
 _REGULAR = (math.pi / 3.0, math.pi / 3.0)
 
@@ -48,10 +49,14 @@ def local_maxima_1d(vals: np.ndarray) -> np.ndarray:
     return idx[np.argsort(-vals[idx], kind="stable")]
 
 
-def rect_seeds(vals: np.ndarray, centers: np.ndarray, count: int = 6):
+def rect_seeds(vals: np.ndarray, grid, count: int = 6):
     """The former rectilinear seeds: the ``count`` best grid maxima, the best
-    diagonal grid point if positive, then the regular shape."""
+    diagonal grid point if positive, then the regular shape.  ``vals`` holds
+    a scheme's values at the kept points of ``grid``, the rectilinear field;
+    the maxima are taken on the square of its centres, -1 where not kept."""
+    centers = grid.centers
     n = len(centers)
+    vals = square_values(grid, vals)
     maxima = local_maxima_2d(vals, n)[:count]
     seeds = [(float(centers[f // n]), float(centers[f % n])) for f in maxima]
     diag = vals[np.arange(n) * (n + 1)]

@@ -1,9 +1,11 @@
 """The coarse scan as first written, kept as the reference for ``_Field.scan``.
 
-One gap array over the whole grid per offset, cached, and each scheme's grid
-values and upper bound reduced from them one offset at a time.  Also the
-rectilinear field as it was before the scan kept only the sextant
-gap3 >= gap1 >= gap2 (``full_triangle_grid``).
+One gap array over the whole n x n square of grid centres per offset, cached,
+and each scheme's grid values and upper bound reduced from them one offset at
+a time, then read at the field's kept points.  Also the rectilinear field as
+it was before the scan kept only the sextant gap3 >= gap1 >= gap2
+(``full_triangle_grid``), and the square layout that the field no longer
+stores (``square_layout``, ``square_values``).
 """
 
 from __future__ import annotations
@@ -12,22 +14,43 @@ import math
 
 import numpy as np
 
-from hexcoloring.optimizer import GRID_MARGIN, _Field, _frame, _lipschitz, _rect_grid
+from hexcoloring.optimizer import GRID_MARGIN, _Field, _frame, _lipschitz, _rect_grid, _rect_radii
+
+
+def square_layout(grid):
+    """(g1, g2) over the n x n square of ``grid.centers``, in row-major order,
+    and the flat square index of each of the field's kept points."""
+    n = len(grid.centers)
+    a = np.searchsorted(grid.centers, grid.g1)
+    b = np.searchsorted(grid.centers, grid.g2)
+    assert (grid.centers[a] == grid.g1).all() and (grid.centers[b] == grid.g2).all()
+    return np.repeat(grid.centers, n), np.tile(grid.centers, n), a * n + b
+
+
+def square_values(grid, vals: np.ndarray) -> np.ndarray:
+    """A row of kept-point values laid out on the square, -1 at the points not kept."""
+    g1, _, points = square_layout(grid)
+    out = np.full(g1.size, -1.0)
+    out[points] = vals
+    return out
 
 
 def full_triangle_grid(n: int) -> _Field:
     """``optimizer._rect_grid(n)`` with every grid point of the triangle kept."""
     grid = _rect_grid(n)
-    valid = grid.g1 + grid.g2 < math.pi - GRID_MARGIN
-    return _Field(grid.centers, grid.g1, grid.g2, valid, grid.radius)
+    g1, g2, _ = square_layout(grid)
+    valid = g1 + g2 < math.pi - GRID_MARGIN
+    return _Field(grid.centers, g1[valid], g2[valid], _rect_radii(grid.centers, valid)[valid])
 
 
 class PerOffsetScan:
-    """``scheme_min`` and ``scheme_upper`` over the grid of a ``_Field``."""
+    """``scheme_min`` and ``scheme_upper`` over the kept points of a ``_Field``,
+    from gap arrays over the whole square of its grid centres."""
 
     def __init__(self, grid):
         self.grid = grid
-        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = _frame(grid.g1, grid.g2, np.sin, np.cos)
+        g1, g2, self.points = square_layout(grid)
+        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = _frame(g1, g2, np.sin, np.cos)
         self._edges = []
         for m in range(6):
             ax, ay = vx[m - 1], vy[m - 1]
@@ -68,13 +91,12 @@ class PerOffsetScan:
         for index in offsets:
             d = self.offset_dist((index[0], index[1]))
             out = d.copy() if out is None else np.minimum(out, d, out=out)
-        out[~self.grid.valid] = -1.0
-        return out
+        return out[self.points]
 
     def scheme_upper(self, offsets) -> float:
         out = None
         for index in offsets:
             i, j = index[0], index[1]
-            u = self.offset_dist((i, j)) + _lipschitz(i, j) * self.grid.radius
+            u = self.offset_dist((i, j))[self.points] + _lipschitz(i, j) * self.grid.radius
             out = u if out is None else np.minimum(out, u, out=out)
-        return float(out[self.grid.valid].max())
+        return float(out.max())

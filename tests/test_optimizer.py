@@ -2,6 +2,7 @@ import functools
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from nm_oracle import (
     semi_starts,
 )
 from offset_window import offset_dist
-from scan_oracle import PerOffsetScan, full_triangle_grid
+from scan_oracle import PerOffsetScan, full_triangle_grid, square_layout
 
 
 def test_k3_half_diameter():
@@ -346,9 +347,8 @@ def test_offset_gap_lipschitz_bound(i, j, u, v, step, du, dv, diagonal):
 
 
 def _covered(grid, g1, g2):
-    """Whether each shape lies in the box of some valid grid point."""
-    gx, gy = grid.g1[grid.valid], grid.g2[grid.valid]
-    radius = grid.radius[grid.valid]
+    """Whether each shape lies in the box of some kept grid point."""
+    gx, gy, radius = grid.g1, grid.g2, grid.radius
     out = []
     for a in range(0, len(g1), 64):
         far = np.maximum(
@@ -389,7 +389,8 @@ def test_boxes_cover_every_shape(n):
     assert _covered(grid, g1[ok], g2[ok]).all()
     if n == 48:
         # the default grid scans at most a quarter of the triangle's points
-        assert 4 * grid.valid.sum() <= (grid.g1 + grid.g2 < pi - optimizer.GRID_MARGIN).sum()
+        sq1, sq2, _ = square_layout(grid)
+        assert 4 * grid.g1.size <= (sq1 + sq2 < pi - optimizer.GRID_MARGIN).sum()
 
     gamma = np.concatenate([near, pi / 2 - near, t * pi / 2])
     gamma = gamma[(gamma > 0.0) & (gamma < pi / 2)]
@@ -431,17 +432,17 @@ def test_field_matches_scalar_kernel(make_grid):
     # the array form of the distance kernel agrees with the scalar one bit for
     # bit: a list of one offset scans to that offset's table row
     grid = make_grid(48)
-    points = np.flatnonzero(grid.valid)
     i, j = np.array(_PIN_OFFSETS).T
     vals, _, _ = grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
+    # one column per kept point: 225 of the 48 x 48 square, or the whole diagonal
+    assert vals.shape == (len(_PIN_OFFSETS), 225 if make_grid is _rect_grid else 48)
     for (i, j), arr in zip(_PIN_OFFSETS, vals):
         bad = [
-            p for p in points
+            p for p in range(arr.size)
             if arr[p] != offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
         ]
         assert bad == [], (i, j)
-        assert (arr[~grid.valid] == -1.0).all()
-        assert arr[points].tobytes() == grid.table[grid.index[i, j]].tobytes()
+        assert arr.tobytes() == grid.table[grid.index[i, j]].tobytes()
 
 
 _SCAN_KS = [*range(3, 46), 49, 56, 77, 112, 156, 175]
@@ -449,9 +450,10 @@ _SCAN_KS = [*range(3, 46), 49, 56, 77, 112, 156, 175]
 
 @pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
 def test_scan_matches_the_per_offset_scan(make_grid):
-    # batched over schemes and restricted to valid points, the scan gives
-    # every scheme the grid values and bound of one offset at a time, bit for
-    # bit; one field serves every k, so later k's reuse earlier rows
+    # batched over schemes and held at the kept points, the scan gives every
+    # scheme the grid values and bound of one offset at a time over the whole
+    # square, bit for bit; one field serves every k, so later k's reuse
+    # earlier rows
     grid = make_grid(48)
     oracle = PerOffsetScan(grid)
     for k in _SCAN_KS:
@@ -597,6 +599,27 @@ def test_orbit_bound_skips_and_certifies_large_k(k, caplog):
     assert res.d_upper == max(r.d_upper for r in per_scheme.values())
 
 
+def test_largest_readme_k_crowns_the_cubic_form():
+    # acceptance C5 checks k = 756 through closed forms only; solve it
+    res = solve_all(756)
+    assert res.champion_class == RECTILINEAR
+    assert res.champion.closed_form_tag == "cubic_f"
+    assert abs(res.champion.dsq - cubic_f(756)[1]) <= 1e-9
+
+
+def test_cold_rectilinear_solve_stays_small():
+    # the scan's values are held at the 225 kept grid points, not over the
+    # 48 x 48 square: 3.2 MB traced at the peak, 9.8 MB with the square
+    optimizer._get_field.cache_clear()
+    tracemalloc.start()
+    try:
+        solve(156, RECTILINEAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 @pytest.mark.parametrize("class_tag", [SEMI_REGULAR, RECTILINEAR])
 def test_summary_counts_evaluations(class_tag, caplog):
     counts = []
@@ -676,7 +699,7 @@ def test_finishing_only_the_leading_start_loses_nothing(k):
     # to the end from each of the former multistart's eight seeds
     for scheme, vals, grid, options in _scheme_vals(RECTILINEAR, k):
         val, _ = _refine(RECTILINEAR, scheme, vals, grid, options, [0])
-        seeds = rect_seeds(vals, grid.centers)
+        seeds = rect_seeds(vals, grid)
         assert abs(val - refine_every_start(scheme, seeds, grid.cell)) <= 1e-12, scheme
 
 
