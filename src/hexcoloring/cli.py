@@ -45,7 +45,9 @@ EXIT_BROKEN_PIPE = 141
 
 _CLASS_FLAGS = {"regular": REGULAR, "semi": SEMI_REGULAR, "rect": RECTILINEAR}
 
-SCHEMA_VERSION = "1"
+# version 1 documents also carried the since removed solver options in
+# ``opts``; ``parse_result`` reads them unchanged
+SCHEMA_VERSION = "2"
 
 
 def _q(x: float) -> float:
@@ -98,14 +100,7 @@ class ResultDocument:
                 "canonical": t.canonical,
             },
             classification=classify(result),
-            opts={
-                "starts_per_axis": options.starts_per_axis,
-                "coarse_grid": options.coarse_grid,
-                "value_tol": _q(options.value_tol),
-                "param_tol": _q(options.param_tol),
-                "max_iters": options.max_iters,
-                "enumeration_slack": options.enumeration_slack,
-            },
+            opts={"coarse_grid": options.coarse_grid},
         )
 
     def to_dict(self) -> dict:
@@ -180,20 +175,8 @@ def _summary_line(result: SolveResult) -> str:
     )
 
 
-# ``SolveOptions.starts_per_axis`` has no reader; the flag stays so that old
-# command lines still parse
-_STARTS_HELP = "deprecated and ignored"
-
-
-def _options_from(args: argparse.Namespace) -> SolveOptions:
-    kwargs = {}
-    if getattr(args, "grid", None) is not None:
-        kwargs["coarse_grid"] = args.grid
-    return SolveOptions(**kwargs)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
-    options = _options_from(args)
+    options = SolveOptions(args.grid)
     if args.class_name == "all":
         result = solve_all(args.k, options).champion
     else:
@@ -260,7 +243,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.kmin < 3:
         print(f"error: --kmin must be at least 3: got {args.kmin}", file=sys.stderr)
         return EXIT_USAGE
-    text = _table_text(args.kmin, args.kmax, args.classes, _options_from(args))
+    text = _table_text(args.kmin, args.kmax, args.classes, SolveOptions(args.grid))
     if args.csv is not None:
         _atomic_write(args.csv, text)
     else:
@@ -285,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not rows:
         print(f"error: no reference rows with k <= {args.kmax}", file=sys.stderr)
         return EXIT_USAGE
-    options = _options_from(args)
+    options = SolveOptions(args.grid)
     results = _map_over_cpus(_champion, [row.k for row in rows], options)
     report = compare_reference(results, rows)
     for entry in report.entries:
@@ -335,36 +318,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Maximin colorings of unit-diameter hexagon tilings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the solver's options, shared by the commands that solve
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument(
+        "--grid", type=int, default=SolveOptions.coarse_grid, help="coarse scan points per axis"
+    )
 
-    p_solve = sub.add_parser("solve", help="optimize one color count")
+    p_solve = sub.add_parser("solve", parents=[solver], help="optimize one color count")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument(
         "--class", dest="class_name", choices=[*_CLASS_FLAGS, "all"], default="all"
     )
-    p_solve.add_argument("--grid", type=int, default=None)
-    p_solve.add_argument("--starts", type=int, default=None, help=_STARTS_HELP)
     p_solve.add_argument("--json", default=None, metavar="PATH")
     p_solve.add_argument("--svg", default=None, metavar="PATH")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_table = sub.add_parser("table", help="tabulate a range of k")
+    p_table = sub.add_parser("table", parents=[solver], help="tabulate a range of k")
     p_table.add_argument("--kmin", type=int, required=True)
     p_table.add_argument("--kmax", type=int, required=True)
     p_table.add_argument(
         "--classes", nargs="+", choices=list(_CLASS_FLAGS), default=list(_CLASS_FLAGS)
     )
     p_table.add_argument("--csv", default=None, metavar="PATH")
-    p_table.add_argument("--grid", type=int, default=None)
-    p_table.add_argument("--starts", type=int, default=None, help=_STARTS_HELP)
     p_table.set_defaults(func=cmd_table)
 
-    p_verify = sub.add_parser("verify", help="regression against the reference table")
+    p_verify = sub.add_parser(
+        "verify", parents=[solver], help="regression against the reference table"
+    )
     p_verify.add_argument("--reference", default=None, metavar="PATH")
     p_verify.add_argument(
         "--kmax", type=int, default=None, help="check only rows up to this k (default: all)"
     )
-    p_verify.add_argument("--grid", type=int, default=None)
-    p_verify.add_argument("--starts", type=int, default=None, help=_STARTS_HELP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_closed = sub.add_parser("closedform", help="closed-form values for one k")

@@ -4,7 +4,8 @@ The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
 over every same-colored tile: near any shape, the minimum of finitely many
 smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid gives each scheme its best grid point,
+deterministic: a fixed coarse grid (``SolveOptions.coarse_grid`` points per
+axis, the solver's one setting) gives each scheme its best grid point,
 and its Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
 that cannot win.  The rectilinear grid covers one sixth of the shapes, the
 sextant gap3 >= gap1 >= gap2, and one scheme of each symmetry orbit is
@@ -24,7 +25,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -66,36 +66,15 @@ _REGULAR_GAP = math.pi / 3.0
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search effort and tolerances.  ``coarse_grid`` sets the coarse scan's
-    points per axis, ``max_iters`` caps each rectilinear ascent and
-    ``param_tol`` ends the semi-regular line search; ``starts_per_axis`` and
-    ``value_tol`` are read by nothing and deprecated.  ``enumeration_slack``
-    widens the one offset window each k enumerates
-    (``coloring.window_offsets``), which only sizes the coarse scan (the
-    objective and the witness triple cover every tile)."""
+    """The solver's one setting: ``coarse_grid``, the coarse scan's points
+    per axis.  Every tolerance and step limit of the search is a constant of
+    this module."""
 
-    starts_per_axis: int = 12
     coarse_grid: int = 48
-    value_tol: float = 1e-12
-    param_tol: float = 1e-12
-    max_iters: int = 400
-    enumeration_slack: int = 1
 
     def __post_init__(self) -> None:
-        if self.starts_per_axis < 1:
-            raise DomainError("starts_per_axis must be positive")
         if self.coarse_grid < 4:
             raise DomainError("coarse_grid must be at least 4")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be positive")
-        if self.enumeration_slack < 0:
-            raise DomainError("enumeration_slack must be non-negative")
-        for name in ("value_tol", "param_tol"):
-            if not 0.0 < getattr(self, name) < 1e-6:
-                raise DomainError(f"{name} must lie in (0, 1e-6)")
-        for name in ("starts_per_axis", "value_tol"):
-            if getattr(self, name) != getattr(SolveOptions, name):
-                warnings.warn(f"SolveOptions.{name} is no longer read", DeprecationWarning, 3)
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -450,8 +429,8 @@ def _get_field(class_tag: str, n: int) -> _Field:
 
 
 # the ascent keeps shapes _EDGE inside the valid triangle and stops once its
-# trust radius falls below _FINE
-_EDGE, _FINE = 2.0 * EPS_GEOM, 1e-9
+# trust radius falls below _FINE or after _MAX_STEPS steps
+_EDGE, _FINE, _MAX_STEPS = 2.0 * EPS_GEOM, 1e-9, 400
 
 
 def _lp_step(x: float, y: float, rows, radius: float):
@@ -483,19 +462,19 @@ def _lp_step(x: float, y: float, rows, radius: float):
     return best
 
 
-def _ascend(fn, x: float, y: float, radius: float, max_iters: int):
+def _ascend(fn, x: float, y: float, radius: float):
     """Trust-region minimax ascent of fn(x, y, tol) from (x, y) (Madsen 1975).
 
     Each step maximises the linear model of the offsets within 2 radius of
     the minimum (``_lp_step``) and is taken if it gains over 0.01 of the
     predicted gain.  The radius doubles after a full-length step gaining
     over 0.75 of it, else shrinks fourfold.  Returns ((x, y), value) once the
-    model predicts no gain, the radius falls below _FINE or ``max_iters``
-    steps have run.
+    model predicts no gain, the radius falls below _FINE or _MAX_STEPS steps
+    have run.
     """
     val, near = fn(x, y, 4.0 * radius)
     rows = None
-    for _ in range(max_iters):
+    for _ in range(_MAX_STEPS):
         if radius < _FINE:
             break
         if rows is None:
@@ -684,8 +663,7 @@ def _start(vals: np.ndarray, grid: _Field) -> tuple[float, float]:
     return float(grid.g1[top]), float(grid.g2[top])
 
 
-def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, options: SolveOptions,
-            counts: list):
+def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: list):
     """(value, gap pair) of one local search from ``_start``, maybe a local maximum only.
 
     A rectilinear search is ``_ascend`` then ``_polish_rect``; a semi-regular
@@ -700,10 +678,10 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, options: So
     if class_tag == SEMI_REGULAR:
         lo = max(EPS_GEOM * 2.0, x - grid.cell)
         hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, x + grid.cell)
-        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi, max(options.param_tol, 1e-12))
+        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi)
         gamma, val = _polish_semi(fn, gamma, val)
         return val, (gamma, gamma)
-    (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell, options.max_iters)
+    (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell)
     x, y, val = _polish_rect(fn, x, y, val, 1e-6)
     return val, (x, y)
 
@@ -745,16 +723,16 @@ def optimize_scheme(
     grid = _get_field(class_tag, options.coarse_grid)
     # in the order of ``schemes``, so that ties in peak go as in ``solve``
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
-    vals, upper, _ = grid.scan(*window_offsets(k, orbit, options.enumeration_slack))
+    vals, upper, _ = grid.scan(*window_offsets(k, orbit))
     top = int(np.argmax(vals.max(axis=1)))
-    val, pt = _refine(class_tag, orbit[top], vals[top], grid, options, [0])
+    val, pt = _refine(class_tag, orbit[top], vals[top], grid, [0])
     if orbit[top] != scheme:
         sym = next(sym for sym in SYMMETRIES if sym.image_scheme(orbit[top]) == scheme)
         pt = sym.image_gaps(*pt)
         if gaps_valid(*pt):
             val = _eval_min(pt[0], pt[1], scheme)
         else:
-            val, pt = _refine(class_tag, scheme, vals[orbit.index(scheme)], grid, options, [0])
+            val, pt = _refine(class_tag, scheme, vals[orbit.index(scheme)], grid, [0])
     return _finalize(k, class_tag, scheme, pt, val, upper.max())
 
 
@@ -839,7 +817,7 @@ def solve(
     grid = _get_field(class_tag, options.coarse_grid)
     table_rows = len(grid.table)
     candidates = schemes(k)
-    owner, i, j = window_offsets(k, candidates, options.enumeration_slack)
+    owner, i, j = window_offsets(k, candidates)
     vals, upper, rows = grid.scan(owner, i, j)
     table_rows = len(grid.table) - table_rows
     bound = dict(zip(candidates, upper.tolist()))
@@ -874,7 +852,7 @@ def solve(
             continue
         pt = images.get(scheme)
         if pt is None:
-            v, pt = _refine(class_tag, scheme, vals[n], grid, options, counts)
+            v, pt = _refine(class_tag, scheme, vals[n], grid, counts)
             if class_tag == RECTILINEAR:
                 for sym in SYMMETRIES[1:]:
                     images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))

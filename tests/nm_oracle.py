@@ -72,12 +72,12 @@ def semi_starts(vals: np.ndarray, centers: np.ndarray):
     return [float(centers[idx]) for idx in local_maxima_1d(vals)[:3]] or [_REGULAR[0]]
 
 
-def refine_from_both_starts(class_tag, scheme, vals, grid, options, counts):
+def refine_from_both_starts(class_tag, scheme, vals, grid, counts):
     """The former ``optimizer._refine``: the better (value, gaps) of its one
     search and one from the regular shape, the first on ties."""
-    best = _refine(class_tag, scheme, vals, grid, options, counts)
+    best = _refine(class_tag, scheme, vals, grid, counts)
     # with no positive grid value, ``_start`` gives the regular shape
-    other = _refine(class_tag, scheme, np.full_like(vals, -1.0), grid, options, counts)
+    other = _refine(class_tag, scheme, np.full_like(vals, -1.0), grid, counts)
     return other if other[0] > best[0] else best
 
 
@@ -145,7 +145,7 @@ def refine_every_start(scheme, seeds, cell: float) -> float:
     return max(val, best_val)
 
 
-def refine_semi_every_start(scheme, starts, cell: float, param_tol: float):
+def refine_semi_every_start(scheme, starts, cell: float):
     """(value, gaps) of the best golden section and crossing polish over the
     starts, the first on ties, each searched within a grid cell."""
     fn = lambda a, b, tol=None: _eval_min(a, b, scheme, tol)
@@ -153,7 +153,7 @@ def refine_semi_every_start(scheme, starts, cell: float, param_tol: float):
     for gamma0 in starts:
         lo = max(EPS_GEOM * 2.0, gamma0 - cell)
         hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, gamma0 + cell)
-        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi, max(param_tol, 1e-12))
+        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi)
         gamma, val = _polish_semi(fn, gamma, val)
         if val > best_val:
             best_val, best_pt = val, (gamma, gamma)

@@ -53,7 +53,8 @@ def test_json_document_roundtrip(tmp_path, capsys):
     text = path.read_text()
 
     raw = json.loads(text)
-    assert raw["schema_version"] == "1"
+    assert raw["schema_version"] == "2"
+    assert raw["opts"] == {"coarse_grid": 48}
     assert raw["k"] == 8
     assert raw["class"] == "semi_regular"
     assert raw["dsq"] == 1.96
@@ -65,6 +66,56 @@ def test_json_document_roundtrip(tmp_path, capsys):
     assert serialize_result(doc) == text
     # serialization is idempotent through a second round trip
     assert parse_result(serialize_result(doc)) == doc
+
+
+# a version 1 document, as ``solve --k 8 --json`` wrote it before the solver
+# options other than coarse_grid were removed
+_V1_DOCUMENT = """\
+{
+  "class": "semi_regular",
+  "classification": "rational",
+  "d": 1.4,
+  "dsq": 1.96,
+  "dsq_rational": [
+    49,
+    25
+  ],
+  "g": 4,
+  "gaps": [
+    1.36943840600457,
+    1.36943840600457
+  ],
+  "h": 1,
+  "k": 8,
+  "opts": {
+    "coarse_grid": 48,
+    "enumeration_slack": 1,
+    "max_iters": 400,
+    "param_tol": 1e-12,
+    "starts_per_axis": 12,
+    "value_tol": 1e-12
+  },
+  "r": 0.2,
+  "s": 0.632455532033676,
+  "schema_version": "1",
+  "triple": {
+    "canonical": true,
+    "d01": 1.4,
+    "d02": 1.4,
+    "d12": 1.4,
+    "i1": 3,
+    "i2": 1,
+    "j1": -2,
+    "j2": 2
+  }
+}
+"""
+
+
+def test_version_1_document_still_parses():
+    doc = parse_result(_V1_DOCUMENT)
+    assert (doc.schema_version, len(doc.opts)) == ("1", 6)
+    assert serialize_result(doc) == _V1_DOCUMENT
 
 
 def test_json_write_is_atomic(tmp_path, capsys):
@@ -312,9 +363,26 @@ def test_closedform_outputs(capsys):
 
 
 def test_custom_solver_options(capsys):
-    assert main(["solve", "--k", "5", "--grid", "24", "--starts", "4"]) == EXIT_OK
+    assert main(["solve", "--k", "5", "--grid", "24"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("k=5 class=")
+
+
+_SOLVING_COMMANDS = [
+    ["solve", "--k", "5"],
+    ["table", "--kmin", "5", "--kmax", "5"],
+    ["verify", "--kmax", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _SOLVING_COMMANDS, ids=lambda argv: argv[0])
+def test_grid_is_the_one_solver_flag(argv, capsys):
+    assert main([*argv, "--grid", "24"]) == EXIT_OK
+    assert main([*argv, "--grid", "3"]) == EXIT_DOMAIN
+    assert "coarse_grid must be at least 4" in capsys.readouterr().err
+    # the former --starts flag is gone
+    assert main([*argv, "--starts", "4"]) == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_options_echoed_in_json(tmp_path, capsys):

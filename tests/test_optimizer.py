@@ -202,31 +202,7 @@ def test_solve_rejects_bad_k():
 
 def test_solve_options_validation():
     with pytest.raises(DomainError):
-        SolveOptions(starts_per_axis=0)
-    with pytest.raises(DomainError):
         SolveOptions(coarse_grid=3)
-    with pytest.raises(DomainError):
-        SolveOptions(max_iters=0)
-    with pytest.raises(DomainError):
-        SolveOptions(enumeration_slack=-1)
-    with pytest.raises(DomainError):
-        SolveOptions(value_tol=0.0)
-    with pytest.raises(DomainError):
-        SolveOptions(param_tol=1.0)
-
-
-def test_value_tol_is_deprecated():
-    # nothing reads it since the rectilinear search stopped using Nelder-Mead
-    with pytest.warns(DeprecationWarning, match="value_tol"):
-        options = SolveOptions(value_tol=1e-10)
-    assert solve(9, RECTILINEAR, options) == solve(9, RECTILINEAR)
-
-
-def test_starts_per_axis_is_deprecated():
-    # nothing reads it since every scheme's search starts at its best grid point
-    with pytest.warns(DeprecationWarning, match="starts_per_axis"):
-        options = SolveOptions(starts_per_axis=4)
-    assert solve(9, RECTILINEAR, options) == solve(9, RECTILINEAR)
 
 
 def test_coarser_options_still_close():
@@ -685,20 +661,19 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
 
 
 def _scheme_vals(class_tag, k, candidates=None):
-    options = SolveOptions()
-    grid = _get_field(class_tag, options.coarse_grid)
+    grid = _get_field(class_tag, SolveOptions().coarse_grid)
     candidates = candidates or schemes(k)
-    all_vals, _, _ = grid.scan(*window_offsets(k, candidates, options.enumeration_slack))
+    all_vals, _, _ = grid.scan(*window_offsets(k, candidates))
     for scheme, vals in zip(candidates, all_vals):
-        yield scheme, vals, grid, options
+        yield scheme, vals, grid
 
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_finishing_only_the_leading_start_loses_nothing(k):
     # the polished ascent from the best grid point matches Nelder-Mead run
     # to the end from each of the former multistart's eight seeds
-    for scheme, vals, grid, options in _scheme_vals(RECTILINEAR, k):
-        val, _ = _refine(RECTILINEAR, scheme, vals, grid, options, [0])
+    for scheme, vals, grid in _scheme_vals(RECTILINEAR, k):
+        val, _ = _refine(RECTILINEAR, scheme, vals, grid, [0])
         seeds = rect_seeds(vals, grid)
         assert abs(val - refine_every_start(scheme, seeds, grid.cell)) <= 1e-12, scheme
 
@@ -753,11 +728,11 @@ def test_optimize_scheme_maps_its_orbit_optimum(monkeypatch):
 
 
 def _assert_semi_matches_former_starts(k, candidates=None):
-    for scheme, vals, grid, options in _scheme_vals(SEMI_REGULAR, k, candidates):
+    for scheme, vals, grid in _scheme_vals(SEMI_REGULAR, k, candidates):
         counts = [0]
-        got = _refine(SEMI_REGULAR, scheme, vals, grid, options, counts)
+        got = _refine(SEMI_REGULAR, scheme, vals, grid, counts)
         starts = semi_starts(vals, grid.centers)
-        assert got == refine_semi_every_start(scheme, starts, grid.cell, options.param_tol), scheme
+        assert got == refine_semi_every_start(scheme, starts, grid.cell), scheme
         assert counts[0] > 0
 
 
