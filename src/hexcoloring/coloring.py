@@ -184,18 +184,6 @@ def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex
     return list(map(TileIndex, i.tolist(), j.tolist()))
 
 
-# Every shape class contains the regular hexagon, and there scheme (k, k, 1)
-# colors none of the base tile's neighbours (1, 0), (0, 1) and (-1, 1) alike
-# for k >= 3, so its minimum gap is the 1/2 of the second ring of tiles and
-# every class optimum is at least 1/2.  A same-colored offset c has a gap of
-# at most |c|, because the doubled tile contains the origin.  So where the
-# sublattice has a vector shorter than SLIVER_FLOOR, min_gap may return that
-# vector's gap, an upper bound below SLIVER_FLOOR that cannot pose as an
-# optimum, instead of scanning the long rows of a near-degenerate shape.
-# The rows are long: a full scan for scheme (112, 56, 55) at |b1| = 1.1e-7,
-# where its ascent asks, lists 1.4 million offsets within 0.155 of the minimum.
-SLIVER_FLOOR = 0.25
-
 # relative margin against rounding on the row and column bounds and on each
 # point's |c| prune, so that no offset whose gap ties the minimum to the last
 # bits is pruned (|c| = gap + 1 where a vertex of the doubled tile is nearest)
@@ -224,7 +212,7 @@ def _reduced_basis(scheme: ColorScheme, eix: float, eiy: float, ejx: float, ejy:
         i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = i2, j2, x2, y2, n2, i1, j1, x1, y1, n1
 
 
-def min_gap(scheme: ColorScheme, frame, tol: float | None = None, floor: float = SLIVER_FLOOR):
+def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
     """Smallest gap between the base tile and any tile of its color.
 
     ``frame`` is (vx, vy, eix, eiy, ejx, ejy): the tile's vertices doubled
@@ -235,11 +223,9 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None, floor: float =
     (``_reduced_basis``) and the sublattice is scanned row by row, as Fincke
     and Pohst (1985) enumerate short vectors.  Each gap is
     ``point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx,
-    vy)`` bit for bit.  Where the reduced b1 is shorter than ``floor``, the
-    scan is skipped and b1 stands for the minimum, an upper bound (see
-    SLIVER_FLOOR); ``floor=0.0`` makes the result exact at every shape.
-    With ``tol``, returns (minimum, offsets within ``tol`` of it), the
-    offsets in the half-plane and order of ``same_color_offsets``.
+    vy)`` bit for bit, and the result is exact at every shape.  With
+    ``tol``, returns (minimum, offsets within ``tol`` of it), the offsets in
+    the half-plane and order of ``same_color_offsets``.
     """
     vx, vy, eix, eiy, ejx, ejy = frame
     i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = _reduced_basis(scheme, eix, eiy, ejx, ejy)
@@ -254,7 +240,7 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None, floor: float =
     shift = (x1 * x2 + y1 * y2) / n1
     h2 = n2 - shift * shift * n1
     row = 0 if tol is not None else 1
-    while n1 >= floor * floor and row * row * h2 < lim * _ROUNDING:
+    while row * row * h2 < lim * _ROUNDING:
         centre, half = -row * shift, math.sqrt((lim * _ROUNDING - row * row * h2) / n1)
         i0, j0, lo = row * i2, row * j2, 2 if row == 0 else math.floor(centre - half)
         for col in range(lo, math.ceil(centre + half) + 1):
@@ -346,7 +332,7 @@ def canonical_triple(hexagon: Hexagon, scheme: ColorScheme) -> TripleRepresentat
     # most b1's gap: C is the triangle's largest gap when b1 attains it
     tol = bound * _ROUNDING - gap1
     while True:
-        dmin, listed = min_gap(scheme, frame, tol, floor=0.0)
+        dmin, listed = min_gap(scheme, frame, tol)
         cover = dmin + tol
         offsets = listed + [TileIndex(-i, -j) for i, j in listed]
         first = [t for t in offsets if t.i > 0 and -t.i <= t.j <= 0]

@@ -67,14 +67,15 @@ _REGULAR_GAP = math.pi / 3.0
 @dataclass(frozen=True)
 class SolveOptions:
     """The solver's one setting: ``coarse_grid``, the coarse scan's points
-    per axis.  Every tolerance and step limit of the search is a constant of
+    per axis, from 4 to 512 (the rectilinear field's set-up grows with its
+    square).  Every tolerance and step limit of the search is a constant of
     this module."""
 
     coarse_grid: int = 48
 
     def __post_init__(self) -> None:
-        if self.coarse_grid < 4:
-            raise DomainError("coarse_grid must be at least 4")
+        if not 4 <= self.coarse_grid <= 512:
+            raise DomainError(f"coarse_grid must lie in [4, 512]: got {self.coarse_grid}")
 
 
 _DEFAULT_OPTIONS = SolveOptions()
@@ -470,7 +471,8 @@ def _ascend(fn, x: float, y: float, radius: float):
     predicted gain.  The radius doubles after a full-length step gaining
     over 0.75 of it, else shrinks fourfold.  Returns ((x, y), value) once the
     model predicts no gain, the radius falls below _FINE or _MAX_STEPS steps
-    have run.
+    have run.  Only accepted points list their offsets within 4 radius; a
+    trial point, which may be a sliver with millions of them, gives its value.
     """
     val, near = fn(x, y, 4.0 * radius)
     rows = None
@@ -482,10 +484,10 @@ def _ascend(fn, x: float, y: float, radius: float):
         dx, dy, model = _lp_step(x, y, [r for r in rows if r[0] <= val + 2.0 * radius], radius)
         if model <= val:
             break
-        new, new_near = fn(x + dx, y + dy, 4.0 * radius)
-        gain = (new - val) / (model - val)
+        gain = (fn(x + dx, y + dy) - val) / (model - val)
         if gain > 0.01:
-            x, y, val, near, rows = x + dx, y + dy, new, new_near, None
+            x, y, rows = x + dx, y + dy, None
+            val, near = fn(x, y, 4.0 * radius)
         radius *= 2.0 if gain > 0.75 and max(abs(dx), abs(dy)) == radius else 0.25
     return (x, y), val
 
@@ -709,9 +711,7 @@ def optimize_scheme(
     search runs from the scheme's own best grid point instead.  ``d_upper``
     bounds the scheme's true maximum: it is the scheme's bound U_s from
     ``solve``, so for the rectilinear class the largest scan bound over the
-    scheme's orbit.
-    A ``d`` below ``coloring.SLIVER_FLOOR`` may be an upper bound on the
-    scheme's optimum, which then lies below SLIVER_FLOOR too."""
+    scheme's orbit."""
     options = options or _DEFAULT_OPTIONS
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
@@ -777,9 +777,8 @@ def solve(
     that no earlier solve on the field used.  Schemes are refined in
     descending order of peak, and a scheme is skipped once U_s falls below
     the best refined value so far by more than the tie tolerance.  Every
-    refined value is the objective at a valid shape, or below
-    ``coloring.SLIVER_FLOOR`` and so below every class optimum, so a skipped
-    scheme could not have won or tied.  The result's ``d_upper`` is the
+    refined value is the objective at a valid shape, so a skipped scheme
+    could not have won or tied.  The result's ``d_upper`` is the
     largest U_s.
 
     The scan's bound holds because on boxes around the grid points that

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hexcoloring import optimizer
 from hexcoloring.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DOMAIN,
@@ -376,10 +377,14 @@ _SOLVING_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", _SOLVING_COMMANDS, ids=lambda argv: argv[0])
-def test_grid_is_the_one_solver_flag(argv, capsys):
+def test_grid_is_the_one_solver_flag(argv, capsys, monkeypatch):
     assert main([*argv, "--grid", "24"]) == EXIT_OK
     assert main([*argv, "--grid", "3"]) == EXIT_DOMAIN
-    assert "coarse_grid must be at least 4" in capsys.readouterr().err
+    assert "coarse_grid must lie in [4, 512]: got 3" in capsys.readouterr().err
+    # a mistyped grid exits 3 at construction, before any field is built
+    monkeypatch.setattr(optimizer, "_get_field", lambda *args: pytest.fail("field built"))
+    assert main([*argv, "--grid", "100000"]) == EXIT_DOMAIN
+    assert "coarse_grid must lie in [4, 512]: got 100000" in capsys.readouterr().err
     # the former --starts flag is gone
     assert main([*argv, "--starts", "4"]) == EXIT_USAGE
     capsys.readouterr()

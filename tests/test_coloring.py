@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcoloring.coloring import (
-    SLIVER_FLOOR,
     SYMMETRIES,
     ColorScheme,
     TileIndex,
@@ -283,12 +282,6 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
     frame = _doubled_frame(hexagon_from_gaps(g1, g2))
     value, near = min_gap(s, frame, tol)
     assert value == min_gap(s, frame)
-    if value < SLIVER_FLOOR:
-        # possibly the shortest reduced vector's gap, an upper bound that can
-        # exceed the window's minimum: 0.0200 against 0.0050 at gaps
-        # (0.01, 0.01) for scheme (3, 3, 1); floor=0.0 scans there too
-        value, near = min_gap(s, frame, tol, floor=0.0)
-        assert value == min_gap(s, frame, floor=0.0)
     gap = lambda t: min_offset_distance((t,), frame)
     assert near and all(s.contains(*t) and gap(t) <= value + tol for t in near)
     assert min(gap(t) for t in near) == value
@@ -303,13 +296,12 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
         assert near == [t for t in offsets if gap(t) <= window + tol]
 
 
-def test_min_gap_with_no_floor_lists_every_offset_within_tol_at_a_sliver():
-    # the reduced b1 = (0, 1) is shorter than SLIVER_FLOOR here, so by
-    # default min_gap stops at it; floor=0.0 scans on
+def test_min_gap_lists_every_offset_within_tol_at_a_sliver():
+    # the reduced b1 = (0, 1) is shorter than 1/4 here, and its gap is 0
     s = ColorScheme(4, 4, 0)
     frame = _doubled_frame(hexagon_from_gaps(2.699, 0.31))
-    assert min_gap(s, frame, 1.0) == (0.0, [TileIndex(0, 1)])
-    value, near = min_gap(s, frame, 1.0, floor=0.0)
+    value, near = min_gap(s, frame, 1.0)
+    assert value == 0.0
     gap = lambda t: min_offset_distance((t,), frame)
     window = tile_by_tile_window(s, slack=1 + math.isqrt(4 * s.k))
     assert near == [t for t in window if gap(t) <= value + 1.0]
@@ -349,7 +341,7 @@ def test_canonical_triple_matches_a_brute_force_box(k, data, gaps):
     assert (t.d01, t.d02, t.d12) == dists
     box = (_triple_key(frame, *pair)[0] for pair in _box_wedge_pairs(s, 4 * k + 4))
     assert min(box) >= key
-    dmin = min_gap(s, frame, floor=0.0)
+    dmin = min_gap(s, frame)
     assert t.canonical == (min(dists) <= dmin + 1e-9 and key[2] == 0)
 
 

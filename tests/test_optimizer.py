@@ -203,6 +203,10 @@ def test_solve_rejects_bad_k():
 def test_solve_options_validation():
     with pytest.raises(DomainError):
         SolveOptions(coarse_grid=3)
+    # rejected at construction, before any field is built
+    with pytest.raises(DomainError, match="coarse_grid must lie in"):
+        SolveOptions(coarse_grid=513)
+    assert SolveOptions(coarse_grid=512).coarse_grid == 512
 
 
 def test_coarser_options_still_close():
@@ -725,6 +729,35 @@ def test_optimize_scheme_maps_its_orbit_optimum(monkeypatch):
         res = optimize_scheme(15, scheme)
         assert refines == [ColorScheme(15, *gh) for gh in searched]
         assert gaps_valid(*res.gaps) and res.d == _eval_min(*res.gaps, scheme)
+
+
+# schemes whose ascents try near-degenerate shapes, and their optima; at one
+# shape that (112, 56, 55)'s ascent tries, the reduced sublattice vector is
+# 1.1e-7 long and 1.4 million offsets lie within 4 radius of the minimum
+_SLIVER_OPTIMA = {
+    (112, 56, 55): 0.9998347517133226,
+    (156, 52, 0): 1.9999880379084367,
+    (58, 29, 27): 0.999998543438168,
+    (64, 64, 31): 0.9999998713886689,
+    (36, 36, 24): 2.0,
+}
+
+
+@pytest.mark.parametrize("kgh", sorted(_SLIVER_OPTIMA), ids=str)
+def test_ascent_lists_offsets_only_at_accepted_points(kgh, monkeypatch):
+    listings = []
+    real = optimizer.min_gap
+
+    def counted(scheme, frame, tol=None):
+        out = real(scheme, frame, tol)
+        if tol is not None:
+            listings.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(optimizer, "min_gap", counted)
+    res = optimize_scheme(kgh[0], ColorScheme(*kgh))
+    assert max(listings) <= 10 and len(listings) <= 50, listings
+    assert abs(res.d - _SLIVER_OPTIMA[kgh]) <= 1e-12
 
 
 def _assert_semi_matches_former_starts(k, candidates=None):
