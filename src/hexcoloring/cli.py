@@ -21,6 +21,7 @@ from itertools import repeat
 from math import isqrt
 
 from .analysis import (
+    MATCH,
     classify,
     compare_reference,
     load_reference,
@@ -279,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     drops = monotonicity_report({res.k: res.d for res in results})
     for k, n in drops:
         print(f"drop: d({k}) < d({k - n})")
-    bad = [e for e in report.entries if e.status != "match"]
+    bad = [e for e in report.entries if e.status != MATCH]
     if bad:
         print(f"verification failed for {len(bad)} of {len(report.entries)} rows", file=sys.stderr)
         return EXIT_VERIFY

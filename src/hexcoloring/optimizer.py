@@ -15,9 +15,11 @@ trust-region ascent on closed-form offset gradients for a rectilinear scheme
 and a golden-section line search for a semi-regular one.  Newton on
 closed-form offset derivatives then sharpens the result to near machine
 precision, so that rational squared gaps can be reconstructed from the
-floats: the rectilinear polish at the active offsets' vertex, ridge or
-smooth maximum, the semi-regular one at the crossing of two branches on the
-diagonal, both on one solver, ``_newton_loop``.
+floats.  The rectilinear polish solves one exact system for the kind of
+maximum its active offsets make: equal gaps at a vertex, equal gaps and
+parallel gradients (a zero cross product) on a ridge, a zero gradient at a
+smooth maximum.  The semi-regular one finds the crossing of two branches on
+the diagonal.  Both run on one solver, ``_newton_loop``.
 """
 
 from __future__ import annotations
@@ -492,15 +494,20 @@ def _ascend(fn, x: float, y: float, radius: float):
     return (x, y), val
 
 
-def _newton_loop(system, pt: tuple, fn, val: float, top: float, max_rounds: int = 30):
+# offsets within _ACTIVE of the minimum make up either polish's active set
+_ACTIVE = 1e-6
+
+
+def _newton_loop(system, pt: tuple, fn, val: float):
     """Damped Newton on system(*pt) -> (values, Jacobian rows), guarded by the objective fn(*pt).
 
-    Works in any dimension.  Steps that leave the valid shapes or fall more
-    than 1e-12 below ``top``, the best value seen, are halved, then
-    abandoned with a DEBUG event.  Returns (pt, val, top) with val the
-    objective at the last accepted point.
+    Works in any dimension; val is fn(*pt).  Steps that leave the valid
+    shapes or fall more than 1e-12 below the best value seen are halved,
+    then abandoned with a DEBUG event.  Returns (pt, val) with val the
+    objective at the last accepted point, after at most 30 steps.
     """
-    for _ in range(max_rounds):
+    top = val
+    for _ in range(30):
         f0, jac = system(*pt)
         if max(abs(v) for v in f0) <= 1e-14:
             break
@@ -522,44 +529,35 @@ def _newton_loop(system, pt: tuple, fn, val: float, top: float, max_rounds: int 
             break
         if math.hypot(*(scale * dx for dx in step)) <= 1e-13:
             break
-    return pt, val, top
+    return pt, val
 
 
-def _polish_rect(fn, x: float, y: float, val: float, tol: float, max_rounds: int = 3):
-    """Sharpen an ascent's end by Newton on the offsets within ``tol`` of its minimum.
+def _polish_rect(fn, x: float, y: float, val: float):
+    """Sharpen an ascent's end by one Newton run on the offsets within _ACTIVE of its minimum.
 
-    Three or more such offsets meet at a vertex; two that differ to first order
-    meet on a ridge, along which the first is stationary; a single one, or a
-    mirror pair varying identically, is stationary at a smooth maximum.
-    Returns the point and the objective there."""
-    top = val
-    for _ in range(max_rounds):
-        _, active = fn(x, y, tol)
-        jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
-        (_, ga, _), *rest = jets(x, y)
-        nx_, ny_ = (ga[0] - rest[0][1][0], ga[1] - rest[0][1][1]) if rest else (0.0, 0.0)
-        norm = math.hypot(nx_, ny_)
-        if len(active) >= 3:
-            def system(px: float, py: float):
-                (d0, (gx0, gy0), _), *rest = jets(px, py)
-                jac = [(gx - gx0, gy - gy0) for _, (gx, gy), _ in rest]
-                return [d - d0 for d, _, _ in rest], jac
-        elif norm > 1e-9:
-            tx, ty = -ny_ / norm, nx_ / norm
-
-            def system(px: float, py: float):
-                (da, (gax, gay), (ha0, ha1)), (db, (gbx, gby), _) = jets(px, py)
-                tha = (tx * ha0[0] + ty * ha1[0], tx * ha0[1] + ty * ha1[1])
-                return [da - db, tx * gax + ty * gay], [(gax - gbx, gay - gby), tha]
-        else:
-            def system(px: float, py: float):
-                _, grad, hess = _offset_jet(px, py, *active[0])
-                return list(grad), hess
-
-        (nx, ny), val, top = _newton_loop(system, (x, y), fn, val, top)
-        x, y, moved = nx, ny, math.hypot(nx - x, ny - y)
-        if moved <= 1e-13:
-            break
+    Three or more such offsets meet at a vertex, where their gaps are equal.
+    Two whose gradients differ meet on a ridge, where their gaps are equal
+    and their gradients parallel: the cross product is zero.  A single one,
+    or a mirror pair varying identically, has gradient zero at a smooth
+    maximum.  Returns the point and the objective there."""
+    _, active = fn(x, y, _ACTIVE)
+    jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
+    (_, ga, _), *rest = jets(x, y)
+    if len(active) >= 3:
+        def system(px: float, py: float):
+            (d0, (gx0, gy0), _), *rest = jets(px, py)
+            return [d - d0 for d, _, _ in rest], [(gx - gx0, gy - gy0) for _, (gx, gy), _ in rest]
+    elif rest and math.hypot(ga[0] - rest[0][1][0], ga[1] - rest[0][1][1]) > 1e-9:
+        def system(px: float, py: float):
+            (da, (gax, gay), ha), (db, (gbx, gby), hb) = jets(px, py)
+            # the cross product's derivative in each gap, from both Hessians
+            cross = [ha[0][n] * gby + gax * hb[1][n] - ha[1][n] * gbx - gay * hb[0][n] for n in (0, 1)]
+            return [da - db, gax * gby - gay * gbx], [(gax - gbx, gay - gby), cross]
+    else:
+        def system(px: float, py: float):
+            _, grad, hess = _offset_jet(px, py, *active[0])
+            return list(grad), hess
+    (x, y), val = _newton_loop(system, (x, y), fn, val)
     return x, y, val
 
 
@@ -589,7 +587,7 @@ def _polish_semi(fn, gamma: float, val: float):
     Newton on the difference of the two branches' gaps, guarded by the
     objective fn(g, g) along the diagonal."""
     line = lambda g: fn(g, g)
-    _, active = fn(gamma, gamma, 1e-6)
+    _, active = fn(gamma, gamma, _ACTIVE)
     if len(active) <= 1:
         return gamma, val
     slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
@@ -605,7 +603,7 @@ def _polish_semi(fn, gamma: float, val: float):
         (da, ga), (db, gb) = (_offset_jet(g, g, *off, False) for off in (offa, offb))
         return [da - db], [[sum(ga) - sum(gb)]]
 
-    (gamma,), val, _ = _newton_loop(system, (gamma,), line, val, val)
+    (gamma,), val = _newton_loop(system, (gamma,), line, val)
     return gamma, val
 
 
@@ -684,7 +682,7 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: lis
         gamma, val = _polish_semi(fn, gamma, val)
         return val, (gamma, gamma)
     (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell)
-    x, y, val = _polish_rect(fn, x, y, val, 1e-6)
+    x, y, val = _polish_rect(fn, x, y, val)
     return val, (x, y)
 
 

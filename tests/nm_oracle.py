@@ -141,7 +141,7 @@ def refine_every_start(scheme, seeds, cell: float) -> float:
         pt, pv = nm_max(fn, sx, sy, 0.6 * cell)
         if pv > best_val:
             best_pt, best_val = pt, pv
-    x, y, val = _polish_rect(fn, best_pt[0], best_pt[1], best_val, 1e-6)
+    x, y, val = _polish_rect(fn, best_pt[0], best_pt[1], best_val)
     return max(val, best_val)
 
 
