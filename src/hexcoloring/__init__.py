@@ -43,7 +43,6 @@ from .geometry import (
     semi_regular_from_r,
 )
 from .optimizer import (
-    SolveOptions,
     SolveResult,
     optimize_scheme,
     solve,
@@ -61,7 +60,6 @@ __all__ = [
     "RECTILINEAR",
     "REGULAR",
     "SEMI_REGULAR",
-    "SolveOptions",
     "SolveResult",
     "TileIndex",
     "TripleRepresentation",

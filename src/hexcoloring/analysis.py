@@ -205,7 +205,7 @@ class ComparisonReport:
 
 
 def compare_reference(
-    results: Iterable, table: Sequence[ReferenceRow] | None = None, *, tol: float = REFERENCE_TOL
+    results: Iterable, table: Sequence[ReferenceRow] | None = None
 ) -> ComparisonReport:
     """Compare solved champions against the reference, keyed by k.
 
@@ -222,9 +222,9 @@ def compare_reference(
         row = by_k.get(res.k)
         if row is None:
             raise MissingRowError(res.k)
-        if res.d < row.d_approx - tol:
+        if res.d < row.d_approx - REFERENCE_TOL:
             status = BELOW
-        elif res.d > row.d_approx + tol:
+        elif res.d > row.d_approx + REFERENCE_TOL:
             status = ABOVE
             _log.warning(
                 "k=%d: computed d=%.9f exceeds reference %.6f; "

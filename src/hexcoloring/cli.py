@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
 
@@ -35,7 +34,7 @@ from .geometry import (
     DomainError,
     hexagon_from_gaps,
 )
-from .optimizer import SolveOptions, SolveResult, solve, solve_all
+from .optimizer import COARSE_GRID, SolveResult, solve, solve_all
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -47,7 +46,7 @@ EXIT_BROKEN_PIPE = 141
 _CLASS_FLAGS = {"regular": REGULAR, "semi": SEMI_REGULAR, "rect": RECTILINEAR}
 
 # version 1 documents also carried the since removed solver options in
-# ``opts``; ``parse_result`` reads them unchanged
+# ``opts``; version 2 records only the fixed coarse grid there
 SCHEMA_VERSION = "2"
 
 
@@ -56,99 +55,38 @@ def _q(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-@dataclass(frozen=True)
-class ResultDocument:
-    """Serialization image of one solve: all floats quantized to 15 digits."""
-
-    schema_version: str
-    k: int
-    class_tag: str
-    g: int
-    h: int
-    gaps: tuple[float, float]
-    r: float
-    s: float
-    d: float
-    dsq: float
-    dsq_rational: tuple[int, int] | None
-    triple: dict
-    classification: str
-    opts: dict
-
-    @classmethod
-    def from_result(cls, result: SolveResult, options: SolveOptions) -> "ResultDocument":
-        t = result.triple
-        return cls(
-            schema_version=SCHEMA_VERSION,
-            k=result.k,
-            class_tag=result.class_tag,
-            g=result.scheme.g,
-            h=result.scheme.h,
-            gaps=(_q(result.gaps[0]), _q(result.gaps[1])),
-            r=_q(result.r),
-            s=_q(result.s),
-            d=_q(result.d),
-            dsq=_q(result.dsq),
-            dsq_rational=result.dsq_rational,
-            triple={
-                "i1": t.t1.i,
-                "j1": t.t1.j,
-                "i2": t.t2.i,
-                "j2": t.t2.j,
-                "d01": _q(t.d01),
-                "d02": _q(t.d02),
-                "d12": _q(t.d12),
-                "canonical": t.canonical,
-            },
-            classification=classify(result),
-            opts={"coarse_grid": options.coarse_grid},
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "k": self.k,
-            "class": self.class_tag,
-            "g": self.g,
-            "h": self.h,
-            "gaps": list(self.gaps),
-            "r": self.r,
-            "s": self.s,
-            "d": self.d,
-            "dsq": self.dsq,
-            "dsq_rational": list(self.dsq_rational) if self.dsq_rational else None,
-            "triple": dict(self.triple),
-            "classification": self.classification,
-            "opts": dict(self.opts),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultDocument":
-        rat = data["dsq_rational"]
-        return cls(
-            schema_version=data["schema_version"],
-            k=data["k"],
-            class_tag=data["class"],
-            g=data["g"],
-            h=data["h"],
-            gaps=tuple(data["gaps"]),
-            r=data["r"],
-            s=data["s"],
-            d=data["d"],
-            dsq=data["dsq"],
-            dsq_rational=tuple(rat) if rat is not None else None,
-            triple=dict(data["triple"]),
-            classification=data["classification"],
-            opts=dict(data["opts"]),
-        )
+def result_document(result: SolveResult) -> dict:
+    """The JSON document of one solve, all floats quantized to 15 digits."""
+    t = result.triple
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "k": result.k,
+        "class": result.class_tag,
+        "g": result.scheme.g,
+        "h": result.scheme.h,
+        "gaps": [_q(result.gaps[0]), _q(result.gaps[1])],
+        "r": _q(result.r),
+        "s": _q(result.s),
+        "d": _q(result.d),
+        "dsq": _q(result.dsq),
+        "dsq_rational": list(result.dsq_rational) if result.dsq_rational else None,
+        "triple": {
+            "i1": t.t1.i,
+            "j1": t.t1.j,
+            "i2": t.t2.i,
+            "j2": t.t2.j,
+            "d01": _q(t.d01),
+            "d02": _q(t.d02),
+            "d12": _q(t.d12),
+            "canonical": t.canonical,
+        },
+        "classification": classify(result),
+        "opts": {"coarse_grid": COARSE_GRID},
+    }
 
 
-def serialize_result(doc: ResultDocument) -> str:
-    return json.dumps(doc.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def parse_result(text: str) -> ResultDocument:
-    return ResultDocument.from_dict(json.loads(text))
+def serialize_result(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -157,6 +95,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600: give it the mode open() would, under the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -177,15 +119,13 @@ def _summary_line(result: SolveResult) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    options = SolveOptions(args.grid)
     if args.class_name == "all":
-        result = solve_all(args.k, options).champion
+        result = solve_all(args.k).champion
     else:
-        result = solve(args.k, _CLASS_FLAGS[args.class_name], options)
+        result = solve(args.k, _CLASS_FLAGS[args.class_name])
     print(_summary_line(result))
     if args.json is not None:
-        doc = ResultDocument.from_result(result, options)
-        _atomic_write(args.json, serialize_result(doc))
+        _atomic_write(args.json, serialize_result(result_document(result)))
     if args.svg is not None:
         hexagon = hexagon_from_gaps(*result.gaps)
         extent = max(4, isqrt(result.k))
@@ -218,9 +158,9 @@ def _map_over_cpus(fn, ks: list[int], *args) -> list:
         return list(pool.map(fn, *iterables))
 
 
-def _table_rows(k: int, tags: list[str], options: SolveOptions) -> list[str]:
+def _table_rows(k: int, tags: list[str]) -> list[str]:
     """One k's CSV lines: a row per class in ``tags``, flagging the champion."""
-    solved = solve_all(k, options, classes=tags)
+    solved = solve_all(k, classes=tags)
     return [
         f"{k},{tag},{res.scheme.g},{res.scheme.h},"
         f"{res.gaps[0]:.9f},{res.gaps[1]:.9f},{res.r:.9f},"
@@ -229,10 +169,10 @@ def _table_rows(k: int, tags: list[str], options: SolveOptions) -> list[str]:
     ]
 
 
-def _table_text(kmin: int, kmax: int, class_names: list[str], options: SolveOptions) -> str:
+def _table_text(kmin: int, kmax: int, class_names: list[str]) -> str:
     tags = [_CLASS_FLAGS[name] for name in class_names]
     lines = ["k,class,g,h,gap1,gap2,r,d,dsq,champion"]
-    for rows in _map_over_cpus(_table_rows, list(range(kmin, kmax + 1)), tags, options):
+    for rows in _map_over_cpus(_table_rows, list(range(kmin, kmax + 1)), tags):
         lines.extend(rows)
     return "\n".join(lines) + "\n"
 
@@ -244,7 +184,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.kmin < 3:
         print(f"error: --kmin must be at least 3: got {args.kmin}", file=sys.stderr)
         return EXIT_USAGE
-    text = _table_text(args.kmin, args.kmax, args.classes, SolveOptions(args.grid))
+    text = _table_text(args.kmin, args.kmax, args.classes)
     if args.csv is not None:
         _atomic_write(args.csv, text)
     else:
@@ -252,8 +192,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _champion(k: int, options: SolveOptions) -> SolveResult:
-    return solve_all(k, options).champion
+def _champion(k: int) -> SolveResult:
+    return solve_all(k).champion
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -269,8 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not rows:
         print(f"error: no reference rows with k <= {args.kmax}", file=sys.stderr)
         return EXIT_USAGE
-    options = SolveOptions(args.grid)
-    results = _map_over_cpus(_champion, [row.k for row in rows], options)
+    results = _map_over_cpus(_champion, [row.k for row in rows])
     report = compare_reference(results, rows)
     for entry in report.entries:
         print(
@@ -290,6 +229,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_closedform(args: argparse.Namespace) -> int:
     k = args.k
+    if k < 1:
+        raise DomainError(f"k must be positive: got {k}")
     lines = []
     reg = regular_dsq(k)
     if reg is not None:
@@ -319,13 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Maximin colorings of unit-diameter hexagon tilings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the solver's options, shared by the commands that solve
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument(
-        "--grid", type=int, default=SolveOptions.coarse_grid, help="coarse scan points per axis"
-    )
-
-    p_solve = sub.add_parser("solve", parents=[solver], help="optimize one color count")
+    p_solve = sub.add_parser("solve", help="optimize one color count")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument(
         "--class", dest="class_name", choices=[*_CLASS_FLAGS, "all"], default="all"
@@ -334,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--svg", default=None, metavar="PATH")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_table = sub.add_parser("table", parents=[solver], help="tabulate a range of k")
+    p_table = sub.add_parser("table", help="tabulate a range of k")
     p_table.add_argument("--kmin", type=int, required=True)
     p_table.add_argument("--kmax", type=int, required=True)
     p_table.add_argument(
@@ -343,9 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--csv", default=None, metavar="PATH")
     p_table.set_defaults(func=cmd_table)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[solver], help="regression against the reference table"
-    )
+    p_verify = sub.add_parser("verify", help="regression against the reference table")
     p_verify.add_argument("--reference", default=None, metavar="PATH")
     p_verify.add_argument(
         "--kmax", type=int, default=None, help="check only rows up to this k (default: all)"

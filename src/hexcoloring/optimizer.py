@@ -4,9 +4,9 @@ The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
 over every same-colored tile: near any shape, the minimum of finitely many
 smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid (``SolveOptions.coarse_grid`` points per
-axis, the solver's one setting) gives each scheme its best grid point,
-and its Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
+deterministic: a fixed coarse grid (``COARSE_GRID`` points per axis; the
+solver has no settings) gives each scheme its best grid point, and its
+Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
 that cannot win.  The rectilinear grid covers one sixth of the shapes, the
 sextant gap3 >= gap1 >= gap2, and one scheme of each symmetry orbit is
 refined for all.  One refinement, ``_refine``, serves both shape classes: one
@@ -65,22 +65,8 @@ _log = logging.getLogger("hexcoloring.optimizer")
 
 _REGULAR_GAP = math.pi / 3.0
 
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """The solver's one setting: ``coarse_grid``, the coarse scan's points
-    per axis, from 4 to 512 (the rectilinear field's set-up grows with its
-    square).  Every tolerance and step limit of the search is a constant of
-    this module."""
-
-    coarse_grid: int = 48
-
-    def __post_init__(self) -> None:
-        if not 4 <= self.coarse_grid <= 512:
-            raise DomainError(f"coarse_grid must lie in [4, 512]: got {self.coarse_grid}")
-
-
-_DEFAULT_OPTIONS = SolveOptions()
+# the coarse scan's points per axis
+COARSE_GRID = 48
 
 
 @dataclass(frozen=True)
@@ -426,9 +412,9 @@ def _semi_grid(n: int) -> _Field:
     return _Field(centers, centers, centers.copy(), radius)
 
 
-@functools.lru_cache(maxsize=4)
-def _get_field(class_tag: str, n: int) -> _Field:
-    return _semi_grid(n) if class_tag == SEMI_REGULAR else _rect_grid(n)
+@functools.cache
+def _get_field(class_tag: str) -> _Field:
+    return _semi_grid(COARSE_GRID) if class_tag == SEMI_REGULAR else _rect_grid(COARSE_GRID)
 
 
 # the ascent keeps shapes _EDGE inside the valid triangle and stops once its
@@ -561,13 +547,17 @@ def _polish_rect(fn, x: float, y: float, val: float):
     return x, y, val
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
+# the golden section stops once its bracket is this narrow
+_GOLDEN_TOL = 1e-12
+
+
+def _golden_max(fn, lo: float, hi: float):
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
@@ -607,7 +597,11 @@ def _polish_semi(fn, gamma: float, val: float):
     return gamma, val
 
 
-def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
+# a squared gap within this of a closed form's value matches it
+_CLOSED_FORM_TOL = 1e-7
+
+
+def _closed_form_tag(k: int, dsq: float) -> str:
     """The closed form that ``dsq`` matches for k colors, or "none".
 
     One of "loeschian", "cubic_f", "quartic", "none".  No two of these forms
@@ -615,14 +609,14 @@ def _closed_form_tag(k: int, dsq: float, tol: float = 1e-7) -> str:
     does not decide the tag.
     """
     reg = regular_dsq(k)
-    if reg is not None and abs(dsq - float(reg)) < tol:
+    if reg is not None and abs(dsq - float(reg)) < _CLOSED_FORM_TOL:
         return "loeschian"
     try:
-        if abs(dsq - cubic_f(k)[1]) < tol:
+        if abs(dsq - cubic_f(k)[1]) < _CLOSED_FORM_TOL:
             return "cubic_f"
     except DomainError:
         pass
-    if k in QUARTICS and abs(dsq - quartic_dsq(k)) < tol:
+    if k in QUARTICS and abs(dsq - quartic_dsq(k)) < _CLOSED_FORM_TOL:
         return "quartic"
     return "none"
 
@@ -692,12 +686,7 @@ def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
     return sorted({sym.image_scheme(scheme) for sym in SYMMETRIES}, key=lambda s: (s.g, s.h))
 
 
-def optimize_scheme(
-    k: int,
-    scheme: ColorScheme,
-    class_tag: str = RECTILINEAR,
-    options: SolveOptions | None = None,
-) -> SolveResult:
+def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
     The answer is one local search (``_refine``) from a best coarse grid
@@ -710,7 +699,6 @@ def optimize_scheme(
     bounds the scheme's true maximum: it is the scheme's bound U_s from
     ``solve``, so for the rectilinear class the largest scan bound over the
     scheme's orbit."""
-    options = options or _DEFAULT_OPTIONS
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:
@@ -718,7 +706,7 @@ def optimize_scheme(
     if class_tag == REGULAR:
         return _solve_regular(k, [scheme])
 
-    grid = _get_field(class_tag, options.coarse_grid)
+    grid = _get_field(class_tag)
     # in the order of ``schemes``, so that ties in peak go as in ``solve``
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
     vals, upper, _ = grid.scan(*window_offsets(k, orbit))
@@ -764,9 +752,7 @@ def _solve_regular(k: int, candidates) -> SolveResult:
     return _finalize(k, REGULAR, scheme, pt, val, val, triple)
 
 
-def solve(
-    k: int, class_tag: str = RECTILINEAR, options: SolveOptions | None = None
-) -> SolveResult:
+def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape and coloring for k colors within one shape class.
 
     One ``coloring.window_offsets`` and one ``_Field.scan`` call give every
@@ -802,7 +788,6 @@ def solve(
     over S gets a full refinement; later ones take its optimum, moved onto
     their own shape.
     """
-    options = options or _DEFAULT_OPTIONS
     if k < 3:
         raise DomainError(f"k must be at least 3: got {k}")
     if class_tag not in CLASS_TAGS:
@@ -811,7 +796,7 @@ def solve(
     if class_tag == REGULAR:
         return _solve_regular(k, schemes(k))
 
-    grid = _get_field(class_tag, options.coarse_grid)
+    grid = _get_field(class_tag)
     table_rows = len(grid.table)
     candidates = schemes(k)
     owner, i, j = window_offsets(k, candidates)
@@ -871,16 +856,13 @@ def solve(
     return _finalize(k, class_tag, scheme, point, val, d_upper, triple)
 
 
-def solve_all(
-    k: int, options: SolveOptions | None = None, classes: Sequence[str] = CLASS_TAGS
-) -> SolveAllResult:
+def solve_all(k: int, classes: Sequence[str] = CLASS_TAGS) -> SolveAllResult:
     """Solve each class in ``classes`` and crown the most restricted one that ties the best d."""
-    options = options or _DEFAULT_OPTIONS
     unknown = [tag for tag in classes if tag not in CLASS_TAGS]
     if unknown or not classes:
         raise DomainError(f"classes must be a non-empty subset of {CLASS_TAGS}: got {classes!r}")
     # CLASS_TAGS runs from the most restricted class to the least
-    per_class = {tag: solve(k, tag, options) for tag in CLASS_TAGS if tag in classes}
+    per_class = {tag: solve(k, tag) for tag in CLASS_TAGS if tag in classes}
     best_d = max(res.d for res in per_class.values())
     champion = next(tag for tag, res in per_class.items() if res.d >= best_d - 1e-9)
     return SolveAllResult(k=k, per_class=per_class, champion_class=champion)

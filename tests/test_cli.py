@@ -2,20 +2,18 @@ import io
 import json
 import multiprocessing
 import os
+import stat
 import sys
 
 import pytest
 
-from hexcoloring import optimizer
 from hexcoloring.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    ResultDocument,
     main,
-    parse_result,
     serialize_result,
 )
 from hexcoloring.geometry import CLASS_TAGS, REGULAR, SEMI_REGULAR
@@ -47,26 +45,51 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+# the whole document ``solve --k 8 --json`` writes
+_V2_DOCUMENT = """\
+{
+  "class": "semi_regular",
+  "classification": "rational",
+  "d": 1.4,
+  "dsq": 1.96,
+  "dsq_rational": [
+    49,
+    25
+  ],
+  "g": 4,
+  "gaps": [
+    1.36943840600457,
+    1.36943840600457
+  ],
+  "h": 1,
+  "k": 8,
+  "opts": {
+    "coarse_grid": 48
+  },
+  "r": 0.2,
+  "s": 0.632455532033676,
+  "schema_version": "2",
+  "triple": {
+    "canonical": true,
+    "d01": 1.4,
+    "d02": 1.4,
+    "d12": 1.4,
+    "i1": 3,
+    "i2": 1,
+    "j1": -2,
+    "j2": 2
+  }
+}
+"""
+
+
 def test_json_document_roundtrip(tmp_path, capsys):
     path = tmp_path / "out.json"
     assert main(["solve", "--k", "8", "--json", str(path)]) == EXIT_OK
     capsys.readouterr()
     text = path.read_text()
-
-    raw = json.loads(text)
-    assert raw["schema_version"] == "2"
-    assert raw["opts"] == {"coarse_grid": 48}
-    assert raw["k"] == 8
-    assert raw["class"] == "semi_regular"
-    assert raw["dsq"] == 1.96
-    assert raw["dsq_rational"] == [49, 25]
-    assert raw["triple"]["canonical"] is True
-
-    doc = parse_result(text)
-    assert isinstance(doc, ResultDocument)
-    assert serialize_result(doc) == text
-    # serialization is idempotent through a second round trip
-    assert parse_result(serialize_result(doc)) == doc
+    assert text == _V2_DOCUMENT
+    assert serialize_result(json.loads(text)) == text
 
 
 # a version 1 document, as ``solve --k 8 --json`` wrote it before the solver
@@ -114,8 +137,8 @@ _V1_DOCUMENT = """\
 
 
 def test_version_1_document_still_parses():
-    doc = parse_result(_V1_DOCUMENT)
-    assert (doc.schema_version, len(doc.opts)) == ("1", 6)
+    doc = json.loads(_V1_DOCUMENT)
+    assert (doc["schema_version"], len(doc["opts"])) == ("1", 6)
     assert serialize_result(doc) == _V1_DOCUMENT
 
 
@@ -126,6 +149,25 @@ def test_json_write_is_atomic(tmp_path, capsys):
     assert path.exists()
     leftovers = [n for n in os.listdir(tmp_path) if n != "out.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_written_files_follow_the_umask(umask, tmp_path, capsys):
+    argv = [
+        ["solve", "--k", "7", "--class", "regular", "--json", str(tmp_path / "out.json"),
+         "--svg", str(tmp_path / "out.svg")],
+        ["table", "--kmin", "3", "--kmax", "3", "--classes", "regular",
+         "--csv", str(tmp_path / "out.csv")],
+    ]
+    old = os.umask(umask)
+    try:
+        for args in argv:
+            assert main(args) == EXIT_OK
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for name in ("out.json", "out.svg", "out.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask, name
 
 
 def test_table_output(tmp_path, capsys):
@@ -363,10 +405,11 @@ def test_closedform_outputs(capsys):
     assert capsys.readouterr().out == "loeschian d2=7/4 d=1.322876\n"
 
 
-def test_custom_solver_options(capsys):
-    assert main(["solve", "--k", "5", "--grid", "24"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.startswith("k=5 class=")
+@pytest.mark.parametrize("k", ["-5", "0"])
+def test_closedform_rejects_nonpositive_k(k, capsys):
+    assert main(["closedform", "--k", k]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: k must be positive: got {k}\n")
 
 
 _SOLVING_COMMANDS = [
@@ -377,22 +420,8 @@ _SOLVING_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", _SOLVING_COMMANDS, ids=lambda argv: argv[0])
-def test_grid_is_the_one_solver_flag(argv, capsys, monkeypatch):
-    assert main([*argv, "--grid", "24"]) == EXIT_OK
-    assert main([*argv, "--grid", "3"]) == EXIT_DOMAIN
-    assert "coarse_grid must lie in [4, 512]: got 3" in capsys.readouterr().err
-    # a mistyped grid exits 3 at construction, before any field is built
-    monkeypatch.setattr(optimizer, "_get_field", lambda *args: pytest.fail("field built"))
-    assert main([*argv, "--grid", "100000"]) == EXIT_DOMAIN
-    assert "coarse_grid must lie in [4, 512]: got 100000" in capsys.readouterr().err
-    # the former --starts flag is gone
+def test_solvers_take_no_solver_flags(argv, capsys):
+    # the coarse grid is fixed, and the former --grid and --starts flags are gone
+    assert main([*argv, "--grid", "24"]) == EXIT_USAGE
     assert main([*argv, "--starts", "4"]) == EXIT_USAGE
-    capsys.readouterr()
-
-
-def test_options_echoed_in_json(tmp_path, capsys):
-    path = tmp_path / "out.json"
-    assert main(["solve", "--k", "5", "--grid", "24", "--json", str(path)]) == EXIT_OK
-    capsys.readouterr()
-    raw = json.loads(path.read_text())
-    assert raw["opts"]["coarse_grid"] == 24
+    assert capsys.readouterr().out == ""

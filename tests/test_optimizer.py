@@ -31,7 +31,7 @@ from hexcoloring import optimizer
 from hexcoloring.optimizer import (
     _ACTIVE,
     _EDGE,
-    SolveOptions,
+    COARSE_GRID,
     _bisected_bound,
     _eval_min,
     _get_field,
@@ -220,21 +220,6 @@ def test_solve_rejects_bad_k():
             solve(k)
     with pytest.raises(DomainError):
         solve(7, "octagonal")
-
-
-def test_solve_options_validation():
-    with pytest.raises(DomainError):
-        SolveOptions(coarse_grid=3)
-    # rejected at construction, before any field is built
-    with pytest.raises(DomainError, match="coarse_grid must lie in"):
-        SolveOptions(coarse_grid=513)
-    assert SolveOptions(coarse_grid=512).coarse_grid == 512
-
-
-def test_coarser_options_still_close():
-    fast = solve(9, RECTILINEAR, SolveOptions(coarse_grid=24))
-    full = solve(9, RECTILINEAR)
-    assert abs(fast.d - full.d) <= 1e-6
 
 
 def test_result_floats_are_builtin(champions):
@@ -571,7 +556,7 @@ def test_bisection_skips_semi_regular_schemes(caplog):
 def test_bisected_bound_lies_between_optimum_and_scan_bound(k):
     # bisected to full depth with no target, each scheme's bound still holds
     # its optimum and never exceeds its scan bound
-    grid = _get_field(SEMI_REGULAR, SolveOptions().coarse_grid)
+    grid = _get_field(SEMI_REGULAR)
     candidates = schemes(k)
     owner, i, j = window_offsets(k, candidates)
     _, upper, rows = grid.scan(owner, i, j)
@@ -689,7 +674,7 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
 
 
 def _scheme_vals(class_tag, k, candidates=None):
-    grid = _get_field(class_tag, SolveOptions().coarse_grid)
+    grid = _get_field(class_tag)
     candidates = candidates or schemes(k)
     all_vals, _, _ = grid.scan(*window_offsets(k, candidates))
     for scheme, vals in zip(candidates, all_vals):
@@ -729,7 +714,7 @@ def test_scanning_one_sextant_changes_no_rectilinear_answer(k, monkeypatch):
     # for k <= 30 it gives no scheme a better result
     got = solve(k, RECTILINEAR)
     per_scheme = {s: optimize_scheme(k, s) for s in schemes(k)} if k <= 30 else {}
-    monkeypatch.setattr(optimizer, "_get_field", lambda tag, n: _full_triangle_field(n))
+    monkeypatch.setattr(optimizer, "_get_field", lambda tag: _full_triangle_field(COARSE_GRID))
     want = solve(k, RECTILINEAR)
     assert abs(got.d - want.d) <= 1e-12
     assert (got.dsq_rational, got.scheme) == (want.dsq_rational, want.scheme)
