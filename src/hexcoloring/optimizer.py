@@ -4,22 +4,27 @@ The objective for a fixed coloring is ``coloring.min_gap``, the minimum gap
 over every same-colored tile: near any shape, the minimum of finitely many
 smooth offset-distance functions of the shape parameters, hence piecewise
 smooth with kinks where the active offset changes.  Everything here is
-deterministic: a fixed coarse grid (``COARSE_GRID`` points per axis; the
-solver has no settings) gives each scheme its best grid point, and its
-Lipschitz bounds, bisected for semi-regular schemes, skip the schemes
-that cannot win.  The rectilinear grid covers one sixth of the shapes, the
-sextant gap3 >= gap1 >= gap2, and one scheme of each symmetry orbit is
-refined for all.  One refinement, ``_refine``, serves both shape classes: one
-local search from that grid point, which may end at a local maximum only, a
-trust-region ascent on closed-form offset gradients for a rectilinear scheme
-and a golden-section line search for a semi-regular one.  Newton on
-closed-form offset derivatives then sharpens the result to near machine
+deterministic.  The regular class has one shape, and its schemes are
+evaluated in descending order of a bound from their shortest sublattice
+vector until no later one can tie.  For the other classes a fixed coarse
+grid (``COARSE_GRID`` points per axis; the solver has no settings) gives
+each scheme its best grid point, and its Lipschitz bounds, bisected for
+semi-regular schemes, skip the schemes that cannot win.  The rectilinear
+grid covers one sixth of the shapes, the sextant gap3 >= gap1 >= gap2, and
+one scheme of each symmetry orbit is refined for all.  One refinement,
+``_refine``, serves both shape classes: one local search from that grid
+point, which may end at a local maximum only, after which Newton on
+closed-form offset derivatives sharpens the result to near machine
 precision, so that rational squared gaps can be reconstructed from the
-floats.  The rectilinear polish solves one exact system for the kind of
+floats.  A rectilinear search is a trust-region ascent on closed-form
+offset gradients, and its polish solves one exact system for the kind of
 maximum its active offsets make: equal gaps at a vertex, equal gaps and
 parallel gradients (a zero cross product) on a ridge, a zero gradient at a
-smooth maximum.  The semi-regular one finds the crossing of two branches on
-the diagonal.  Both run on one solver, ``_newton_loop``.
+smooth maximum.  A semi-regular search is a golden section along the
+diagonal that hands over to Newton on the crossing of two branches once
+its bracket is 1e-7 wide; where Newton ends on no crossing there, the
+golden section runs again to 1e-12 and its point is polished.  Both
+polishes run on one solver, ``_newton_loop``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .coloring import (
     SYMMETRIES,
     ColorScheme,
     TripleRepresentation,
+    _reduced_basis,
     canonical_triple,
     min_gap,
     # not called here; bench/tracer.py counts calls made through this name
@@ -64,6 +70,8 @@ GRID_MARGIN = 0.02
 _log = logging.getLogger("hexcoloring.optimizer")
 
 _REGULAR_GAP = math.pi / 3.0
+# the inradius of the doubled regular hexagon, whose vertices lie on the unit circle
+_REGULAR_INRADIUS = math.sqrt(3.0) / 2.0
 
 # the coarse scan's points per axis
 COARSE_GRID = 48
@@ -547,17 +555,23 @@ def _polish_rect(fn, x: float, y: float, val: float):
     return x, y, val
 
 
-# the golden section stops once its bracket is this narrow
-_GOLDEN_TOL = 1e-12
+# the golden section narrows its bracket to _HANDOVER before the crossing
+# polish, and to _GOLDEN_TOL where there is no crossing to polish
+_HANDOVER, _GOLDEN_TOL = 1e-7, 1e-12
 
 
-def _golden_max(fn, lo: float, hi: float):
+def _golden_max(fn, lo: float, hi: float, tol: float):
+    """Golden-section search for a maximum of fn on [lo, hi], to a bracket of width ``tol``.
+
+    Returns the better of the two interior points and its value.  The
+    brackets do not depend on ``tol``: a search to a narrower one passes
+    through every bracket of a wider one."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > _GOLDEN_TOL:
+    while b - a > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
@@ -572,21 +586,25 @@ def _golden_max(fn, lo: float, hi: float):
 
 
 def _polish_semi(fn, gamma: float, val: float):
-    """Resolve the kink where the two leading branches cross on the diagonal, if any.
+    """Newton on the crossing of the two leading branches near gamma on the diagonal.
 
-    Newton on the difference of the two branches' gaps, guarded by the
-    objective fn(g, g) along the diagonal."""
+    The branches are the offsets within _ACTIVE of the minimum whose slopes
+    along the diagonal differ most; Newton on the difference of their gaps
+    runs on ``_newton_loop``, guarded by the objective fn(g, g).  Returns
+    (gamma, val, crossed), where crossed says that the two gaps agree within
+    1e-14 at gamma, ``_newton_loop``'s own test of convergence.  With one
+    active offset, or with active branches that all run parallel along the
+    diagonal (mirror images), there is no crossing: the input comes back
+    with crossed False."""
     line = lambda g: fn(g, g)
     _, active = fn(gamma, gamma, _ACTIVE)
     if len(active) <= 1:
-        return gamma, val
+        return gamma, val, False
     slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
     # the first pair whose slopes differ most
     a, b = max(combinations(range(len(active)), 2), key=lambda p: abs(slopes[p[0]] - slopes[p[1]]))
     if abs(slopes[a] - slopes[b]) < 1e-3:
-        # all active branches run parallel along the diagonal (mirror
-        # images); the golden-section point already is the maximum
-        return gamma, val
+        return gamma, val, False
     offa, offb = active[a], active[b]
 
     def system(g: float):
@@ -594,6 +612,25 @@ def _polish_semi(fn, gamma: float, val: float):
         return [da - db], [[sum(ga) - sum(gb)]]
 
     (gamma,), val = _newton_loop(system, (gamma,), line, val)
+    return gamma, val, abs(system(gamma)[0][0]) <= 1e-14
+
+
+def _search_semi(fn, lo: float, hi: float):
+    """(gamma, value) of the semi-regular search along the diagonal within [lo, hi].
+
+    A golden section narrows the bracket to _HANDOVER, and ``_polish_semi``
+    takes over.  When its Newton ends on a crossing within _HANDOVER of the
+    golden-section point, that crossing is the answer: a narrower bracket
+    would only move Newton's start.  Otherwise (a maximum on one branch,
+    parallel mirror branches, or a maximum pressed against gamma = pi / 2)
+    the golden section runs again to _GOLDEN_TOL and its point is polished.
+    """
+    line = lambda g: fn(g, g)
+    start, val = _golden_max(line, lo, hi, _HANDOVER)
+    gamma, val, crossed = _polish_semi(fn, start, val)
+    if crossed and abs(gamma - start) <= _HANDOVER:
+        return gamma, val
+    gamma, val, _ = _polish_semi(fn, *_golden_max(line, lo, hi, _GOLDEN_TOL))
     return gamma, val
 
 
@@ -661,8 +698,8 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: lis
     """(value, gap pair) of one local search from ``_start``, maybe a local maximum only.
 
     A rectilinear search is ``_ascend`` then ``_polish_rect``; a semi-regular
-    one a golden section within a grid cell of its start along the diagonal,
-    then ``_polish_semi``.  counts[0] counts the objective evaluations.
+    one ``_search_semi`` within a grid cell of its start along the diagonal.
+    counts[0] counts the objective evaluations.
     """
     def fn(a: float, b: float, tol: float | None = None):
         counts[0] += 1
@@ -672,8 +709,7 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: lis
     if class_tag == SEMI_REGULAR:
         lo = max(EPS_GEOM * 2.0, x - grid.cell)
         hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, x + grid.cell)
-        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi)
-        gamma, val = _polish_semi(fn, gamma, val)
+        gamma, val = _search_semi(fn, lo, hi)
         return val, (gamma, gamma)
     (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell)
     x, y, val = _polish_rect(fn, x, y, val)
@@ -704,7 +740,7 @@ def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
     if class_tag == REGULAR:
-        return _solve_regular(k, [scheme])
+        return _solve_regular(k, [scheme], [0])
 
     grid = _get_field(class_tag)
     # in the order of ``schemes``, so that ties in peak go as in ``solve``
@@ -743,22 +779,47 @@ def _pick_tied(cands):
     return max(map(pref, tied), key=lambda ranked: ranked[0])[1:]
 
 
-def _solve_regular(k: int, candidates) -> SolveResult:
-    """The best of the ``candidates`` schemes on the regular hexagon."""
+def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
+    """The best of the ``candidates`` schemes on the regular hexagon.
+
+    The doubled regular hexagon holds the disc of radius sqrt(3) / 2 about
+    its centre, so an offset c's gap is at most |c| - sqrt(3) / 2, and a
+    scheme's minimum gap is at most U_s = |b1| - sqrt(3) / 2, with b1 the
+    first vector of its reduced basis (``coloring._reduced_basis``).  The
+    schemes are evaluated in descending order of U_s, the first on ties,
+    until U_s falls below the best value by more than the tie tolerance: no
+    later scheme can win or tie.  counts[0] counts the evaluations.
+    """
     pt = (_REGULAR_GAP, _REGULAR_GAP)
     frame = _frame(*pt)
-    cands = [(min_gap(scheme, frame), scheme, pt) for scheme in candidates]
+    bounds = [math.sqrt(_reduced_basis(scheme, *frame[2:])[4]) - _REGULAR_INRADIUS
+              for scheme in candidates]
+    cands = []
+    best = -math.inf
+    for bound, scheme in sorted(zip(bounds, candidates), key=lambda pair: -pair[0]):
+        if bound < best - _TIE_TOL:
+            break
+        val = min_gap(scheme, frame)
+        cands.append((val, scheme, pt))
+        best = max(best, val)
+    counts[0] += len(cands)
     (val, scheme, pt), triple = _pick_tied(cands)
     return _finalize(k, REGULAR, scheme, pt, val, val, triple)
+
+
+# the one DEBUG line that ``solve`` logs for each class
+_SUMMARY = ("solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
+            "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d")
 
 
 def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape and coloring for k colors within one shape class.
 
-    One ``coloring.window_offsets`` and one ``_Field.scan`` call give every
-    scheme of k its peak over the grid and an upper bound U_s on its
-    objective over every valid shape, the scan computing only the table rows
-    that no earlier solve on the field used.  Schemes are refined in
+    The regular class has one shape and no scan (``_solve_regular``).  For
+    the others, one ``coloring.window_offsets`` and one ``_Field.scan`` call
+    give every scheme of k its peak over the grid and an upper bound U_s on
+    its objective over every valid shape, the scan computing only the table
+    rows that no earlier solve on the field used.  Schemes are refined in
     descending order of peak, and a scheme is skipped once U_s falls below
     the best refined value so far by more than the tie tolerance.  Every
     refined value is the objective at a valid shape, so a skipped scheme
@@ -793,12 +854,17 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
 
+    candidates = schemes(k)
+    # objective evaluations
+    counts = [0]
     if class_tag == REGULAR:
-        return _solve_regular(k, schemes(k))
+        res = _solve_regular(k, candidates, counts)
+        _log.debug(_SUMMARY, k, class_tag, counts[0], 0, len(candidates) - counts[0], "",
+                   res.d, res.d_upper, 0, counts[0])
+        return res
 
     grid = _get_field(class_tag)
     table_rows = len(grid.table)
-    candidates = schemes(k)
     owner, i, j = window_offsets(k, candidates)
     vals, upper, rows = grid.scan(owner, i, j)
     table_rows = len(grid.table) - table_rows
@@ -818,8 +884,6 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     mapped_count = 0
     # semi-regular schemes that only the bisected bound skipped
     late_skips = 0
-    # objective evaluations
-    counts = [0]
     best = -math.inf
     # orbit member -> its representative's optimum, moved onto the member's
     # shape; rectilinear only
@@ -845,9 +909,8 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
-        "solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
-        "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d",
-        k, class_tag, len(refined) - mapped_count, mapped_count, len(candidates) - len(refined),
+        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count,
+        len(candidates) - len(refined),
         f" ({late_skips} only after bisection)" if class_tag == SEMI_REGULAR else "",
         best, d_upper, table_rows, counts[0],
     )

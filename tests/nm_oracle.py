@@ -9,8 +9,13 @@ shape (``rect_seeds``), and semi-regular searches from the three best grid
 maxima along the diagonal (``semi_starts``).  The tests compare the solver
 against those starts: rectilinear ones refined by a slower, derivative-free
 Nelder-Mead run to the end and then polished (``refine_every_start``),
-semi-regular ones by the solver's own golden section and crossing polish
+semi-regular ones by the solver's own search, ``optimizer._search_semi``
 (``refine_semi_every_start``).
+
+That search hands the golden section's point to the crossing polish once
+the bracket is ``optimizer._HANDOVER`` wide.  Before, the golden section
+always ran to ``optimizer._GOLDEN_TOL`` first (``golden_search_semi``), and
+the tests compare the two.
 """
 
 from __future__ import annotations
@@ -20,7 +25,15 @@ import math
 import numpy as np
 
 from hexcoloring.geometry import EPS_GEOM
-from hexcoloring.optimizer import _eval_min, _golden_max, _polish_rect, _polish_semi, _refine
+from hexcoloring.optimizer import (
+    _GOLDEN_TOL,
+    _eval_min,
+    _golden_max,
+    _polish_rect,
+    _polish_semi,
+    _refine,
+    _search_semi,
+)
 from scan_oracle import square_values
 
 _REGULAR = (math.pi / 3.0, math.pi / 3.0)
@@ -145,16 +158,22 @@ def refine_every_start(scheme, seeds, cell: float) -> float:
     return max(val, best_val)
 
 
+def golden_search_semi(fn, lo: float, hi: float):
+    """The former ``optimizer._search_semi``: the golden section run to
+    _GOLDEN_TOL, then the crossing polish, whatever the polish finds."""
+    gamma, val, _ = _polish_semi(fn, *_golden_max(lambda g: fn(g, g), lo, hi, _GOLDEN_TOL))
+    return gamma, val
+
+
 def refine_semi_every_start(scheme, starts, cell: float):
-    """(value, gaps) of the best golden section and crossing polish over the
-    starts, the first on ties, each searched within a grid cell."""
+    """(value, gaps) of the best ``optimizer._search_semi`` over the starts,
+    the first on ties, each searched within a grid cell."""
     fn = lambda a, b, tol=None: _eval_min(a, b, scheme, tol)
     best_val, best_pt = -1.0, _REGULAR
     for gamma0 in starts:
         lo = max(EPS_GEOM * 2.0, gamma0 - cell)
         hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, gamma0 + cell)
-        gamma, val = _golden_max(lambda g: fn(g, g), lo, hi)
-        gamma, val = _polish_semi(fn, gamma, val)
+        gamma, val = _search_semi(fn, lo, hi)
         if val > best_val:
             best_val, best_pt = val, (gamma, gamma)
     return best_val, best_pt

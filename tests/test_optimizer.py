@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from hexcoloring.coloring import (
     SYMMETRIES,
     ColorScheme,
+    _reduced_basis,
     canonical_triple,
+    min_gap,
     same_color_offsets,
     schemes,
     window_offsets,
 )
 from hexcoloring.evaluator import QUARTICS, cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (
+    CLASS_TAGS,
     RECTILINEAR,
     REGULAR,
     SEMI_REGULAR,
@@ -48,6 +51,7 @@ from hexcoloring.optimizer import (
     solve_all,
 )
 from nm_oracle import (
+    golden_search_semi,
     rect_seeds,
     refine_every_start,
     refine_from_both_starts,
@@ -609,7 +613,7 @@ def test_cold_rectilinear_solve_stays_small():
     assert peak < 5e6
 
 
-@pytest.mark.parametrize("class_tag", [SEMI_REGULAR, RECTILINEAR])
+@pytest.mark.parametrize("class_tag", [REGULAR, SEMI_REGULAR, RECTILINEAR])
 def test_summary_counts_evaluations(class_tag, caplog):
     counts = []
     for _ in range(2):
@@ -624,6 +628,63 @@ def test_summary_counts_evaluations(class_tag, caplog):
         counts.append(int(found.group(1)))
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+# objective evaluations over solve_all(k) for k = 3..30, per class, as
+# measured; they repeat exactly.  A golden section that narrows every
+# semi-regular bracket to 1e-12, or a regular class that evaluates every
+# scheme, goes over its ceiling.
+_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 1526, RECTILINEAR: 773}
+
+
+def test_sweep_evaluations_stay_under_their_ceilings(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        for k in range(3, 31):
+            solve_all(k)
+    total = dict.fromkeys(CLASS_TAGS, 0)
+    for record in caplog.records:
+        found = re.match(r"solve: k=\d+ (\w+) .*; evaluations (\d+)$", record.getMessage())
+        if found:
+            total[found.group(1)] += int(found.group(2))
+    for tag in CLASS_TAGS:
+        assert 0 < total[tag] <= _SWEEP_EVALUATIONS[tag], (tag, total[tag])
+
+
+def _regular_exhaustive(k: int):
+    """The regular class's answer with every scheme evaluated, none skipped."""
+    pt = (math.pi / 3.0, math.pi / 3.0)
+    frame = optimizer._frame(*pt)
+    cands = [(min_gap(scheme, frame), scheme, pt) for scheme in schemes(k)]
+    (val, scheme, pt), triple = optimizer._pick_tied(cands)
+    return optimizer._finalize(k, REGULAR, scheme, pt, val, val, triple)
+
+
+def test_regular_bound_holds_for_every_scheme():
+    # the doubled regular hexagon holds the disc of radius sqrt(3) / 2, so no
+    # gap exceeds |b1| - sqrt(3) / 2 for the reduced basis's first vector b1
+    frame = optimizer._frame(math.pi / 3.0, math.pi / 3.0)
+    for k in range(3, 201):
+        for scheme in schemes(k):
+            bound = math.sqrt(_reduced_basis(scheme, *frame[2:])[4]) - math.sqrt(3.0) / 2.0
+            assert min_gap(scheme, frame) <= bound + 1e-12, scheme
+
+
+def test_regular_bound_order_skips_no_answer():
+    for k in [*range(3, 121), 756]:
+        assert repr(solve(k, REGULAR)) == repr(_regular_exhaustive(k)), k
+
+
+@pytest.mark.parametrize("k", range(3, 61))
+def test_semi_regular_handover_matches_the_full_golden_section(k, monkeypatch):
+    # Newton from the golden section's 1e-7 bracket ends where it ends from
+    # the 1e-12 one, or the search runs the golden section to 1e-12 itself
+    got = [optimize_scheme(k, scheme, SEMI_REGULAR) for scheme in schemes(k)]
+    monkeypatch.setattr(optimizer, "_search_semi", golden_search_semi)
+    for res in got:
+        ref = optimize_scheme(k, res.scheme, SEMI_REGULAR)
+        assert abs(res.d - ref.d) <= 1e-12, res.scheme
+        assert abs(res.gaps[0] - ref.gaps[0]) <= 1e-12, res.scheme
+        assert res.dsq_rational == ref.dsq_rational, res.scheme
 
 
 def _feature(g1, g2, i, j):
