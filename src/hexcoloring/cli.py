@@ -1,8 +1,9 @@
 """Command line surface: solve one k, tabulate a range, verify, closed forms.
 
-``table`` and ``verify`` solve their color counts independently, one worker
-process per usable CPU (in-process when that is one); results come back in k
-order, so the output is the same as a single-process run's.
+``table`` and ``verify`` solve their color counts independently, on one
+forked worker process per usable CPU (in-process when that is one, or where
+there is no ``os.fork``); results come back in k order, so the output is the
+same as a single-process run's.
 
 Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
 141 stdout's reader gone (128 + SIGPIPE).
@@ -11,12 +12,13 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
-from itertools import repeat
 from math import isqrt
 
 from .analysis import (
@@ -137,25 +139,151 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _map_over_cpus(fn, ks: list[int], *args) -> list:
-    """``[fn(k, *args) for k in ks]``, one worker process per usable CPU.
+    """``[fn(k, *args) for k in ks]``, on one forked worker per usable CPU.
 
-    ``fn`` must be a module-level function, so that workers can unpickle it.
-    With one usable CPU (or one k) everything runs in this process.
+    Workers take task indices one at a time from a shared pipe, so the work
+    goes to whichever worker is free, and send their results back pickled;
+    being forked, they hold ``fn`` and ``args`` already.  The results come
+    back in k order; the exception a worker's ``fn`` raised is raised here,
+    the lowest k's first, and a RuntimeError if a worker died with tasks
+    unanswered.  With one usable CPU (or one k), or without ``os.fork``,
+    everything runs in this process.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(ks))
-    iterables = (ks, *map(repeat, args))
-    if workers <= 1:
-        return list(map(fn, *iterables))
-    # imported here: the pool modules cost a noticeable share of import time
-    from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(k, *args) for k in ks]
+    return _forked_map(fn, ks, args, workers)
 
-    # the with block joins every worker before the command returns
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *iterables))
+
+# a task is an index into ks, as this many little-endian bytes; tasks go
+# into the pipe at most POSIX's least PIPE_BUF bytes at a time, a write that
+# lands whole or not at all, so that a worker never reads part of a task
+_TASK_BYTES, _TASK_CHUNK = 4, 512
+
+
+def _worker(fn, ks: list[int], args: tuple, tasks: int, out: int, inherited: list[int]) -> None:
+    """A forked worker's work: solve each task read from ``tasks`` and write its record to ``out``.
+
+    A record is the pickled (index, ok, value): fn's result, or the
+    exception it raised.  First closes the ``inherited`` descriptors it
+    does not use."""
+    for fd in inherited:
+        if fd not in (tasks, out):
+            os.close(fd)
+    with open(out, "wb") as sink:
+        while task := os.read(tasks, _TASK_BYTES):
+            i = int.from_bytes(task, "little")
+            try:
+                record = pickle.dumps((i, True, fn(ks[i], *args)))
+            except Exception as exc:
+                try:
+                    record = pickle.dumps((i, False, exc))
+                except Exception:
+                    record = pickle.dumps((i, False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            sink.write(record)
+
+
+def _write_tasks(fd: int, tasks: memoryview) -> int:
+    """Write ``tasks`` to the non-blocking pipe ``fd`` until it is full; the bytes written.
+
+    With every reader gone the rest is dropped: its results are missing,
+    and the caller says so."""
+    done = 0
+    try:
+        while done < len(tasks):
+            done += os.write(fd, tasks[done:done + _TASK_CHUNK])
+    except BlockingIOError:
+        pass
+    except BrokenPipeError:
+        return len(tasks)
+    return done
+
+
+def _forked_map(fn, ks: list[int], args: tuple, workers: int) -> list:
+    """``_map_over_cpus`` on ``workers`` forked processes; see there."""
+    # imported here: only a forked map needs them
+    import selectors
+    import signal
+
+    tasks = memoryview(b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(len(ks))))
+    task_read, task_write = os.pipe()
+    os.set_blocking(task_write, False)
+    tasks = tasks[_write_tasks(task_write, tasks):]
+    if not tasks:  # the usual case: every task fits in the pipe
+        os.close(task_write)
+        task_write = -1
+    # the descriptors this process holds, which a worker inherits
+    held = [task_read] + [task_write] * (task_write >= 0)
+    pids, records = [], {}
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            held += (read_end, write_end)
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _worker(fn, ks, args, task_read, write_end, held)
+                    os._exit(0)
+                finally:
+                    # no exit handlers, no flush of buffers copied from this process
+                    os._exit(1)
+            pids.append(pid)
+            held.remove(write_end)
+            os.close(write_end)
+            records[read_end] = bytearray()
+        held.remove(task_read)
+        os.close(task_read)
+        with selectors.DefaultSelector() as sel:
+            for fd in records:
+                sel.register(fd, selectors.EVENT_READ)
+            if tasks:
+                sel.register(task_write, selectors.EVENT_WRITE)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    fd = key.fd
+                    if fd == task_write:
+                        tasks = tasks[_write_tasks(fd, tasks):]
+                        done = not tasks
+                    else:
+                        chunk = os.read(fd, 1 << 16)
+                        records[fd] += chunk
+                        done = not chunk
+                    if done:
+                        sel.unregister(fd)
+                        held.remove(fd)
+                        os.close(fd)
+    except BaseException:
+        # KeyboardInterrupt included: the workers' results are not wanted
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        for fd in held:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    outcomes = {}
+    for data in records.values():
+        stream = io.BytesIO(data)
+        while stream.tell() < len(data):
+            try:
+                i, ok, value = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                break  # a worker that died while writing a record
+            outcomes[i] = ok, value
+    results = []
+    for i, k in enumerate(ks):
+        if i not in outcomes:
+            raise RuntimeError(f"a worker exited without a result for k={k}")
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def _table_rows(k: int, tags: list[str]) -> list[str]:

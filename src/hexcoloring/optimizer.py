@@ -23,7 +23,7 @@ parallel gradients (a zero cross product) on a ridge, a zero gradient at a
 smooth maximum.  A semi-regular search is a golden section along the
 diagonal that hands over to Newton on the crossing of two branches once
 its bracket is 1e-7 wide; where Newton ends on no crossing there, the
-golden section runs again to 1e-12 and its point is polished.  Both
+golden section continues to 1e-12 and its point is polished.  Both
 polishes run on one solver, ``_newton_loop``.
 """
 
@@ -560,18 +560,20 @@ def _polish_rect(fn, x: float, y: float, val: float):
 _HANDOVER, _GOLDEN_TOL = 1e-7, 1e-12
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float):
-    """Golden-section search for a maximum of fn on [lo, hi], to a bracket of width ``tol``.
+def _golden_sections(fn, lo: float, hi: float):
+    """Golden-section search for a maximum of fn on [lo, hi], one bracket at a time.
 
-    Returns the better of the two interior points and its value.  The
-    brackets do not depend on ``tol``: a search to a narrower one passes
+    Yields (width, x, value) for each bracket, the better of its two interior
+    points; fn is evaluated once between two yields.  The brackets do not
+    depend on where the search stops, so stopping at a narrower width passes
     through every bracket of a wider one."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while True:
+        yield (b - a, x1, f1) if f1 >= f2 else (b - a, x2, f2)
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
@@ -580,9 +582,16 @@ def _golden_max(fn, lo: float, hi: float, tol: float):
             a, x1, f1 = x1, x2, f2
             x2 = a + inv * (b - a)
             f2 = fn(x2)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+
+
+def _golden_max(sections, tol: float):
+    """(x, value) at the first bracket of ``_golden_sections`` at most ``tol`` wide.
+
+    Called again on the same sections with a smaller tol, the search goes on
+    from the bracket after the one it stopped at."""
+    for width, x, val in sections:
+        if width <= tol:
+            return x, val
 
 
 def _polish_semi(fn, gamma: float, val: float):
@@ -623,14 +632,14 @@ def _search_semi(fn, lo: float, hi: float):
     golden-section point, that crossing is the answer: a narrower bracket
     would only move Newton's start.  Otherwise (a maximum on one branch,
     parallel mirror branches, or a maximum pressed against gamma = pi / 2)
-    the golden section runs again to _GOLDEN_TOL and its point is polished.
+    the golden section continues to _GOLDEN_TOL and its point is polished.
     """
-    line = lambda g: fn(g, g)
-    start, val = _golden_max(line, lo, hi, _HANDOVER)
+    sections = _golden_sections(lambda g: fn(g, g), lo, hi)
+    start, val = _golden_max(sections, _HANDOVER)
     gamma, val, crossed = _polish_semi(fn, start, val)
     if crossed and abs(gamma - start) <= _HANDOVER:
         return gamma, val
-    gamma, val, _ = _polish_semi(fn, *_golden_max(line, lo, hi, _GOLDEN_TOL))
+    gamma, val, _ = _polish_semi(fn, *_golden_max(sections, _GOLDEN_TOL))
     return gamma, val
 
 

@@ -15,7 +15,9 @@ semi-regular ones by the solver's own search, ``optimizer._search_semi``
 That search hands the golden section's point to the crossing polish once
 the bracket is ``optimizer._HANDOVER`` wide.  Before, the golden section
 always ran to ``optimizer._GOLDEN_TOL`` first (``golden_search_semi``), and
-the tests compare the two.
+the tests compare the two.  ``golden_max`` is the former golden section,
+started afresh for each width, against which the solver's resumed one is
+checked.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from hexcoloring.geometry import EPS_GEOM
 from hexcoloring.optimizer import (
     _GOLDEN_TOL,
     _eval_min,
-    _golden_max,
     _polish_rect,
     _polish_semi,
     _refine,
@@ -158,10 +159,32 @@ def refine_every_start(scheme, seeds, cell: float) -> float:
     return max(val, best_val)
 
 
+def golden_max(fn, lo: float, hi: float, tol: float):
+    """(x, value) of a golden-section search for a maximum of fn on [lo, hi],
+    run from the start to a bracket of width ``tol``: the better interior point."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while b - a > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = fn(x2)
+    if f1 >= f2:
+        return x1, f1
+    return x2, f2
+
+
 def golden_search_semi(fn, lo: float, hi: float):
     """The former ``optimizer._search_semi``: the golden section run to
     _GOLDEN_TOL, then the crossing polish, whatever the polish finds."""
-    gamma, val, _ = _polish_semi(fn, *_golden_max(lambda g: fn(g, g), lo, hi, _GOLDEN_TOL))
+    gamma, val, _ = _polish_semi(fn, *golden_max(lambda g: fn(g, g), lo, hi, _GOLDEN_TOL))
     return gamma, val
 
 

@@ -1,9 +1,11 @@
 import io
 import json
-import multiprocessing
 import os
+import signal
 import stat
 import sys
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -13,10 +15,12 @@ from hexcoloring.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _map_over_cpus,
     main,
     serialize_result,
 )
-from hexcoloring.geometry import CLASS_TAGS, REGULAR, SEMI_REGULAR
+from hexcoloring import cli
+from hexcoloring.geometry import CLASS_TAGS, REGULAR, SEMI_REGULAR, DomainError
 from hexcoloring.optimizer import solve, solve_all
 
 
@@ -241,14 +245,14 @@ def test_pooled_table_matches_in_process_solves(kmax, names, tags, monkeypatch, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["table", "--kmin", "3", "--kmax", str(kmax), "--classes", *names]) == EXIT_OK
     assert capsys.readouterr().out == _solved_table_text(range(3, kmax + 1), tags)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_verify_leaves_no_worker_running(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["verify", "--kmax", "8"]) == EXIT_OK
     assert "verified 6 rows" in capsys.readouterr().out
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 class _ClosedAfterOneLine(io.RawIOBase):
@@ -284,21 +288,135 @@ def test_verify_into_a_pipe_closed_after_one_line(monkeypatch, capsys):
     os.close(pipe.write_end)
     assert pipe.first.startswith(b"k=3 status=match")
     assert capsys.readouterr().err == ""
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_one_usable_cpu_builds_no_pool(monkeypatch, capsys):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was built for one usable CPU")
+    def no_fork():
+        raise AssertionError("a worker was forked for one usable CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert main(["table", "--kmin", "3", "--kmax", "6", "--classes", "regular"]) == EXIT_OK
     assert capsys.readouterr().out == _solved_table_text(range(3, 7), (REGULAR,))
     assert main(["verify", "--kmax", "6"]) == EXIT_OK
     assert "verified 4 rows" in capsys.readouterr().out
+
+
+def test_no_fork_runs_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert main(["table", "--kmin", "3", "--kmax", "6", "--classes", "regular"]) == EXIT_OK
+    assert capsys.readouterr().out == _solved_table_text(range(3, 7), (REGULAR,))
+
+
+def _assert_no_child():
+    # waitpid(-1) raises only when this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a stall fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fail_at_seven(k: int) -> int:
+    if k == 7:
+        raise DomainError(f"no coloring for k={k}")
+    return k
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with _deadline(60), pytest.raises(DomainError, match="^no coloring for k=7$"):
+        _map_over_cpus(_fail_at_seven, list(range(3, 12)))
+    _assert_no_child()
+
+
+def test_table_whose_worker_raises_exits_with_a_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_table_rows", lambda k, tags: [str(_fail_at_seven(k))])
+    assert main(["table", "--kmin", "3", "--kmax", "12"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no coloring for k=7\n"
+    _assert_no_child()
+
+
+def _die_at_seven(k: int) -> int:
+    if k == 7:
+        os._exit(3)
+    return k
+
+
+def test_worker_that_dies_is_reported_and_reaped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^a worker exited without a result for k=\d+$"):
+        _map_over_cpus(_die_at_seven, list(range(3, 12)))
+    _assert_no_child()
+
+
+def _finished(k: int, slow: int) -> tuple[int, float]:
+    """k and the time it finished, the slow k last."""
+    if k == slow:
+        time.sleep(0.3)
+    return k, time.monotonic()
+
+
+def test_results_come_back_in_k_order_when_later_tasks_finish_first(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ks = list(range(3, 13))
+    with _deadline(60):
+        got = _map_over_cpus(_finished, ks, 3)
+    assert [k for k, _ in got] == ks
+    # the other worker finished every later k while the first one slept
+    assert max(t for _, t in got[1:]) < got[0][1]
+    _assert_no_child()
+
+
+def test_interrupted_map_stops_and_reaps_its_workers(monkeypatch):
+    # as on Ctrl-C: the exception reaches the caller at once, and no worker
+    # is left solving
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    t0 = time.monotonic()
+    with pytest.raises(TimeoutError), _deadline(1):
+        _map_over_cpus(time.sleep, [60, 60])
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
+
+
+def _big(k: int) -> bytes:
+    return bytes([k]) * (150_000 + k)
+
+
+def test_results_larger_than_a_pipe_buffer_complete(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ks = list(range(3, 11))
+    with _deadline(60):
+        got = _map_over_cpus(_big, ks)
+    assert got == [_big(k) for k in ks]
+    _assert_no_child()
+
+
+def test_more_tasks_than_the_task_pipe_holds(monkeypatch):
+    # 4 bytes a task: 40,000 tasks overflow a 64 KiB pipe, so the rest are
+    # written as the workers drain it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ks = list(range(40_000))
+    with _deadline(60):
+        assert _map_over_cpus(abs, ks) == ks
+    _assert_no_child()
 
 
 def test_verify_passes_on_small_range(capsys):

@@ -51,6 +51,7 @@ from hexcoloring.optimizer import (
     solve_all,
 )
 from nm_oracle import (
+    golden_max,
     golden_search_semi,
     rect_seeds,
     refine_every_start,
@@ -632,9 +633,10 @@ def test_summary_counts_evaluations(class_tag, caplog):
 
 # objective evaluations over solve_all(k) for k = 3..30, per class, as
 # measured; they repeat exactly.  A golden section that narrows every
-# semi-regular bracket to 1e-12, or a regular class that evaluates every
-# scheme, goes over its ceiling.
-_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 1526, RECTILINEAR: 773}
+# semi-regular bracket to 1e-12 or starts over where Newton ends on no
+# crossing, or a regular class that evaluates every scheme, goes over its
+# ceiling.
+_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 1496, RECTILINEAR: 773}
 
 
 def test_sweep_evaluations_stay_under_their_ceilings(caplog):
@@ -685,6 +687,35 @@ def test_semi_regular_handover_matches_the_full_golden_section(k, monkeypatch):
         assert abs(res.d - ref.d) <= 1e-12, res.scheme
         assert abs(res.gaps[0] - ref.gaps[0]) <= 1e-12, res.scheme
         assert res.dsq_rational == ref.dsq_rational, res.scheme
+
+
+def test_resumed_golden_section_matches_a_fresh_one(monkeypatch):
+    # a search whose Newton ends on no crossing continues its golden section
+    # from the 1e-7 bracket, and reaches the point that a golden section run
+    # afresh to 1e-12 reaches, bit for bit
+    polished, fallbacks = [], []
+    real_polish, real_search = optimizer._polish_semi, optimizer._search_semi
+
+    def polish(fn, gamma, val):
+        polished.append((gamma, val))
+        return real_polish(fn, gamma, val)
+
+    def search(fn, lo, hi):
+        polished.clear()
+        got = real_search(fn, lo, hi)
+        if len(polished) == 2:
+            fallbacks.append((fn, lo, hi, polished[1], got))
+        return got
+
+    monkeypatch.setattr(optimizer, "_polish_semi", polish)
+    monkeypatch.setattr(optimizer, "_search_semi", search)
+    for k in range(3, 61):
+        for scheme in schemes(k):
+            optimize_scheme(k, scheme, SEMI_REGULAR)
+    assert fallbacks
+    for fn, lo, hi, resumed, got in fallbacks:
+        assert resumed == golden_max(lambda g: fn(g, g), lo, hi, optimizer._GOLDEN_TOL)
+        assert got == golden_search_semi(fn, lo, hi)
 
 
 def _feature(g1, g2, i, j):
