@@ -11,7 +11,6 @@ from .analysis import (
     compare_reference,
     load_reference,
     monotonicity_report,
-    rational_reconstruct,
 )
 from .coloring import (
     ColorScheme,
@@ -28,7 +27,6 @@ from .evaluator import (
     loeschian_decompositions,
     quartic_dsq,
     real_roots,
-    regular_d,
     regular_dsq,
 )
 from .geometry import (
@@ -39,8 +37,6 @@ from .geometry import (
     DomainError,
     Hexagon,
     hexagon_from_gaps,
-    regular_hexagon,
-    semi_regular_from_r,
 )
 from .optimizer import (
     SolveResult,
@@ -76,15 +72,11 @@ __all__ = [
     "monotonicity_report",
     "optimize_scheme",
     "quartic_dsq",
-    "rational_reconstruct",
     "real_roots",
-    "regular_d",
     "regular_dsq",
-    "regular_hexagon",
     "render_svg",
     "same_color_offsets",
     "schemes",
-    "semi_regular_from_r",
     "solve",
     "solve_all",
 ]

@@ -37,21 +37,6 @@ class MissingRowError(KeyError):
     """A requested color count has no reference row."""
 
 
-def rational_reconstruct(x: float, max_den: int, tol: float = 1e-9):
-    """Closest fraction to ``x`` with denominator at most ``max_den``.
-
-    Returns (num, den) in lowest terms when that fraction lies within
-    ``tol`` of x, else None.  The comparison is exact (no float rounding).
-    """
-    if not math.isfinite(x) or max_den < 1:
-        return None
-    exact = Fraction(x)
-    frac = exact.limit_denominator(max_den)
-    if abs(exact - frac) <= Fraction(tol):
-        return (frac.numerator, frac.denominator)
-    return None
-
-
 # A solved squared gap is trusted as rational only when the reconstructed
 # fraction is unambiguous at solver precision: absolute error at most 1e-11
 # and error at most 1/(300 q^2), so a continued-fraction accident would need
@@ -195,9 +180,6 @@ class ComparisonReport:
     @property
     def worst_abs_delta(self) -> float:
         return max((abs(e.delta) for e in self.entries), default=0.0)
-
-    def with_status(self, status: str) -> list[ComparisonEntry]:
-        return [e for e in self.entries if e.status == status]
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -142,12 +142,13 @@ def _map_over_cpus(fn, ks: list[int], *args) -> list:
     """``[fn(k, *args) for k in ks]``, on one forked worker per usable CPU.
 
     Workers take task indices one at a time from a shared pipe, so the work
-    goes to whichever worker is free, and send their results back pickled;
-    being forked, they hold ``fn`` and ``args`` already.  The results come
-    back in k order; the exception a worker's ``fn`` raised is raised here,
-    the lowest k's first, and a RuntimeError if a worker died with tasks
-    unanswered.  With one usable CPU (or one k), or without ``os.fork``,
-    everything runs in this process.
+    goes to whichever worker is free; being forked, they hold ``fn`` and
+    ``args`` already.  Each worker pickles its results into a temporary file
+    of its own, and this process reads the files once every worker has
+    exited.  The results come back in k order; the exception a worker's
+    ``fn`` raised is raised here, the lowest k's first, and a RuntimeError
+    if a worker died with tasks unanswered.  With one usable CPU (or one
+    k), or without ``os.fork``, everything runs in this process.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -156,125 +157,53 @@ def _map_over_cpus(fn, ks: list[int], *args) -> list:
     workers = min(cpus, len(ks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(k, *args) for k in ks]
-    return _forked_map(fn, ks, args, workers)
+    import signal  # only a forked map needs it
 
-
-# a task is an index into ks, as this many little-endian bytes; tasks go
-# into the pipe at most POSIX's least PIPE_BUF bytes at a time, a write that
-# lands whole or not at all, so that a worker never reads part of a task
-_TASK_BYTES, _TASK_CHUNK = 4, 512
-
-
-def _worker(fn, ks: list[int], args: tuple, tasks: int, out: int, inherited: list[int]) -> None:
-    """A forked worker's work: solve each task read from ``tasks`` and write its record to ``out``.
-
-    A record is the pickled (index, ok, value): fn's result, or the
-    exception it raised.  First closes the ``inherited`` descriptors it
-    does not use."""
-    for fd in inherited:
-        if fd not in (tasks, out):
-            os.close(fd)
-    with open(out, "wb") as sink:
-        while task := os.read(tasks, _TASK_BYTES):
-            i = int.from_bytes(task, "little")
-            try:
-                record = pickle.dumps((i, True, fn(ks[i], *args)))
-            except Exception as exc:
-                try:
-                    record = pickle.dumps((i, False, exc))
-                except Exception:
-                    record = pickle.dumps((i, False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-            sink.write(record)
-
-
-def _write_tasks(fd: int, tasks: memoryview) -> int:
-    """Write ``tasks`` to the non-blocking pipe ``fd`` until it is full; the bytes written.
-
-    With every reader gone the rest is dropped: its results are missing,
-    and the caller says so."""
-    done = 0
+    pids, outcomes = [], {}
     try:
-        while done < len(tasks):
-            done += os.write(fd, tasks[done:done + _TASK_CHUNK])
-    except BlockingIOError:
-        pass
-    except BrokenPipeError:
-        return len(tasks)
-    return done
-
-
-def _forked_map(fn, ks: list[int], args: tuple, workers: int) -> list:
-    """``_map_over_cpus`` on ``workers`` forked processes; see there."""
-    # imported here: only a forked map needs them
-    import selectors
-    import signal
-
-    tasks = memoryview(b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(len(ks))))
-    task_read, task_write = os.pipe()
-    os.set_blocking(task_write, False)
-    tasks = tasks[_write_tasks(task_write, tasks):]
-    if not tasks:  # the usual case: every task fits in the pipe
-        os.close(task_write)
-        task_write = -1
-    # the descriptors this process holds, which a worker inherits
-    held = [task_read] + [task_write] * (task_write >= 0)
-    pids, records = [], {}
-    try:
-        for _ in range(workers):
+        with contextlib.ExitStack() as stack:
+            sinks = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
             read_end, write_end = os.pipe()
-            held += (read_end, write_end)
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    _worker(fn, ks, args, task_read, write_end, held)
-                    os._exit(0)
-                finally:
-                    # no exit handlers, no flush of buffers copied from this process
-                    os._exit(1)
-            pids.append(pid)
-            held.remove(write_end)
-            os.close(write_end)
-            records[read_end] = bytearray()
-        held.remove(task_read)
-        os.close(task_read)
-        with selectors.DefaultSelector() as sel:
-            for fd in records:
-                sel.register(fd, selectors.EVENT_READ)
-            if tasks:
-                sel.register(task_write, selectors.EVENT_WRITE)
-            while sel.get_map():
-                for key, _ in sel.select():
-                    fd = key.fd
-                    if fd == task_write:
-                        tasks = tasks[_write_tasks(fd, tasks):]
-                        done = not tasks
-                    else:
-                        chunk = os.read(fd, 1 << 16)
-                        records[fd] += chunk
-                        done = not chunk
-                    if done:
-                        sel.unregister(fd)
-                        held.remove(fd)
-                        os.close(fd)
+            tasks_in = stack.enter_context(open(read_end, "rb", buffering=0))
+            tasks_out = stack.enter_context(open(write_end, "wb", buffering=0))
+            for sink in sinks:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        tasks_out.close()
+                        _worker(fn, ks, args, tasks_in, sink)
+                        os._exit(0)
+                    finally:
+                        # no exit handlers, no flush of buffers copied from this process
+                        os._exit(1)
+                pids.append(pid)
+            tasks_in.close()
+            tasks = b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(len(ks)))
+            try:
+                for start in range(0, len(tasks), _TASK_CHUNK):
+                    tasks_out.write(tasks[start:start + _TASK_CHUNK])
+            except BrokenPipeError:
+                pass  # every worker has gone: their results are missing, as said below
+            tasks_out.close()
+            while pids:
+                os.waitpid(pids[-1], 0)
+                pids.pop()
+            for sink in sinks:
+                sink.seek(0)
+                while True:
+                    try:
+                        i, ok, value = pickle.load(sink)
+                    except (EOFError, pickle.UnpicklingError):
+                        break  # the end, or a worker that died while writing a record
+                    outcomes[i] = ok, value
     except BaseException:
         # KeyboardInterrupt included: the workers' results are not wanted
         for pid in pids:
             os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for fd in held:
-            os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-    outcomes = {}
-    for data in records.values():
-        stream = io.BytesIO(data)
-        while stream.tell() < len(data):
-            try:
-                i, ok, value = pickle.load(stream)
-            except (EOFError, pickle.UnpicklingError):
-                break  # a worker that died while writing a record
-            outcomes[i] = ok, value
     results = []
     for i, k in enumerate(ks):
         if i not in outcomes:
@@ -284,6 +213,29 @@ def _forked_map(fn, ks: list[int], args: tuple, workers: int) -> list:
             raise value
         results.append(value)
     return results
+
+
+# a task is an index into ks, as this many little-endian bytes; tasks go
+# into the pipe at most POSIX's least PIPE_BUF bytes at a time, a write that
+# lands whole, so that a worker never reads part of a task
+_TASK_BYTES, _TASK_CHUNK = 4, 512
+
+
+def _worker(fn, ks: list[int], args: tuple, tasks, sink) -> None:
+    """A forked worker's work: solve each task read from ``tasks`` and pickle its record into ``sink``.
+
+    A record is (index, ok, value): fn's result, or the exception it raised."""
+    while task := tasks.read(_TASK_BYTES):
+        i = int.from_bytes(task, "little")
+        try:
+            record = pickle.dumps((i, True, fn(ks[i], *args)))
+        except Exception as exc:
+            try:
+                record = pickle.dumps((i, False, exc))
+            except Exception:
+                record = pickle.dumps((i, False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        sink.write(record)
+    sink.flush()
 
 
 def _table_rows(k: int, tags: list[str]) -> list[str]:

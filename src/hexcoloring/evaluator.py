@@ -56,11 +56,6 @@ def regular_dsq(k: int) -> Fraction | None:
     return max(_decomposition_dsq(a, b) for a, b in decs)
 
 
-def regular_d(k: int) -> float | None:
-    dsq = regular_dsq(k)
-    return None if dsq is None else math.sqrt(float(dsq))
-
-
 @dataclass(frozen=True)
 class CubicSpec:
     """Integer cubic a3*x^3 + a2*x^2 + a1*x + a0 tied to k = n*(n+1)."""

@@ -97,21 +97,6 @@ def hexagon_from_gaps(gap1: float, gap2: float) -> Hexagon:
     )
 
 
-def semi_regular_from_r(r: float) -> Hexagon:
-    """Semi-regular hexagon whose pair of vertical edges has length ``r``.
-
-    Valid for 0 < r < 1.  r = 1/2 gives the regular hexagon.
-    """
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"r must lie in (0, 1): got {r}")
-    gap = math.acos(r)
-    return hexagon_from_gaps(gap, gap)
-
-
-def regular_hexagon() -> Hexagon:
-    return hexagon_from_gaps(math.pi / 3.0, math.pi / 3.0)
-
-
 def point_to_hexagon_distance(px: float, py: float, vx, vy) -> float:
     """Distance from (px, py) to the convex hexagon with vertices (vx[m], vy[m]).
 

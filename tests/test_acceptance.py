@@ -13,11 +13,8 @@ import pytest
 
 from geometry_oracle import polygon_area
 from offset_window import min_distance_over_offsets
-from hexcoloring.analysis import (
-    load_reference,
-    monotonicity_report,
-    rational_reconstruct,
-)
+from helpers import rational_reconstruct
+from hexcoloring.analysis import load_reference, monotonicity_report
 from hexcoloring.coloring import lattice_basis
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (

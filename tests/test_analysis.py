@@ -15,9 +15,9 @@ from hexcoloring.analysis import (
     compare_reference,
     load_reference,
     monotonicity_report,
-    rational_reconstruct,
     stable_dsq_rational,
 )
+from helpers import rational_reconstruct
 from hexcoloring.evaluator import cubic_f, quartic_dsq
 from hexcoloring.optimizer import _closed_form_tag
 
@@ -167,7 +167,7 @@ def test_compare_reference_statuses():
     statuses = {e.k: e.status for e in report.entries}
     assert statuses == {3: MATCH, 4: BELOW, 5: ABOVE}
     assert not report.ok
-    assert [e.k for e in report.with_status(BELOW)] == [4]
+    assert [e.k for e in report.entries if e.status == BELOW] == [4]
     assert report.worst_abs_delta == pytest.approx(0.01)
 
 

@@ -5,7 +5,7 @@ import signal
 import stat
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -240,8 +240,8 @@ def _solved_table_text(ks, tags):
         (12, ["regular", "semi", "rect"], CLASS_TAGS),
     ],
 )
-def test_pooled_table_matches_in_process_solves(kmax, names, tags, monkeypatch, capsys):
-    # two workers even on a one-CPU host, so that the pool is what runs
+def test_forked_table_matches_in_process_solves(kmax, names, tags, monkeypatch, capsys):
+    # two workers even on a one-CPU host, so that the forked map is what runs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["table", "--kmin", "3", "--kmax", str(kmax), "--classes", *names]) == EXIT_OK
     assert capsys.readouterr().out == _solved_table_text(range(3, kmax + 1), tags)
@@ -291,7 +291,7 @@ def test_verify_into_a_pipe_closed_after_one_line(monkeypatch, capsys):
     _assert_no_child()
 
 
-def test_one_usable_cpu_builds_no_pool(monkeypatch, capsys):
+def test_one_usable_cpu_forks_no_worker(monkeypatch, capsys):
     def no_fork():
         raise AssertionError("a worker was forked for one usable CPU")
 
@@ -416,6 +416,45 @@ def test_more_tasks_than_the_task_pipe_holds(monkeypatch):
     ks = list(range(40_000))
     with _deadline(60):
         assert _map_over_cpus(abs, ks) == ks
+    _assert_no_child()
+
+
+def _die(k: int) -> int:
+    os._exit(3)
+
+
+def test_workers_that_all_die_before_every_task_is_written(monkeypatch, capsys):
+    # 40,000 tasks overflow the task pipe, so the parent is still writing
+    # when the last worker dies: a missing result, not a closed stdout
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^a worker exited without a result for k=\d+$"):
+        _map_over_cpus(_die, list(range(40_000)))
+    _assert_no_child()
+    monkeypatch.setattr(cli, "_table_rows", lambda k, tags: [str(_die(k))])
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^a worker exited without a result for k=3$"):
+        main(["table", "--kmin", "3", "--kmax", "40002"])
+    assert capsys.readouterr().out == ""
+    _assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "fn, ks, raised, seconds",
+    [
+        (abs, list(range(3, 12)), None, 60),
+        (_fail_at_seven, list(range(3, 12)), DomainError, 60),
+        (_die_at_seven, list(range(3, 12)), RuntimeError, 60),
+        (time.sleep, [60, 60], TimeoutError, 1),
+    ],
+    ids=["success", "worker_exception", "worker_dies", "interrupt"],
+)
+def test_forked_map_leaves_no_descriptor_open(fn, ks, raised, seconds, monkeypatch):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors in")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(raised) if raised else nullcontext(), _deadline(seconds):
+        _map_over_cpus(fn, ks)
+    assert len(os.listdir("/proc/self/fd")) == before
     _assert_no_child()
 
 

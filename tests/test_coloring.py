@@ -23,8 +23,8 @@ from hexcoloring.geometry import (
     DomainError,
     hexagon_from_gaps,
     point_to_hexagon_distance,
-    regular_hexagon,
 )
+from helpers import regular_hexagon
 from offset_window import (
     min_distance_over_offsets,
     min_offset_distance,

@@ -12,10 +12,14 @@ from hexcoloring.evaluator import (
     loeschian_decompositions,
     quartic_dsq,
     real_roots,
-    regular_d,
     regular_dsq,
 )
 from hexcoloring.geometry import DomainError
+
+
+def regular_d(k: int) -> float | None:
+    dsq = regular_dsq(k)
+    return None if dsq is None else math.sqrt(float(dsq))
 
 
 def test_loeschian_decompositions():

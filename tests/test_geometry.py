@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_oracle import convex_distance, polygon_area, segment_distance
+from helpers import regular_hexagon
 from hexcoloring.coloring import lattice_basis
 from hexcoloring.geometry import (
     CLASS_TAGS,
@@ -15,9 +16,18 @@ from hexcoloring.geometry import (
     Hexagon,
     hexagon_from_gaps,
     point_to_hexagon_distance,
-    regular_hexagon,
-    semi_regular_from_r,
 )
+
+
+def semi_regular_from_r(r: float) -> Hexagon:
+    """Semi-regular hexagon whose pair of vertical edges has length ``r``.
+
+    Valid for 0 < r < 1.  r = 1/2 gives the regular hexagon.
+    """
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"r must lie in (0, 1): got {r}")
+    gap = math.acos(r)
+    return hexagon_from_gaps(gap, gap)
 
 # keep clear of the degeneracy margin so derived quantities stay well scaled
 gap_pairs = st.tuples(

@@ -279,6 +279,21 @@ def test_large_k_reference_rows():
         assert res.champion_class == row.class_of_best, row.k
 
 
+# the reference's witness pair names its tiles in a relabelled frame at these k
+_RELABELLED_WITNESS = (11, 18, 22, 23)
+
+
+def test_reference_witness_pairs_lie_in_the_champion_orbit(champions):
+    results, _ = champions
+    for row in load_reference():
+        scheme = (results[row.k] if row.k in results else solve_all(row.k)).champion.scheme
+        witness = [(row.i1, row.j1), (row.i2, row.j2)]
+        images = [sym.image_scheme(scheme) for sym in SYMMETRIES]
+        assert any(all(image.contains(*t) for t in witness) for image in images), row.k
+        own = all(scheme.contains(*t) for t in witness)
+        assert own == (row.k not in _RELABELLED_WITNESS), (row.k, scheme)
+
+
 # at k = 15 and 77 the optimum is a smooth maximum on the diagonal, not a
 # crossing, and the golden section stops on it about sqrt(eps) off
 _FLAT_MAXIMUM = pytest.mark.xfail(

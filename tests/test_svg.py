@@ -1,7 +1,8 @@
 import pytest
 
+from helpers import regular_hexagon
 from hexcoloring.coloring import ColorScheme
-from hexcoloring.geometry import DomainError, regular_hexagon
+from hexcoloring.geometry import DomainError
 from hexcoloring.optimizer import solve
 from hexcoloring.svg import render_svg
 
