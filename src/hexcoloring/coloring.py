@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import DomainError, Hexagon, Point, point_to_hexagon_distance
+from .geometry import DomainError, Hexagon, Point, frame, hexagon_gap
 
 
 class TileIndex(NamedTuple):
@@ -222,14 +222,14 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
     gap.  The generators are Lagrange-Gauss reduced at this shape
     (``_reduced_basis``) and the sublattice is scanned row by row, as Fincke
     and Pohst (1985) enumerate short vectors.  Each gap is
-    ``point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx,
-    vy)`` bit for bit, and the result is exact at every shape.  With
-    ``tol``, returns (minimum, offsets within ``tol`` of it), the offsets in
-    the half-plane and order of ``same_color_offsets``.
+    ``geometry.hexagon_gap``'s from i * e_i + j * e_j to the doubled tile, in
+    the ``geometry.frame`` of the shape, and the result is exact at every
+    shape.  With ``tol``, returns (minimum, offsets within ``tol`` of it), the
+    offsets in the half-plane and order of ``same_color_offsets``.
     """
     vx, vy, eix, eiy, ejx, ejy = frame
     i1, j1, x1, y1, n1, i2, j2, x2, y2, n2 = _reduced_basis(scheme, eix, eiy, ejx, ejy)
-    best = point_to_hexagon_distance(i1 * eix + j1 * ejx, i1 * eiy + j1 * ejy, vx, vy)
+    best = hexagon_gap(i1 * eix + j1 * ejx, i1 * eiy + j1 * ejy, vx, vy)[0]
     near = [(best, i1, j1)]
     slack = tol or 0.0
     lim = (best + slack + 1.0) * (best + slack + 1.0)
@@ -249,7 +249,7 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
             cy = i * eiy + j * ejy
             if cx * cx + cy * cy >= lim * _ROUNDING:
                 continue
-            d = point_to_hexagon_distance(cx, cy, vx, vy)
+            d = hexagon_gap(cx, cy, vx, vy)[0]
             if d <= best + slack:
                 if d < best:
                     best = d
@@ -263,14 +263,6 @@ def min_gap(scheme: ColorScheme, frame, tol: float | None = None):
     found = [TileIndex(i, j) if j > 0 or (j == 0 and i > 0) else TileIndex(-i, -j)
              for d, i, j in near if d <= best + tol]
     return best, sorted(found, key=lambda t: (t.j, t.i))
-
-
-def _doubled_frame(hexagon: Hexagon) -> tuple:
-    """The ``frame`` argument of min_gap for ``hexagon``."""
-    basis = lattice_basis(hexagon)
-    vx = tuple(2.0 * x for x, _ in hexagon.vertices)
-    vy = tuple(2.0 * y for _, y in hexagon.vertices)
-    return (vx, vy, *basis.e_i, *basis.e_j)
 
 
 @dataclass(frozen=True)
@@ -298,7 +290,8 @@ def canonical_triple(hexagon: Hexagon, scheme: ColorScheme) -> TripleRepresentat
     t1 is taken from the wedge i > 0, -i <= j <= 0 and t2 from i >= 0,
     j > 0, constrained to i1 * j2 - i2 * j1 = k so the pair generates the
     sublattice.  The pair minimizing (largest gap, total gap) wins,
-    preferring equal-gap pairs and then the smaller indices on ties.
+    preferring equal-gap pairs and then the smaller indices on ties.  Gaps
+    are measured in ``geometry.frame`` at ``hexagon``'s gaps.
 
     The candidates are the offsets ``min_gap`` lists with gap at most C, and
     their negations.  C is first the largest gap of the reduced triangle b1,
@@ -309,13 +302,13 @@ def canonical_triple(hexagon: Hexagon, scheme: ColorScheme) -> TripleRepresentat
     listed, C grows by 1.25 (C = 0 means k = 1, where the touching tiles
     pair up).  It ends: the generators (g, 0), (h, k/g) are such a pair.
     """
-    frame = _doubled_frame(hexagon)
-    vx, vy, eix, eiy, ejx, ejy = frame
+    doubled = frame(*hexagon.gaps)
+    vx, vy, eix, eiy, ejx, ejy = doubled
     gaps = {}
 
     def dist(i: int, j: int) -> float:
         if (i, j) not in gaps:
-            gaps[i, j] = point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+            gaps[i, j] = hexagon_gap(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)[0]
         return gaps[i, j]
 
     def scored(t1: TileIndex, t2: TileIndex) -> tuple:
@@ -332,7 +325,7 @@ def canonical_triple(hexagon: Hexagon, scheme: ColorScheme) -> TripleRepresentat
     # most b1's gap: C is the triangle's largest gap when b1 attains it
     tol = bound * _ROUNDING - gap1
     while True:
-        dmin, listed = min_gap(scheme, frame, tol)
+        dmin, listed = min_gap(scheme, doubled, tol)
         cover = dmin + tol
         offsets = listed + [TileIndex(-i, -j) for i, j in listed]
         first = [t for t in offsets if t.i > 0 and -t.i <= t.j <= 0]

@@ -1,4 +1,4 @@
-"""Centrally symmetric unit-diameter hexagons and the point-to-hexagon distance.
+"""Centrally symmetric unit-diameter hexagons, their doubled frame and the one gap kernel.
 
 Every hexagon handled here is convex, centrally symmetric about the origin,
 and inscribed in a circle of diameter 1, so each of its three long diagonals
@@ -13,6 +13,10 @@ Shape classes, each nested in the next:
 * regular      gap1 = gap2 = pi/3
 * semi_regular gap1 = gap2
 * rectilinear  any valid gap pair
+
+The gap between two tiles of a shape is the distance from their offset to
+the tile doubled about its centre: ``frame`` builds that doubled hexagon and
+the tiling's basis, and ``hexagon_gap`` is the one distance kernel.
 """
 
 from __future__ import annotations
@@ -50,12 +54,6 @@ class Hexagon:
     r: float
     s: float
 
-    def rotated(self, angle: float) -> "Hexagon":
-        """Same shape with all vertices rotated by ``angle`` radians."""
-        c, s = math.cos(angle), math.sin(angle)
-        verts = tuple((x * c - y * s, x * s + y * c) for x, y in self.vertices)
-        return Hexagon(self.gaps, verts, self.class_tag, self.r, self.s)
-
 
 def _class_tag(gap1: float, gap2: float) -> str:
     third = math.pi / 3.0
@@ -83,10 +81,8 @@ def hexagon_from_gaps(gap1: float, gap2: float) -> Hexagon:
         if gap1 > EPS_GEOM and gap2 > EPS_GEOM:
             raise DomainError(f"gap1 + gap2 must stay below pi: got {gap1 + gap2}")
         raise DomainError(f"gaps must exceed {EPS_GEOM}: got ({gap1}, {gap2})")
-    u1 = (math.sin(gap1) / 2.0, math.cos(gap1) / 2.0)
-    u2 = (0.0, 0.5)
-    u3 = (-math.sin(gap2) / 2.0, math.cos(gap2) / 2.0)
-    verts = (u1, u2, u3, (-u1[0], -u1[1]), (0.0, -0.5), (-u3[0], -u3[1]))
+    vx, vy, *_ = frame(gap1, gap2)
+    verts = tuple((x * 0.5, y * 0.5) for x, y in zip(vx, vy))
     gap3 = math.pi - gap1 - gap2
     return Hexagon(
         gaps=(gap1, gap2),
@@ -97,11 +93,36 @@ def hexagon_from_gaps(gap1: float, gap2: float) -> Hexagon:
     )
 
 
-def point_to_hexagon_distance(px: float, py: float, vx, vy) -> float:
+def frame(g1, g2, sin=math.sin, cos=math.cos):
+    """The doubled hexagon and the tiling's basis at shape (g1, g2).
+
+    Returns (vx, vy, eix, eiy, ejx, ejy): the vertices of the hexagon doubled
+    about its centre, on the unit circle and counterclockwise, and the lattice
+    vectors e_i = v0 - v2 and e_j = v0 + v1 of the undoubled tile.  This is
+    the ``frame`` argument of ``coloring.min_gap``.  With NumPy's sin and cos
+    it takes arrays of shapes.
+    """
+    s1 = sin(g1)
+    c1 = cos(g1)
+    s2 = sin(g2)
+    c2 = cos(g2)
+    vx = (s1, 0.0, -s2, -s1, 0.0, s2)
+    vy = (c1, 1.0, c2, -c1, -1.0, -c2)
+    eix = (s1 + s2) * 0.5
+    eiy = (c1 - c2) * 0.5
+    ejx = s1 * 0.5
+    ejy = (c1 + 1.0) * 0.5
+    return vx, vy, eix, eiy, ejx, ejy
+
+
+def hexagon_gap(px: float, py: float, vx, vy) -> tuple[float, int, float]:
     """Distance from (px, py) to the convex hexagon with vertices (vx[m], vy[m]).
 
-    The six vertices run counterclockwise.  Points inside the hexagon or on
-    its boundary are at distance 0.
+    The six vertices run counterclockwise.  Returns (gap, m, t): the distance,
+    and the nearest boundary point v[m - 1] + t (v[m] - v[m - 1]) as its edge
+    m and its position t, clamped to [0, 1].  Points inside the hexagon or on
+    its boundary have gap 0.0, and (m, t) still names their nearest boundary
+    point.
     """
     inside = True
     best = math.inf
@@ -126,6 +147,8 @@ def point_to_hexagon_distance(px: float, py: float, vx, vy) -> float:
         d2 = qx * qx + qy * qy
         if d2 < best:
             best = d2
+            near = m
+            near_t = t
         ax = bx
         ay = by
-    return 0.0 if inside else math.sqrt(best)
+    return 0.0 if inside else math.sqrt(best), near, near_t

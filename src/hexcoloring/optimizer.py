@@ -59,8 +59,10 @@ from .geometry import (
     REGULAR,
     SEMI_REGULAR,
     DomainError,
+    frame,
     gaps_valid,
     hexagon_from_gaps,
+    hexagon_gap,
 )
 
 # coarse grids stay this far from the degenerate boundary; EPS_GEOM remains
@@ -105,65 +107,37 @@ class SolveAllResult:
         return self.per_class[self.champion_class]
 
 
-def _frame(g1, g2, sin=math.sin, cos=math.cos):
-    """Doubled-hexagon vertices and lattice basis at shape (g1, g2).
-
-    This is the ``frame`` argument of ``coloring.min_gap``.
-    With NumPy's sin and cos it takes arrays of shapes.
-    """
-    s1 = sin(g1)
-    c1 = cos(g1)
-    s2 = sin(g2)
-    c2 = cos(g2)
-    vx = (s1, 0.0, -s2, -s1, 0.0, s2)
-    vy = (c1, 1.0, c2, -c1, -1.0, -c2)
-    eix = (s1 + s2) * 0.5
-    eiy = (c1 - c2) * 0.5
-    ejx = s1 * 0.5
-    ejy = (c1 + 1.0) * 0.5
-    return vx, vy, eix, eiy, ejx, ejy
-
-
 def _eval_min(g1: float, g2: float, scheme: ColorScheme, tol: float | None = None):
     """``coloring.min_gap`` at (g1, g2); -1.0, with no offsets, outside the valid triangle."""
     if not gaps_valid(g1, g2):
         return -1.0 if tol is None else (-1.0, [])
-    return min_gap(scheme, _frame(g1, g2), tol)
+    return min_gap(scheme, frame(g1, g2), tol)
 
 
 def _offset_jet(g1: float, g2: float, i: int, j: int, hessian: bool = True):
     """Offset (i, j)'s gap at shape (g1, g2), its gradient and its Hessian in the gaps.
 
-    The gap is ``geometry.point_to_hexagon_distance``'s from c = i e_i + j e_j
-    to the doubled hexagon of ``_frame``, bit for bit: the distance from c to
-    its nearest boundary point q = a + t (b - a), t clamped to [0, 1].  By
-    the envelope theorem the gradient is u . M, with u = (c - q) / gap and
-    M = dc - (1 - t) da - t db.  With gap1, c moves by (i + j) / 2 (cos g1,
-    -sin g1) and v0, v3 turn clockwise; with gap2, c moves by i / 2 (cos g2,
-    sin g2) and v2, v5 turn counterclockwise.  All of them turn at unit rate,
-    so dM is M turned a quarter, and the Hessian is u . dM + (P P' - Q Q') /
-    gap, with P the part of M along the boundary and Q = |b - a| dt, zero at
-    a vertex.  Points are complex numbers; inside the hexagon all are zero.
-    Without ``hessian``, returns only the gap and the gradient.
+    The gap is ``geometry.hexagon_gap``'s from c = i e_i + j e_j to the
+    doubled hexagon of ``geometry.frame``, as ``min_gap`` takes it, and so is
+    the nearest boundary point q = a + t (b - a) on edge m from a = v[m - 1]
+    to b = v[m].  By the envelope theorem the gradient is u . M, with u = (c
+    - q) / gap and M = dc - (1 - t) da - t db.  With gap1, c moves by (i +
+    j) / 2 (cos g1, -sin g1) and v0, v3 turn clockwise; with gap2, c moves by
+    i / 2 (cos g2, sin g2) and v2, v5 turn counterclockwise.  All of them
+    turn at unit rate, so dM is M turned a quarter, and the Hessian is u . dM
+    + (P P' - Q Q') / gap, with P the part of M along the boundary and Q =
+    |b - a| dt, zero at a vertex.  Points are complex numbers; where the gap
+    is 0 all derivatives are zero.  Without ``hessian``, returns only the gap
+    and the gradient.
     """
-    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
+    vx, vy, eix, eiy, ejx, ejy = frame(g1, g2)
     px, py = i * eix + j * ejx, i * eiy + j * ejy
-    inside, best = True, math.inf
-    for m in range(6):
-        ax, ay = vx[m - 1], vy[m - 1]
-        ex, ey = vx[m] - ax, vy[m] - ay
-        dx, dy = px - ax, py - ay
-        inside &= ex * dy - ey * dx >= 0.0
-        t = min(max((dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0), 1.0)
-        qx, qy = dx - t * ex, dy - t * ey
-        d2 = qx * qx + qy * qy
-        if d2 < best:
-            best, near = d2, (m, t, complex(ex, ey))
-    if inside:
+    gap, m, t = hexagon_gap(px, py, vx, vy)
+    if gap == 0.0:
         return (0.0, (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))[: 2 + hessian]
-    m, t, e = near
-    gap, edge = math.sqrt(best), 0.0 < t < 1.0
+    edge = 0.0 < t < 1.0
     v = lambda a: complex(vx[a], vy[a])
+    e = v(m) - v(m - 1)
     dot = lambda z, w: z.real * w.real + z.imag * w.imag
     # u from the edge's normal or the vertex itself, not the rounded q, so an
     # offset and its mirror image on the diagonal get mirrored slopes
@@ -203,9 +177,9 @@ _CHUNK = 16384
 def _offset_gaps(frame, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Offset (i[r], j[r])'s gap at each shape of ``frame``, as row r; i, j are columns.
 
-    ``frame`` is ``_frame``'s over arrays of shapes.  Each element is the
-    scalar kernel's, operation for operation; the operations run in place
-    where that saves a temporary."""
+    ``frame`` is ``geometry.frame``'s over arrays of shapes.  Each element is
+    ``geometry.hexagon_gap``'s gap, operation for operation; the operations
+    run in place where that saves a temporary."""
     vx, vy, eix, eiy, ejx, ejy = frame
     cx = i * eix + j * ejx
     cy = i * eiy + j * ejy
@@ -258,7 +232,7 @@ class _Field:
         self.g2 = g2
         self.radius = radius
         # each element is the scalar kernel's where NumPy's sin and cos match math's
-        self._frame = _frame(g1, g2, np.sin, np.cos)
+        self._frame = frame(g1, g2, np.sin, np.cos)
         # the table: rows are views into the blocks ``_offset_gaps`` returned,
         # so it grows without copying or spare capacity
         self.table: list[np.ndarray] = []
@@ -346,7 +320,7 @@ def _bisected_bound(grid: _Field, i, j, rows, target: float = -math.inf) -> floa
     radius = np.tile(grid.radius[split] / parts, parts)
     gamma = np.tile(grid.g1[split], parts) + radius * np.repeat(
         np.arange(1 - parts, parts, 2), split.sum())
-    gaps = _offset_gaps(_frame(gamma, gamma, np.sin, np.cos), i[:, None] * 1.0, j[:, None] * 1.0)
+    gaps = _offset_gaps(frame(gamma, gamma, np.sin, np.cos), i[:, None] * 1.0, j[:, None] * 1.0)
     fine = np.minimum((gaps + weight * radius).min(axis=0), np.tile(bound[split], parts))
     return float(max(bound.max(initial=-math.inf, where=~split), fine.max(initial=-math.inf)))
 
@@ -800,15 +774,15 @@ def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
     later scheme can win or tie.  counts[0] counts the evaluations.
     """
     pt = (_REGULAR_GAP, _REGULAR_GAP)
-    frame = _frame(*pt)
-    bounds = [math.sqrt(_reduced_basis(scheme, *frame[2:])[4]) - _REGULAR_INRADIUS
+    doubled = frame(*pt)
+    bounds = [math.sqrt(_reduced_basis(scheme, *doubled[2:])[4]) - _REGULAR_INRADIUS
               for scheme in candidates]
     cands = []
     best = -math.inf
     for bound, scheme in sorted(zip(bounds, candidates), key=lambda pair: -pair[0]):
         if bound < best - _TIE_TOL:
             break
-        val = min_gap(scheme, frame)
+        val = min_gap(scheme, doubled)
         cands.append((val, scheme, pt))
         best = max(best, val)
     counts[0] += len(cands)

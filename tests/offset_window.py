@@ -8,9 +8,9 @@ offset list instead, so the tests can compare the two, or the gap of one
 offset at one shape.
 """
 
-from hexcoloring.coloring import TileIndex, _doubled_frame, enumeration_bound, same_color_offsets
-from hexcoloring.geometry import point_to_hexagon_distance
-from hexcoloring.optimizer import _frame
+from helpers import doubled_frame
+from hexcoloring.coloring import TileIndex, enumeration_bound, same_color_offsets
+from hexcoloring.geometry import frame, hexagon_gap
 
 
 def half_plane_offsets(scheme, bound: int):
@@ -36,8 +36,8 @@ def tile_by_tile_window(scheme, slack: int = 1) -> list:
 
 def offset_dist(g1: float, g2: float, i: int, j: int) -> float:
     """Offset (i, j)'s gap at shape (g1, g2), straight from the distance kernel."""
-    vx, vy, eix, eiy, ejx, ejy = _frame(g1, g2)
-    return point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+    vx, vy, eix, eiy, ejx, ejy = frame(g1, g2)
+    return hexagon_gap(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)[0]
 
 
 def min_offset_distance(offsets, frame) -> float:
@@ -55,7 +55,7 @@ def min_offset_distance(offsets, frame) -> float:
         # the doubled hexagon fits in the unit circle: d >= |c| - 1
         if cx * cx + cy * cy >= lim:
             continue
-        d = point_to_hexagon_distance(cx, cy, vx, vy)
+        d = hexagon_gap(cx, cy, vx, vy)[0]
         if d < best:
             best = d
             lim = (best + 1.0) * (best + 1.0)
@@ -63,9 +63,12 @@ def min_offset_distance(offsets, frame) -> float:
 
 
 def min_distance_over_offsets(hexagon, scheme, *, slack: int = 1):
-    """Minimum gap over the scheme's window, with the first offset realizing it."""
-    frame = _doubled_frame(hexagon)
+    """Minimum gap over the scheme's window, with the first offset realizing it.
+
+    The frame comes from ``hexagon``'s vertices, so a rotated hexagon is
+    measured as it lies."""
+    doubled = doubled_frame(hexagon)
     offsets = same_color_offsets(scheme, slack=slack)
-    best = min_offset_distance(offsets, frame)
+    best = min_offset_distance(offsets, doubled)
     # the pruned scan settles on the first offset that attains the minimum
-    return best, next(t for t in offsets if min_offset_distance((t,), frame) == best)
+    return best, next(t for t in offsets if min_offset_distance((t,), doubled) == best)

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from hexcoloring.optimizer import GRID_MARGIN, _Field, _frame, _lipschitz, _rect_grid, _rect_radii
+from hexcoloring.geometry import frame
+from hexcoloring.optimizer import GRID_MARGIN, _Field, _lipschitz, _rect_grid, _rect_radii
 
 
 def square_layout(grid):
@@ -50,7 +51,7 @@ class PerOffsetScan:
     def __init__(self, grid):
         self.grid = grid
         g1, g2, self.points = square_layout(grid)
-        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = _frame(g1, g2, np.sin, np.cos)
+        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = frame(g1, g2, np.sin, np.cos)
         self._edges = []
         for m in range(6):
             ax, ay = vx[m - 1], vy[m - 1]

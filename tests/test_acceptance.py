@@ -13,7 +13,7 @@ import pytest
 
 from geometry_oracle import polygon_area
 from offset_window import min_distance_over_offsets
-from helpers import rational_reconstruct
+from helpers import rational_reconstruct, rotated
 from hexcoloring.analysis import load_reference, monotonicity_report
 from hexcoloring.coloring import lattice_basis
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
@@ -291,7 +291,7 @@ def test_c6_property_suite(champions, verdict):
         hexagon = hexagon_from_gaps(*res.gaps)
         d0, _ = min_distance_over_offsets(hexagon, res.scheme)
         for angle in (0.37, 1.23, 2.9):
-            d1, _ = min_distance_over_offsets(hexagon.rotated(angle), res.scheme)
+            d1, _ = min_distance_over_offsets(rotated(hexagon, angle), res.scheme)
             if abs(d1 - d0) > 1e-10:
                 failures.append(f"rotation: k={k} angle={angle} drift {abs(d1 - d0):.2e}")
 

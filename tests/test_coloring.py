@@ -9,7 +9,6 @@ from hexcoloring.coloring import (
     SYMMETRIES,
     ColorScheme,
     TileIndex,
-    _doubled_frame,
     canonical_triple,
     enumeration_bound,
     lattice_basis,
@@ -18,13 +17,13 @@ from hexcoloring.coloring import (
     schemes,
     window_offsets,
 )
-from hexcoloring import optimizer
+from hexcoloring import geometry
 from hexcoloring.geometry import (
     DomainError,
     hexagon_from_gaps,
-    point_to_hexagon_distance,
+    hexagon_gap,
 )
-from helpers import regular_hexagon
+from helpers import regular_hexagon, rotated
 from offset_window import (
     min_distance_over_offsets,
     min_offset_distance,
@@ -168,7 +167,7 @@ def test_min_distance_rotation_invariant(gaps, angle):
     hx = hexagon_from_gaps(*gaps)
     s = ColorScheme(7, 7, 4)
     d0, _ = min_distance_over_offsets(hx, s)
-    d1, _ = min_distance_over_offsets(hx.rotated(angle), s)
+    d1, _ = min_distance_over_offsets(rotated(hx, angle), s)
     assert abs(d0 - d1) <= 1e-10
 
 
@@ -279,7 +278,7 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
     s = data.draw(scheme_for(k))
     g1 = 0.01 + u * (math.pi - 0.03)
     g2 = 0.01 + v * (math.pi - 0.02 - g1)
-    frame = _doubled_frame(hexagon_from_gaps(g1, g2))
+    frame = geometry.frame(g1, g2)
     value, near = min_gap(s, frame, tol)
     assert value == min_gap(s, frame)
     gap = lambda t: min_offset_distance((t,), frame)
@@ -299,7 +298,7 @@ def test_min_gap_matches_a_complete_window(k, data, u, v, tol):
 def test_min_gap_lists_every_offset_within_tol_at_a_sliver():
     # the reduced b1 = (0, 1) is shorter than 1/4 here, and its gap is 0
     s = ColorScheme(4, 4, 0)
-    frame = _doubled_frame(hexagon_from_gaps(2.699, 0.31))
+    frame = geometry.frame(2.699, 0.31)
     value, near = min_gap(s, frame, 1.0)
     assert value == 0.0
     gap = lambda t: min_offset_distance((t,), frame)
@@ -311,7 +310,7 @@ def test_min_gap_lists_every_offset_within_tol_at_a_sliver():
 def _triple_key(frame, t1, t2):
     """canonical_triple's key for the pair t1, t2, and the pair's three gaps."""
     vx, vy, eix, eiy, ejx, ejy = frame
-    gap = lambda i, j: point_to_hexagon_distance(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
+    gap = lambda i, j: hexagon_gap(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)[0]
     d01, d02, d12 = gap(*t1), gap(*t2), gap(t2[0] - t1[0], t2[1] - t1[1])
     shaped = abs(d01 - d02) <= 1e-7 and d01 <= d12 + 1e-7
     return (max(d01, d02, d12), d01 + d02 + d12, 0 if shaped else 1, (*t1, *t2)), (d01, d02, d12)
@@ -334,9 +333,8 @@ def _box_wedge_pairs(scheme, bound):
 @given(k=st.integers(min_value=1, max_value=12), data=st.data(), gaps=gap_pairs)
 def test_canonical_triple_matches_a_brute_force_box(k, data, gaps):
     s = data.draw(scheme_for(k))
-    hx = hexagon_from_gaps(*gaps)
-    frame = _doubled_frame(hx)
-    t = canonical_triple(hx, s)
+    frame = geometry.frame(*gaps)
+    t = canonical_triple(hexagon_from_gaps(*gaps), s)
     key, dists = _triple_key(frame, tuple(t.t1), tuple(t.t2))
     assert (t.d01, t.d02, t.d12) == dists
     box = (_triple_key(frame, *pair)[0] for pair in _box_wedge_pairs(s, 4 * k + 4))
@@ -358,7 +356,7 @@ def test_min_gap_keeps_a_tie_at_the_prune():
     # at this shape the offset (-1, 2) is nearest a vertex of the doubled
     # tile, so |c| = gap + 1, and its gap is one ulp below (4, 1)'s
     scheme = ColorScheme(9, 9, 4)
-    frame = optimizer._frame(0.27824682273479706, 0.27824682273479723)
+    frame = geometry.frame(0.27824682273479706, 0.27824682273479723)
     best, near = min_gap(scheme, frame, 1e-6)
     assert TileIndex(-1, 2) in near
     assert min_gap(scheme, frame) == best == offset_dist(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_oracle import convex_distance, polygon_area, segment_distance
-from helpers import regular_hexagon
+from helpers import doubled_frame, nearest_feature, regular_hexagon, rotated
 from hexcoloring.coloring import lattice_basis
 from hexcoloring.geometry import (
     CLASS_TAGS,
@@ -15,7 +15,7 @@ from hexcoloring.geometry import (
     DomainError,
     Hexagon,
     hexagon_from_gaps,
-    point_to_hexagon_distance,
+    hexagon_gap,
 )
 
 
@@ -123,7 +123,7 @@ def test_semi_regular_from_r():
 @given(gaps=gap_pairs, angle=st.floats(min_value=-7.0, max_value=7.0, allow_nan=False))
 def test_rotation_preserves_shape_data(gaps, angle):
     hx = hexagon_from_gaps(*gaps)
-    rot = hx.rotated(angle)
+    rot = rotated(hx, angle)
     assert rot.class_tag == hx.class_tag
     assert rot.r == hx.r and rot.s == hx.s
     for (ax, ay), (bx, by) in zip(hx.vertices, rot.vertices):
@@ -164,22 +164,26 @@ def test_pair_distance_matches_doubled_hexagon_route(gaps, offset):
     # dist(H, H + c) must agree with the point-to-(2H) formulation
     hx = hexagon_from_gaps(*gaps)
     slow = convex_distance(hx, hx, offset)
-    fast = point_to_hexagon_distance(*offset, *_doubled(hx))
+    vx, vy, *_ = doubled_frame(hx)
+    fast, m, t = hexagon_gap(*offset, vx, vy)
     assert abs(slow - fast) <= 1e-12
-
-
-def _doubled(hx):
-    """Vertex x and y tuples of ``hx`` doubled about its center."""
-    return tuple(2 * x for x, _ in hx.vertices), tuple(2 * y for _, y in hx.vertices)
+    # (m, t) names the nearest boundary point, and the feature that a direct
+    # search finds nearest
+    assert 0 <= m < 6 and 0.0 <= t <= 1.0
+    if fast > 0.0:
+        qx, qy = vx[m - 1] + t * (vx[m] - vx[m - 1]), vy[m - 1] + t * (vy[m] - vy[m - 1])
+        assert abs(math.hypot(offset[0] - qx, offset[1] - qy) - fast) <= 1e-12
+        feature = ("vertex", (m - 1) % 6) if t == 0.0 else ("vertex", m) if t == 1.0 else ("edge", m)
+        assert feature == nearest_feature(*offset, vx, vy)
 
 
 def test_point_to_convex_distance_oracle():
-    vx, vy = _doubled(regular_hexagon())
+    vx, vy, *_ = doubled_frame(regular_hexagon())
     # rightmost edge of the doubled regular hexagon is the line x = sqrt(3)/2
     want = 10.0 - math.sqrt(3) / 2
-    assert abs(point_to_hexagon_distance(10.0, 0.0, vx, vy) - want) <= 1e-12
-    assert point_to_hexagon_distance(0.0, 0.0, vx, vy) == 0.0
-    assert point_to_hexagon_distance(vx[0], vy[0], vx, vy) == 0.0
+    assert abs(hexagon_gap(10.0, 0.0, vx, vy)[0] - want) <= 1e-12
+    assert hexagon_gap(0.0, 0.0, vx, vy)[0] == 0.0
+    assert hexagon_gap(vx[0], vy[0], vx, vy)[0] == 0.0
 
 
 def test_overlapping_translates_have_zero_distance():

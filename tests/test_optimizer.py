@@ -26,8 +26,10 @@ from hexcoloring.geometry import (
     REGULAR,
     SEMI_REGULAR,
     DomainError,
+    frame,
     gaps_valid,
     hexagon_from_gaps,
+    hexagon_gap,
 )
 from hexcoloring.analysis import REFERENCE_TOL, load_reference
 from hexcoloring import optimizer
@@ -41,6 +43,7 @@ from hexcoloring.optimizer import (
     _lipschitz,
     _lp_step,
     _newton_loop,
+    _offset_gaps,
     _offset_jet,
     _polish_rect,
     _rect_grid,
@@ -59,6 +62,7 @@ from nm_oracle import (
     refine_semi_every_start,
     semi_starts,
 )
+from helpers import nearest_feature
 from offset_window import offset_dist
 from scan_oracle import PerOffsetScan, full_triangle_grid, square_layout
 
@@ -454,6 +458,27 @@ def test_field_matches_scalar_kernel(make_grid):
         assert arr.tobytes() == grid.table[grid.index[i, j]].tobytes()
 
 
+def test_offset_gaps_match_the_scalar_kernel_bit_for_bit():
+    # the array twin of geometry.hexagon_gap runs the same operations, so at
+    # each shape where NumPy's sin and cos give math's it gives the same gaps,
+    # touching neighbours and the origin included
+    rng = np.random.default_rng(27)
+    u, v = rng.uniform(0.0, 1.0, (2, 400))
+    g1 = 1e-3 + u * (math.pi - 3e-3)
+    g2 = 1e-3 + v * (math.pi - 2e-3 - g1)
+    trig = np.stack([np.sin(g1), np.cos(g1), np.sin(g2), np.cos(g2)], 1).tolist()
+    agree = [[math.sin(a), math.cos(a), math.sin(b), math.cos(b)] == row
+             for a, b, row in zip(g1.tolist(), g2.tolist(), trig)]
+    assert sum(agree) >= 200
+    offsets = [*zip(*rng.integers(-30, 31, (2, 60)).tolist()), (0, 0), (1, 0), (0, 1), (-1, 1)]
+    i, j = (np.array(col, dtype=float)[:, None] for col in zip(*offsets))
+    gaps = _offset_gaps(frame(g1, g2, np.sin, np.cos), i, j)
+    for p in np.flatnonzero(agree).tolist():
+        vx, vy, eix, eiy, ejx, ejy = frame(float(g1[p]), float(g2[p]))
+        want = [hexagon_gap(a * eix + b * ejx, a * eiy + b * ejy, vx, vy)[0] for a, b in offsets]
+        assert gaps[:, p].tolist() == want, (g1[p], g2[p])
+
+
 _SCAN_KS = [*range(3, 46), 49, 56, 77, 112, 156, 175]
 
 
@@ -670,8 +695,8 @@ def test_sweep_evaluations_stay_under_their_ceilings(caplog):
 def _regular_exhaustive(k: int):
     """The regular class's answer with every scheme evaluated, none skipped."""
     pt = (math.pi / 3.0, math.pi / 3.0)
-    frame = optimizer._frame(*pt)
-    cands = [(min_gap(scheme, frame), scheme, pt) for scheme in schemes(k)]
+    doubled = frame(*pt)
+    cands = [(min_gap(scheme, doubled), scheme, pt) for scheme in schemes(k)]
     (val, scheme, pt), triple = optimizer._pick_tied(cands)
     return optimizer._finalize(k, REGULAR, scheme, pt, val, val, triple)
 
@@ -679,11 +704,11 @@ def _regular_exhaustive(k: int):
 def test_regular_bound_holds_for_every_scheme():
     # the doubled regular hexagon holds the disc of radius sqrt(3) / 2, so no
     # gap exceeds |b1| - sqrt(3) / 2 for the reduced basis's first vector b1
-    frame = optimizer._frame(math.pi / 3.0, math.pi / 3.0)
+    doubled = frame(math.pi / 3.0, math.pi / 3.0)
     for k in range(3, 201):
         for scheme in schemes(k):
-            bound = math.sqrt(_reduced_basis(scheme, *frame[2:])[4]) - math.sqrt(3.0) / 2.0
-            assert min_gap(scheme, frame) <= bound + 1e-12, scheme
+            bound = math.sqrt(_reduced_basis(scheme, *doubled[2:])[4]) - math.sqrt(3.0) / 2.0
+            assert min_gap(scheme, doubled) <= bound + 1e-12, scheme
 
 
 def test_regular_bound_order_skips_no_answer():
@@ -735,18 +760,8 @@ def test_resumed_golden_section_matches_a_fresh_one(monkeypatch):
 
 def _feature(g1, g2, i, j):
     """The doubled-hexagon vertex or edge nearest offset (i, j)'s point, searched directly."""
-    vx, vy, eix, eiy, ejx, ejy = optimizer._frame(g1, g2)
-    px, py = i * eix + j * ejx, i * eiy + j * ejy
-    best = None
-    for m in range(6):
-        ax, ay, bx, by = vx[m - 1], vy[m - 1], vx[m], vy[m]
-        t = ((px - ax) * (bx - ax) + (py - ay) * (by - ay)) / ((bx - ax) ** 2 + (by - ay) ** 2)
-        feature = ("vertex", (m - 1) % 6) if t <= 0 else ("vertex", m) if t >= 1 else ("edge", m)
-        t = min(max(t, 0.0), 1.0)
-        dist = math.hypot(px - ax - t * (bx - ax), py - ay - t * (by - ay))
-        if best is None or dist < best[0]:
-            best = (dist, feature)
-    return best[1]
+    vx, vy, eix, eiy, ejx, ejy = frame(g1, g2)
+    return nearest_feature(i * eix + j * ejx, i * eiy + j * ejy, vx, vy)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
