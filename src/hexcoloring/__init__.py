@@ -17,7 +17,6 @@ from .coloring import (
     TileIndex,
     TripleRepresentation,
     canonical_triple,
-    lattice_basis,
     same_color_offsets,
     schemes,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "cubic_f",
     "cubic_spec",
     "hexagon_from_gaps",
-    "lattice_basis",
     "load_reference",
     "loeschian_decompositions",
     "monotonicity_report",

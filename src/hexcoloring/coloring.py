@@ -14,36 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import DomainError, Hexagon, Point, frame, hexagon_gap
+from .geometry import DomainError, Hexagon, frame, hexagon_gap
 
 
 class TileIndex(NamedTuple):
     i: int
     j: int
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    e_i: Point
-    e_j: Point
-
-    def position(self, i: float, j: float) -> Point:
-        return (
-            i * self.e_i[0] + j * self.e_j[0],
-            i * self.e_i[1] + j * self.e_j[1],
-        )
-
-
-def lattice_basis(hexagon: Hexagon) -> LatticeBasis:
-    """Translation vectors of the tiling generated by ``hexagon``.
-
-    e_i spans a row of edge-to-edge tiles; e_j steps to the next row.
-    """
-    v = hexagon.vertices
-    return LatticeBasis(
-        e_i=(v[0][0] - v[2][0], v[0][1] - v[2][1]),
-        e_j=(v[0][0] + v[1][0], v[0][1] + v[1][1]),
-    )
 
 
 @dataclass(frozen=True)

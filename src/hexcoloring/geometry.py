@@ -33,7 +33,6 @@ CLASS_TAGS = (REGULAR, SEMI_REGULAR, RECTILINEAR)
 
 # degeneracy margin: gaps must stay this far from 0 and from summing to pi
 EPS_GEOM = 1e-9
-_TAG_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -50,18 +49,8 @@ class Hexagon:
 
     gaps: tuple[float, float]
     vertices: tuple[Point, Point, Point, Point, Point, Point]
-    class_tag: str
     r: float
     s: float
-
-
-def _class_tag(gap1: float, gap2: float) -> str:
-    third = math.pi / 3.0
-    if abs(gap1 - third) <= _TAG_TOL and abs(gap2 - third) <= _TAG_TOL:
-        return REGULAR
-    if abs(gap1 - gap2) <= _TAG_TOL:
-        return SEMI_REGULAR
-    return RECTILINEAR
 
 
 def gaps_valid(gap1: float, gap2: float) -> bool:
@@ -87,7 +76,6 @@ def hexagon_from_gaps(gap1: float, gap2: float) -> Hexagon:
     return Hexagon(
         gaps=(gap1, gap2),
         vertices=verts,
-        class_tag=_class_tag(gap1, gap2),
         r=math.sin(gap3 / 2.0),
         s=math.sin(gap1 / 2.0),
     )

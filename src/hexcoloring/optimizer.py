@@ -534,40 +534,6 @@ def _polish_rect(fn, x: float, y: float, val: float):
 _HANDOVER, _GOLDEN_TOL = 1e-7, 1e-12
 
 
-def _golden_sections(fn, lo: float, hi: float):
-    """Golden-section search for a maximum of fn on [lo, hi], one bracket at a time.
-
-    Yields (width, x, value) for each bracket, the better of its two interior
-    points; fn is evaluated once between two yields.  The brackets do not
-    depend on where the search stops, so stopping at a narrower width passes
-    through every bracket of a wider one."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while True:
-        yield (b - a, x1, f1) if f1 >= f2 else (b - a, x2, f2)
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = fn(x2)
-
-
-def _golden_max(sections, tol: float):
-    """(x, value) at the first bracket of ``_golden_sections`` at most ``tol`` wide.
-
-    Called again on the same sections with a smaller tol, the search goes on
-    from the bracket after the one it stopped at."""
-    for width, x, val in sections:
-        if width <= tol:
-            return x, val
-
-
 def _polish_semi(fn, gamma: float, val: float):
     """Newton on the crossing of the two leading branches near gamma on the diagonal.
 
@@ -602,18 +568,32 @@ def _search_semi(fn, lo: float, hi: float):
     """(gamma, value) of the semi-regular search along the diagonal within [lo, hi].
 
     A golden section narrows the bracket to _HANDOVER, and ``_polish_semi``
-    takes over.  When its Newton ends on a crossing within _HANDOVER of the
-    golden-section point, that crossing is the answer: a narrower bracket
-    would only move Newton's start.  Otherwise (a maximum on one branch,
-    parallel mirror branches, or a maximum pressed against gamma = pi / 2)
-    the golden section continues to _GOLDEN_TOL and its point is polished.
+    takes over from the better of the bracket's two interior points.  When
+    its Newton ends on a crossing within _HANDOVER of that point, the
+    crossing is the answer: a narrower bracket would only move Newton's
+    start.  Otherwise (a maximum on one branch, parallel mirror branches, or
+    a maximum pressed against gamma = pi / 2) the same golden section goes
+    on to _GOLDEN_TOL and its point is polished.
     """
-    sections = _golden_sections(lambda g: fn(g, g), lo, hi)
-    start, val = _golden_max(sections, _HANDOVER)
-    gamma, val, crossed = _polish_semi(fn, start, val)
-    if crossed and abs(gamma - start) <= _HANDOVER:
-        return gamma, val
-    gamma, val, _ = _polish_semi(fn, *_golden_max(sections, _GOLDEN_TOL))
+    line = lambda g: fn(g, g)
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - inv * (b - a), a + inv * (b - a)
+    f1, f2 = line(x1), line(x2)
+    for tol in (_HANDOVER, _GOLDEN_TOL):
+        while b - a > tol:
+            if f1 >= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - inv * (b - a)
+                f1 = line(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + inv * (b - a)
+                f2 = line(x2)
+        start, val = (x1, f1) if f1 >= f2 else (x2, f2)
+        gamma, val, crossed = _polish_semi(fn, start, val)
+        if crossed and abs(gamma - start) <= _HANDOVER:
+            break
     return gamma, val
 
 
@@ -708,37 +688,20 @@ def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
 def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
-    The answer is one local search (``_refine``) from a best coarse grid
-    point, so it may be a local maximum only.  For the rectilinear class, as
-    in ``solve``, the search is the orbit's: it runs for the member with the
-    highest grid value, the first of the orbit in ``schemes`` order on ties,
-    and its optimum is mapped onto ``scheme``.  When that image is not a
-    valid shape (a sliver optimum whose third gap rounds to EPS_GEOM), the
-    search runs from the scheme's own best grid point instead.  ``d_upper``
-    bounds the scheme's true maximum: it is the scheme's bound U_s from
-    ``solve``, so for the rectilinear class the largest scan bound over the
-    scheme's orbit."""
+    ``solve``'s scheme loop, ``_refine_schemes``, runs on the scheme's orbit
+    (rectilinear) or on the scheme alone (semi-regular), so the answer is the
+    one ``solve`` gets for the scheme when no bound skips it, and it may be a
+    local maximum only.  ``d_upper`` is the scheme's bound U_s from ``solve``."""
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
     if class_tag == REGULAR:
         return _solve_regular(k, [scheme], [0])
-
-    grid = _get_field(class_tag)
-    # in the order of ``schemes``, so that ties in peak go as in ``solve``
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
-    vals, upper, _ = grid.scan(*window_offsets(k, orbit))
-    top = int(np.argmax(vals.max(axis=1)))
-    val, pt = _refine(class_tag, orbit[top], vals[top], grid, [0])
-    if orbit[top] != scheme:
-        sym = next(sym for sym in SYMMETRIES if sym.image_scheme(orbit[top]) == scheme)
-        pt = sym.image_gaps(*pt)
-        if gaps_valid(*pt):
-            val = _eval_min(pt[0], pt[1], scheme)
-        else:
-            val, pt = _refine(class_tag, scheme, vals[orbit.index(scheme)], grid, [0])
-    return _finalize(k, class_tag, scheme, pt, val, upper.max())
+    refined, bound = _refine_schemes(k, class_tag, orbit)
+    val, _, pt = next(entry for entry in refined if entry[1] == scheme)
+    return _finalize(k, class_tag, scheme, pt, val, bound[scheme])
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -790,9 +753,74 @@ def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
     return _finalize(k, REGULAR, scheme, pt, val, val, triple)
 
 
-# the one DEBUG line that ``solve`` logs for each class
+# the one DEBUG line that ``solve`` logs for each class, and ``optimize_scheme``
+# for the semi-regular and rectilinear classes
 _SUMMARY = ("solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
             "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d")
+
+
+def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
+    """The scheme loop of ``solve`` over ``candidates``, semi-regular or rectilinear.
+
+    Returns (refined, bound): a (value, scheme, gap pair) entry for each
+    candidate that no bound skipped, and each candidate's upper bound U_s.
+    Schemes go in descending order of their grid peak; a rectilinear orbit
+    member after the first takes the first's optimum, moved onto its own
+    shape, or is searched from its own start when that image is not a valid
+    shape.  Logs the ``_SUMMARY`` DEBUG record."""
+    grid = _get_field(class_tag)
+    table_rows = len(grid.table)
+    owner, i, j = window_offsets(k, candidates)
+    vals, upper, rows = grid.scan(owner, i, j)
+    table_rows = len(grid.table) - table_rows
+    bound = dict(zip(candidates, upper.tolist()))
+    if class_tag == RECTILINEAR:
+        shared = {}
+        for scheme in candidates:
+            if scheme not in shared:
+                orbit = _orbit(scheme)
+                shared.update(dict.fromkeys(orbit, max(bound[member] for member in orbit)))
+        bound = shared
+    # scheme n's offsets are the slice edges[n] : edges[n + 1], as owners ascend
+    edges = [0, *np.cumsum(np.bincount(owner)).tolist()]
+
+    # objective evaluations
+    counts = [0]
+    refined = []
+    mapped_count = 0
+    # semi-regular schemes that only the bisected bound skipped
+    late_skips = 0
+    best = -math.inf
+    # orbit member -> its representative's optimum, moved onto the member's
+    # shape; rectilinear only
+    images = {}
+    for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
+        scheme, target = candidates[n], best - _TIE_TOL
+        if bound[scheme] < target:
+            continue
+        if class_tag == SEMI_REGULAR and refined and _bisected_bound(
+                grid, *(a[edges[n] : edges[n + 1]] for a in (i, j, rows)), target) < target:
+            late_skips += 1
+            continue
+        pt = images.get(scheme)
+        if pt is None or not gaps_valid(*pt):
+            v, pt = _refine(class_tag, scheme, vals[n], grid, counts)
+            if class_tag == RECTILINEAR:
+                for sym in SYMMETRIES[1:]:
+                    images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
+        else:
+            v = _eval_min(pt[0], pt[1], scheme)
+            mapped_count += 1
+            counts[0] += 1
+        refined.append((v, scheme, pt))
+        best = max(best, v)
+    _log.debug(
+        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count,
+        len(candidates) - len(refined),
+        f" ({late_skips} only after bisection)" if class_tag == SEMI_REGULAR else "",
+        best, max(bound.values()), table_rows, counts[0],
+    )
+    return refined, bound
 
 
 def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
@@ -830,7 +858,7 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     the orbit of s, shared by the orbit: once a member is skipped, so are
     the members after it.  The first member in descending order of peak
     over S gets a full refinement; later ones take its optimum, moved onto
-    their own shape.
+    their own shape (``_refine_schemes``).
     """
     if k < 3:
         raise DomainError(f"k must be at least 3: got {k}")
@@ -838,68 +866,17 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
         raise DomainError(f"unknown class {class_tag!r}")
 
     candidates = schemes(k)
-    # objective evaluations
-    counts = [0]
     if class_tag == REGULAR:
+        # objective evaluations
+        counts = [0]
         res = _solve_regular(k, candidates, counts)
         _log.debug(_SUMMARY, k, class_tag, counts[0], 0, len(candidates) - counts[0], "",
                    res.d, res.d_upper, 0, counts[0])
         return res
 
-    grid = _get_field(class_tag)
-    table_rows = len(grid.table)
-    owner, i, j = window_offsets(k, candidates)
-    vals, upper, rows = grid.scan(owner, i, j)
-    table_rows = len(grid.table) - table_rows
-    bound = dict(zip(candidates, upper.tolist()))
-    if class_tag == RECTILINEAR:
-        shared = {}
-        for scheme in candidates:
-            if scheme not in shared:
-                orbit = _orbit(scheme)
-                shared.update(dict.fromkeys(orbit, max(bound[member] for member in orbit)))
-        bound = shared
-    d_upper = max(bound.values())
-    # scheme n's offsets are the slice edges[n] : edges[n + 1], as owners ascend
-    edges = [0, *np.cumsum(np.bincount(owner)).tolist()]
-
-    refined = []
-    mapped_count = 0
-    # semi-regular schemes that only the bisected bound skipped
-    late_skips = 0
-    best = -math.inf
-    # orbit member -> its representative's optimum, moved onto the member's
-    # shape; rectilinear only
-    images = {}
-    for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
-        scheme, target = candidates[n], best - _TIE_TOL
-        if bound[scheme] < target:
-            continue
-        if class_tag == SEMI_REGULAR and refined and _bisected_bound(
-                grid, *(a[edges[n] : edges[n + 1]] for a in (i, j, rows)), target) < target:
-            late_skips += 1
-            continue
-        pt = images.get(scheme)
-        if pt is None:
-            v, pt = _refine(class_tag, scheme, vals[n], grid, counts)
-            if class_tag == RECTILINEAR:
-                for sym in SYMMETRIES[1:]:
-                    images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
-        else:
-            v = _eval_min(pt[0], pt[1], scheme)
-            mapped_count += 1
-            counts[0] += 1
-        refined.append((v, scheme, pt))
-        best = max(best, v)
-    _log.debug(
-        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count,
-        len(candidates) - len(refined),
-        f" ({late_skips} only after bisection)" if class_tag == SEMI_REGULAR else "",
-        best, d_upper, table_rows, counts[0],
-    )
-
+    refined, bound = _refine_schemes(k, class_tag, candidates)
     (val, scheme, point), triple = _pick_tied(refined)
-    return _finalize(k, class_tag, scheme, point, val, d_upper, triple)
+    return _finalize(k, class_tag, scheme, point, val, max(bound.values()), triple)
 
 
 def solve_all(k: int, classes: Sequence[str] = CLASS_TAGS) -> SolveAllResult:

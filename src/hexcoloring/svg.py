@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coloring import ColorScheme, TripleRepresentation, lattice_basis
-from .geometry import DomainError, Hexagon
+from .coloring import ColorScheme, TripleRepresentation
+from .geometry import DomainError, Hexagon, frame
 
 # one unit diameter = 100 SVG user units, identical in every scene
 SCALE = 100.0
@@ -84,10 +84,12 @@ def render_svg(
     """
     if extent < 1:
         raise DomainError(f"extent must be at least 1: got {extent}")
-    basis = lattice_basis(hexagon)
-    eix, eiy = basis.e_i
+    *_, eix, eiy, ejx, ejy = frame(*hexagon.gaps)
     norm = math.hypot(eix, eiy)
     ca, sa = eix / norm, eiy / norm
+
+    def position(i: int, j: int) -> tuple[float, float]:
+        return i * eix + j * ejx, i * eiy + j * ejy
 
     def place(px: float, py: float) -> tuple[float, float]:
         # rotate e_i onto +x, then flip y for screen coordinates
@@ -105,7 +107,7 @@ def render_svg(
     span = range(-extent, extent + 1)
     for j in span:
         for i in span:
-            cx, cy = basis.position(i, j)
+            cx, cy = position(i, j)
             pts = tuple(place(cx + vx, cy + vy) for vx, vy in hexagon.vertices)
             base = scheme.contains(i, j)
             tiles.append(
@@ -128,5 +130,5 @@ def render_svg(
     )
     arrows = None
     if axes:
-        arrows = (place(*basis.position(1, 0)), place(*basis.position(0, 1)))
+        arrows = (place(eix, eiy), place(ejx, ejy))
     return SvgScene(viewport=viewport, tiles=tuple(tiles), axes=arrows)

@@ -7,14 +7,26 @@ tolerance, the looser cousin of ``analysis.stable_dsq_rational``.
 ``coloring.min_gap``'s frame from the vertices, so that a rotated tiling can
 be measured; ``geometry.frame`` builds it from the gaps alone.
 ``nearest_feature`` finds the vertex or edge nearest a point by its own
-search, apart from ``geometry.hexagon_gap``.
+search, apart from ``geometry.hexagon_gap``.  ``lattice_basis`` builds the
+tiling's translation vectors from a hexagon's vertices, and ``class_tag``
+names the narrowest shape class that a gap pair lies in.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from hexcoloring.coloring import lattice_basis
-from hexcoloring.geometry import Hexagon, hexagon_from_gaps
+from hexcoloring.geometry import (
+    RECTILINEAR,
+    REGULAR,
+    SEMI_REGULAR,
+    Hexagon,
+    Point,
+    hexagon_from_gaps,
+)
+
+# gaps within this of each other (or of pi / 3) count as equal in class_tag
+_TAG_TOL = 1e-12
 
 
 def regular_hexagon() -> Hexagon:
@@ -25,7 +37,42 @@ def rotated(hexagon: Hexagon, angle: float) -> Hexagon:
     """Same shape with all vertices rotated by ``angle`` radians."""
     c, s = math.cos(angle), math.sin(angle)
     verts = tuple((x * c - y * s, x * s + y * c) for x, y in hexagon.vertices)
-    return Hexagon(hexagon.gaps, verts, hexagon.class_tag, hexagon.r, hexagon.s)
+    return Hexagon(hexagon.gaps, verts, hexagon.r, hexagon.s)
+
+
+def class_tag(gap1: float, gap2: float) -> str:
+    """The narrowest of the classes regular, semi-regular and rectilinear
+    that the shape (gap1, gap2) lies in."""
+    third = math.pi / 3.0
+    if abs(gap1 - third) <= _TAG_TOL and abs(gap2 - third) <= _TAG_TOL:
+        return REGULAR
+    if abs(gap1 - gap2) <= _TAG_TOL:
+        return SEMI_REGULAR
+    return RECTILINEAR
+
+
+@dataclass(frozen=True)
+class LatticeBasis:
+    e_i: Point
+    e_j: Point
+
+    def position(self, i: float, j: float) -> Point:
+        return (
+            i * self.e_i[0] + j * self.e_j[0],
+            i * self.e_i[1] + j * self.e_j[1],
+        )
+
+
+def lattice_basis(hexagon: Hexagon) -> LatticeBasis:
+    """Translation vectors of the tiling generated by ``hexagon``, from its vertices.
+
+    e_i spans a row of edge-to-edge tiles; e_j steps to the next row.
+    """
+    v = hexagon.vertices
+    return LatticeBasis(
+        e_i=(v[0][0] - v[2][0], v[0][1] - v[2][1]),
+        e_j=(v[0][0] + v[1][0], v[0][1] + v[1][1]),
+    )
 
 
 def doubled_frame(hexagon: Hexagon) -> tuple:

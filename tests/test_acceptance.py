@@ -13,9 +13,8 @@ import pytest
 
 from geometry_oracle import polygon_area
 from offset_window import min_distance_over_offsets
-from helpers import rational_reconstruct, rotated
+from helpers import lattice_basis, rational_reconstruct, rotated
 from hexcoloring.analysis import load_reference, monotonicity_report
-from hexcoloring.coloring import lattice_basis
 from hexcoloring.evaluator import cubic_f, quartic_dsq, regular_dsq
 from hexcoloring.geometry import (
     RECTILINEAR,

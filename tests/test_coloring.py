@@ -11,7 +11,6 @@ from hexcoloring.coloring import (
     TileIndex,
     canonical_triple,
     enumeration_bound,
-    lattice_basis,
     min_gap,
     same_color_offsets,
     schemes,
@@ -23,7 +22,7 @@ from hexcoloring.geometry import (
     hexagon_from_gaps,
     hexagon_gap,
 )
-from helpers import regular_hexagon, rotated
+from helpers import lattice_basis, regular_hexagon, rotated
 from offset_window import (
     min_distance_over_offsets,
     min_offset_distance,

@@ -5,8 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_oracle import convex_distance, polygon_area, segment_distance
-from helpers import doubled_frame, nearest_feature, regular_hexagon, rotated
-from hexcoloring.coloring import lattice_basis
+from helpers import (
+    class_tag,
+    doubled_frame,
+    lattice_basis,
+    nearest_feature,
+    regular_hexagon,
+    rotated,
+)
 from hexcoloring.geometry import (
     CLASS_TAGS,
     RECTILINEAR,
@@ -92,10 +98,10 @@ def test_edge_lengths_are_gap_chords(gaps):
 
 def test_class_tags():
     third = math.pi / 3
-    assert hexagon_from_gaps(third, third).class_tag == REGULAR
-    assert hexagon_from_gaps(0.9, 0.9).class_tag == SEMI_REGULAR
-    assert hexagon_from_gaps(0.9, 1.1).class_tag == RECTILINEAR
-    assert regular_hexagon().class_tag == REGULAR
+    assert class_tag(*hexagon_from_gaps(third, third).gaps) == REGULAR
+    assert class_tag(*hexagon_from_gaps(0.9, 0.9).gaps) == SEMI_REGULAR
+    assert class_tag(*hexagon_from_gaps(0.9, 1.1).gaps) == RECTILINEAR
+    assert class_tag(*regular_hexagon().gaps) == REGULAR
     assert CLASS_TAGS == (REGULAR, SEMI_REGULAR, RECTILINEAR)
 
 
@@ -110,11 +116,11 @@ def test_invalid_gaps_rejected(gap1, gap2):
 
 def test_semi_regular_from_r():
     hx = semi_regular_from_r(0.2)
-    assert hx.class_tag == SEMI_REGULAR
+    assert class_tag(*hx.gaps) == SEMI_REGULAR
     assert abs(hx.r - 0.2) <= 1e-12
     assert abs(hx.gaps[0] - hx.gaps[1]) <= 1e-15
     # r = 1/2 forces all three gaps equal
-    assert semi_regular_from_r(0.5).class_tag == REGULAR
+    assert class_tag(*semi_regular_from_r(0.5).gaps) == REGULAR
     for bad in (0.0, 1.0, -0.3, 1.5):
         with pytest.raises(DomainError):
             semi_regular_from_r(bad)
@@ -124,7 +130,7 @@ def test_semi_regular_from_r():
 def test_rotation_preserves_shape_data(gaps, angle):
     hx = hexagon_from_gaps(*gaps)
     rot = rotated(hx, angle)
-    assert rot.class_tag == hx.class_tag
+    assert class_tag(*rot.gaps) == class_tag(*hx.gaps)
     assert rot.r == hx.r and rot.s == hx.s
     for (ax, ay), (bx, by) in zip(hx.vertices, rot.vertices):
         assert abs(math.hypot(ax, ay) - math.hypot(bx, by)) <= 1e-12

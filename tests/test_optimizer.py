@@ -862,6 +862,16 @@ def test_optimize_scheme_maps_its_orbit_optimum(monkeypatch):
         assert gaps_valid(*res.gaps) and res.d == _eval_min(*res.gaps, scheme)
 
 
+@pytest.mark.parametrize("class_tag", [SEMI_REGULAR, RECTILINEAR])
+def test_optimize_scheme_reproduces_the_solve_winner(class_tag):
+    # optimize_scheme runs solve's scheme loop on the winner's orbit, so it
+    # returns the winner's result: its gaps, triple and dsq_rational as well
+    # as d (SolveResult equality leaves out d_upper)
+    for k in range(3, 121):
+        res = solve(k, class_tag)
+        assert optimize_scheme(k, res.scheme, class_tag) == res, k
+
+
 # schemes whose ascents try near-degenerate shapes, and their optima; at one
 # shape that (112, 56, 55)'s ascent tries, the reduced sublattice vector is
 # 1.1e-7 long and 1.4 million offsets lie within 4 radius of the minimum
