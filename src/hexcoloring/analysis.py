@@ -145,10 +145,7 @@ def _parse_row(raw: Mapping[str, str]) -> ReferenceRow:
 def load_reference(source=None) -> list[ReferenceRow]:
     """Load and validate reference rows; ``source`` is a path or None for embedded."""
     if source is None:
-        text = (
-            resources.files("hexcoloring").joinpath("data/reference.csv").read_text()
-        )
-        lines = text.splitlines()
+        lines = resources.files("hexcoloring").joinpath("data/reference.csv").read_text().splitlines()
     else:
         with open(source, newline="", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -208,13 +205,8 @@ def compare_reference(
             status = BELOW
         elif res.d > row.d_approx + REFERENCE_TOL:
             status = ABOVE
-            _log.warning(
-                "k=%d: computed d=%.9f exceeds reference %.6f; "
-                "verify before trusting either value",
-                res.k,
-                res.d,
-                row.d_approx,
-            )
+            _log.warning("k=%d: computed d=%.9f exceeds reference %.6f; "
+                         "verify before trusting either value", res.k, res.d, row.d_approx)
         else:
             status = MATCH
         entries.append(

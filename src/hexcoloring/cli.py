@@ -143,8 +143,10 @@ def _map_over_cpus(fn, ks: list[int], *args) -> list:
 
     Workers take task indices one at a time from a shared pipe, so the work
     goes to whichever worker is free; being forked, they hold ``fn`` and
-    ``args`` already.  Each worker pickles its results into a temporary file
-    of its own, and this process reads the files once every worker has
+    ``args`` already.  Indices go out from the last k to the first: callers
+    pass ascending k, whose cost grows with k, so no large k runs alone
+    last.  Each worker pickles its results into a temporary file of its
+    own, and this process reads the files once every worker has
     exited.  The results come back in k order; the exception a worker's
     ``fn`` raised is raised here, the lowest k's first, and a RuntimeError
     if a worker died with tasks unanswered.  With one usable CPU (or one
@@ -178,7 +180,7 @@ def _map_over_cpus(fn, ks: list[int], *args) -> list:
                         os._exit(1)
                 pids.append(pid)
             tasks_in.close()
-            tasks = b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(len(ks)))
+            tasks = b"".join(i.to_bytes(_TASK_BYTES, "little") for i in reversed(range(len(ks))))
             try:
                 for start in range(0, len(tasks), _TASK_CHUNK):
                     tasks_out.write(tasks[start:start + _TASK_CHUNK])
@@ -314,12 +316,8 @@ def cmd_closedform(args: argparse.Namespace) -> int:
     lines = []
     reg = regular_dsq(k)
     if reg is not None:
-        frac = (
-            f"{reg.numerator}"
-            if reg.denominator == 1
-            else f"{reg.numerator}/{reg.denominator}"
-        )
-        lines.append(f"loeschian d2={frac} d={math.sqrt(reg):.6f}")
+        # a Fraction prints as "n" or "n/d"
+        lines.append(f"loeschian d2={reg} d={math.sqrt(reg):.6f}")
     try:
         _, dsq = cubic_f(k)
         lines.append(f"cubic_f d2={dsq:.9f} d={math.sqrt(dsq):.6f}")
@@ -342,9 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_solve = sub.add_parser("solve", help="optimize one color count")
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument(
-        "--class", dest="class_name", choices=[*_CLASS_FLAGS, "all"], default="all"
-    )
+    p_solve.add_argument("--class", dest="class_name", choices=[*_CLASS_FLAGS, "all"], default="all")
     p_solve.add_argument("--json", default=None, metavar="PATH")
     p_solve.add_argument("--svg", default=None, metavar="PATH")
     p_solve.set_defaults(func=cmd_solve)

@@ -8,23 +8,23 @@ deterministic.  The regular class has one shape, and its schemes are
 evaluated in descending order of a bound from their shortest sublattice
 vector until no later one can tie.  For the other classes a fixed coarse
 grid (``COARSE_GRID`` points per axis; the solver has no settings) gives
-each scheme its best grid point, and its Lipschitz bounds, bisected for
-semi-regular schemes, skip the schemes that cannot win.  The rectilinear
-grid covers one sixth of the shapes, the sextant gap3 >= gap1 >= gap2, and
-one scheme of each symmetry orbit is refined for all.  One refinement,
-``_refine``, serves both shape classes: one local search from that grid
-point, which may end at a local maximum only, after which Newton on
-closed-form offset derivatives sharpens the result to near machine
-precision, so that rational squared gaps can be reconstructed from the
-floats.  A rectilinear search is a trust-region ascent on closed-form
-offset gradients, and its polish solves one exact system for the kind of
-maximum its active offsets make: equal gaps at a vertex, equal gaps and
-parallel gradients (a zero cross product) on a ridge, a zero gradient at a
-smooth maximum.  A semi-regular search is a golden section along the
-diagonal that hands over to Newton on the crossing of two branches once
-its bracket is 1e-7 wide; where Newton ends on no crossing there, the
-golden section continues to 1e-12 and its point is polished.  Both
-polishes run on one solver, ``_newton_loop``.
+each scheme its best grid point, and its Lipschitz bounds, refined for
+semi-regular schemes by a branch and bound on exact cell-centre values,
+skip the schemes that cannot win.  The rectilinear grid covers one sixth of
+the shapes, the sextant gap3 >= gap1 >= gap2, and one scheme of each
+symmetry orbit is refined for all.  One refinement, ``_refine``, serves
+both shape classes: one local search from that grid point, which may end at
+a local maximum only, after which Newton on closed-form offset derivatives
+sharpens the result to near machine precision, so that rational squared
+gaps can be reconstructed from the floats.  A rectilinear search is a
+trust-region ascent on closed-form offset gradients, and its polish solves
+one exact system for the kind of maximum its active offsets make: equal
+gaps at a vertex, equal gaps and parallel gradients (a zero cross product)
+on a ridge, a zero gradient at a smooth maximum.  A semi-regular search is
+a golden section along the diagonal that hands over to Newton on the
+crossing of two branches once its bracket is 1e-7 wide; where Newton ends
+on no crossing there, the golden section continues to 1e-12 and its point
+is polished.  Both polishes run on one solver, ``_newton_loop``.
 """
 
 from __future__ import annotations
@@ -297,32 +297,38 @@ class _Field:
         return vals, upper, rows
 
 
-# halvings of a cell in ``_bisected_bound``: the skips they add saturate at 4 to 5
+# halvings of a cell in ``_may_reach``: its skips saturate at 4 to 5
 _BISECT_DEPTH = 5
 
 
-def _bisected_bound(grid: _Field, i, j, rows, target: float = -math.inf) -> float:
-    """A bound on one scheme's semi-regular objective, at most its scan bound.
+def _may_reach(scheme: ColorScheme, grid: _Field, rows, target: float, counts: list) -> bool:
+    """Whether ``scheme`` may reach ``target`` on the diagonal; False proves it cannot.
 
-    The scheme's offsets are (i[e], j[e]), rows[e] their rows in the table of
-    ``grid``, the semi-regular field.  A cell's scan bound is the minimum over
-    the offsets of row plus weight times radius.  Each cell whose bound
-    reaches ``target`` is halved _BISECT_DEPTH times over, in one pass
-    (Piyavskii 1972), and each part bounded in the same way at its centre
-    with its radius, and by its cell's bound.  The parts cover their cell,
-    so the largest bound, returned, holds by the argument of ``_Field.scan``.
-    """
+    rows are its rows in the table of ``grid``, the semi-regular field.  The
+    cells whose scan bound (least row plus weight times radius) reaches
+    ``target`` are searched depth first, highest bound first (Piyavskii 1972;
+    Jones et al. 1993).  f is at most any one offset's gap, so on the part of
+    radius r around a centre x, f <= f(x) + L r, L the least ``_lipschitz`` of
+    the offsets attaining the exact f(x).  A part is cleared when that falls
+    below ``target``, else halved; f(x) >= ``target``, or a part still open
+    after _BISECT_DEPTH halvings, answers True.  counts[1] counts the
+    objective evaluations."""
     weight = grid.weight[rows][:, None]
     gaps = np.stack(list(map(grid.table.__getitem__, rows.tolist())))
     bound = (gaps + weight * grid.radius).min(axis=0)
-    split = bound >= target
-    parts = 2**_BISECT_DEPTH
-    radius = np.tile(grid.radius[split] / parts, parts)
-    gamma = np.tile(grid.g1[split], parts) + radius * np.repeat(
-        np.arange(1 - parts, parts, 2), split.sum())
-    gaps = _offset_gaps(frame(gamma, gamma, np.sin, np.cos), i[:, None] * 1.0, j[:, None] * 1.0)
-    fine = np.minimum((gaps + weight * radius).min(axis=0), np.tile(bound[split], parts))
-    return float(max(bound.max(initial=-math.inf, where=~split), fine.max(initial=-math.inf)))
+    for n in np.argsort(-bound, kind="stable")[: int((bound >= target).sum())].tolist():
+        parts = [(float(grid.g1[n]), float(grid.radius[n]), 0)]
+        while parts:
+            x, r, depth = parts.pop()
+            counts[1] += 1
+            val, near = _eval_min(x, x, scheme, 0.0)
+            if val >= target:
+                return True
+            if val + r * min((_lipschitz(i, j) for i, j in near), default=math.inf) >= target:
+                if depth == _BISECT_DEPTH:
+                    return True
+                parts += [(x - 0.5 * r, 0.5 * r, depth + 1), (x + 0.5 * r, 0.5 * r, depth + 1)]
+    return False
 
 
 def _cell_edges(centers: np.ndarray, top: float) -> np.ndarray:
@@ -691,7 +697,8 @@ def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -
     ``solve``'s scheme loop, ``_refine_schemes``, runs on the scheme's orbit
     (rectilinear) or on the scheme alone (semi-regular), so the answer is the
     one ``solve`` gets for the scheme when no bound skips it, and it may be a
-    local maximum only.  ``d_upper`` is the scheme's bound U_s from ``solve``."""
+    local maximum only; of the other orbit members, only the one refined
+    first is searched.  ``d_upper`` is the scheme's bound U_s from ``solve``."""
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:
@@ -699,7 +706,7 @@ def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -
     if class_tag == REGULAR:
         return _solve_regular(k, [scheme], [0])
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
-    refined, bound = _refine_schemes(k, class_tag, orbit)
+    refined, bound = _refine_schemes(k, class_tag, orbit, scheme)
     val, _, pt = next(entry for entry in refined if entry[1] == scheme)
     return _finalize(k, class_tag, scheme, pt, val, bound[scheme])
 
@@ -759,7 +766,7 @@ _SUMMARY = ("solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
             "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d")
 
 
-def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
+def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wanted: ColorScheme | None):
     """The scheme loop of ``solve`` over ``candidates``, semi-regular or rectilinear.
 
     Returns (refined, bound): a (value, scheme, gap pair) entry for each
@@ -767,7 +774,8 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
     Schemes go in descending order of their grid peak; a rectilinear orbit
     member after the first takes the first's optimum, moved onto its own
     shape, or is searched from its own start when that image is not a valid
-    shape.  Logs the ``_SUMMARY`` DEBUG record."""
+    shape.  With ``wanted``, only the first and ``wanted`` are visited.  Logs
+    the ``_SUMMARY`` DEBUG record."""
     grid = _get_field(class_tag)
     table_rows = len(grid.table)
     owner, i, j = window_offsets(k, candidates)
@@ -784,22 +792,25 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
     # scheme n's offsets are the slice edges[n] : edges[n + 1], as owners ascend
     edges = [0, *np.cumsum(np.bincount(owner)).tolist()]
 
-    # objective evaluations
-    counts = [0]
+    # objective evaluations: in refinements, and in ``_may_reach``
+    counts = [0, 0]
     refined = []
     mapped_count = 0
-    # semi-regular schemes that only the bisected bound skipped
+    # semi-regular schemes that only ``_may_reach`` skipped
     late_skips = 0
     best = -math.inf
     # orbit member -> its representative's optimum, moved onto the member's
     # shape; rectilinear only
     images = {}
-    for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
+    order = np.argsort(-vals.max(axis=1), kind="stable").tolist()
+    if wanted is not None:
+        order = list(dict.fromkeys((order[0], candidates.index(wanted))))
+    for n in order:
         scheme, target = candidates[n], best - _TIE_TOL
         if bound[scheme] < target:
             continue
-        if class_tag == SEMI_REGULAR and refined and _bisected_bound(
-                grid, *(a[edges[n] : edges[n + 1]] for a in (i, j, rows)), target) < target:
+        if class_tag == SEMI_REGULAR and refined and not _may_reach(
+                scheme, grid, rows[edges[n] : edges[n + 1]], target, counts):
             late_skips += 1
             continue
         pt = images.get(scheme)
@@ -815,9 +826,9 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
-        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count,
-        len(candidates) - len(refined),
-        f" ({late_skips} only after bisection)" if class_tag == SEMI_REGULAR else "",
+        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count, len(order) - len(refined),
+        f" ({late_skips} only after bisection); {counts[1]} evaluations in the skip test"
+        if class_tag == SEMI_REGULAR else "",
         best, max(bound.values()), table_rows, counts[0],
     )
     return refined, bound
@@ -842,8 +853,9 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     ``_lipschitz`` times the max norm of the gap change, and the scan's
     fixed offsets can only overstate the minimum.  Outside the rectilinear
     class U_s is that bound.  A semi-regular scheme is also skipped when
-    ``_bisected_bound``, the same argument on its cells halved five times
-    over, puts it below the threshold.
+    ``_may_reach`` proves it below the threshold: the same argument, with
+    the offsets that attain the exact minimum at a cell's centre, on cells
+    halved up to five times.
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's objective exactly onto that of every scheme in its orbit
@@ -874,7 +886,7 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
                    res.d, res.d_upper, 0, counts[0])
         return res
 
-    refined, bound = _refine_schemes(k, class_tag, candidates)
+    refined, bound = _refine_schemes(k, class_tag, candidates, None)
     (val, scheme, point), triple = _pick_tied(refined)
     return _finalize(k, class_tag, scheme, point, val, max(bound.values()), triple)
 

@@ -378,10 +378,11 @@ def test_results_come_back_in_k_order_when_later_tasks_finish_first(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ks = list(range(3, 13))
     with _deadline(60):
-        got = _map_over_cpus(_finished, ks, 3)
+        got = _map_over_cpus(_finished, ks, ks[-1])
     assert [k for k, _ in got] == ks
-    # the other worker finished every later k while the first one slept
-    assert max(t for _, t in got[1:]) < got[0][1]
+    # the last k goes out first: the other worker finished every earlier k
+    # while the first one slept
+    assert max(t for _, t in got[:-1]) < got[-1][1]
     _assert_no_child()
 
 

@@ -37,11 +37,11 @@ from hexcoloring.optimizer import (
     _ACTIVE,
     _EDGE,
     COARSE_GRID,
-    _bisected_bound,
     _eval_min,
     _get_field,
     _lipschitz,
     _lp_step,
+    _may_reach,
     _newton_loop,
     _offset_gaps,
     _offset_jet,
@@ -599,16 +599,23 @@ def test_bisection_skips_semi_regular_schemes(caplog):
 
 @pytest.mark.parametrize("k", [*range(3, 46), 77])
 def test_bisected_bound_lies_between_optimum_and_scan_bound(k):
-    # bisected to full depth with no target, each scheme's bound still holds
-    # its optimum and never exceeds its scan bound
+    # the bound that the semi-regular skip test proves on halved cells lies
+    # between them: the test never clears a scheme whose optimum reaches the
+    # target, and answers "cannot reach", with no evaluation, once the target
+    # passes the scheme's scan bound
     grid = _get_field(SEMI_REGULAR)
     candidates = schemes(k)
     owner, i, j = window_offsets(k, candidates)
     _, upper, rows = grid.scan(owner, i, j)
     for n, scheme in enumerate(candidates):
-        own = owner == n
-        bound = _bisected_bound(grid, i[own], j[own], rows[own])
-        assert optimize_scheme(k, scheme, SEMI_REGULAR).d <= bound <= upper[n], scheme
+        own = rows[owner == n]
+        d = optimize_scheme(k, scheme, SEMI_REGULAR).d
+        for target in (d, d - 1e-9):
+            assert _may_reach(scheme, grid, own, target, [0, 0]), (scheme, target)
+        for target in (math.nextafter(upper[n], math.inf), upper[n] + 1.0):
+            counts = [0, 0]
+            assert not _may_reach(scheme, grid, own, target, counts), (scheme, target)
+            assert counts == [0, 0]
 
 
 @pytest.mark.parametrize("k", [56, 77, 112, 156])
