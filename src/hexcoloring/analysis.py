@@ -178,10 +178,6 @@ class ComparisonReport:
     def worst_abs_delta(self) -> float:
         return max((abs(e.delta) for e in self.entries), default=0.0)
 
-    @property
-    def ok(self) -> bool:
-        return all(e.status == MATCH for e in self.entries)
-
 
 def compare_reference(
     results: Iterable, table: Sequence[ReferenceRow] | None = None

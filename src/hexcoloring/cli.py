@@ -19,6 +19,7 @@ import os
 import pickle
 import sys
 import tempfile
+from fractions import Fraction
 from math import isqrt
 
 from .analysis import (
@@ -28,7 +29,6 @@ from .analysis import (
     load_reference,
     monotonicity_report,
 )
-from .evaluator import QUARTICS, cubic_f, quartic_dsq, regular_dsq
 from .geometry import (
     RECTILINEAR,
     REGULAR,
@@ -36,7 +36,7 @@ from .geometry import (
     DomainError,
     hexagon_from_gaps,
 )
-from .optimizer import COARSE_GRID, SolveResult, solve, solve_all
+from .optimizer import COARSE_GRID, SolveResult, closed_forms, solve, solve_all
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -314,21 +314,11 @@ def cmd_closedform(args: argparse.Namespace) -> int:
     if k < 1:
         raise DomainError(f"k must be positive: got {k}")
     lines = []
-    reg = regular_dsq(k)
-    if reg is not None:
-        # a Fraction prints as "n" or "n/d"
-        lines.append(f"loeschian d2={reg} d={math.sqrt(reg):.6f}")
-    try:
-        _, dsq = cubic_f(k)
-        lines.append(f"cubic_f d2={dsq:.9f} d={math.sqrt(dsq):.6f}")
-    except DomainError:
-        pass
-    if k in QUARTICS:
-        dsq = quartic_dsq(k)
-        lines.append(f"quartic d2={dsq:.9f} d={math.sqrt(dsq):.6f}")
-    if not lines:
-        lines.append("none")
-    print("\n".join(lines))
+    for name, dsq in closed_forms(k):
+        # an exact Fraction prints as "n" or "n/d"
+        text = str(dsq) if isinstance(dsq, Fraction) else f"{dsq:.9f}"
+        lines.append(f"{name} d2={text} d={math.sqrt(dsq):.6f}")
+    print("\n".join(lines or ["none"]))
     return EXIT_OK
 
 

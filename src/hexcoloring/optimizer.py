@@ -92,7 +92,7 @@ class SolveResult:
     triple: TripleRepresentation
     dsq_rational: tuple[int, int] | None
     closed_form_tag: str
-    # no valid shape in the class does better than this (see ``solve``)
+    # no valid shape in the class does better than this (see ``solve``, ``_solve_regular``)
     d_upper: float = field(compare=False)
 
 
@@ -297,8 +297,8 @@ class _Field:
         return vals, upper, rows
 
 
-# halvings of a cell in ``_may_reach``: its skips saturate at 4 to 5
-_BISECT_DEPTH = 5
+# halvings of a cell in ``_may_reach``: 4 skip what 5 do (k <= 175, 756), 3 fewer
+_BISECT_DEPTH = 4
 
 
 def _may_reach(scheme: ColorScheme, grid: _Field, rows, target: float, counts: list) -> bool:
@@ -607,35 +607,55 @@ def _search_semi(fn, lo: float, hi: float):
 _CLOSED_FORM_TOL = 1e-7
 
 
-def _closed_form_tag(k: int, dsq: float) -> str:
-    """The closed form that ``dsq`` matches for k colors, or "none".
+def closed_forms(k: int):
+    """(family, squared gap) of each closed form known for k colors, computed as asked for.
 
-    One of "loeschian", "cubic_f", "quartic", "none".  No two of these forms
-    lie within 1e-6 of each other for any k < 400, so the order of the checks
-    does not decide the tag.
-    """
+    "loeschian" gives a Fraction, then "cubic_f" and "quartic" floats.  No two
+    lie within 1e-6 of each other for any k < 400, so the order does not
+    decide ``_closed_form_tag``."""
     reg = regular_dsq(k)
-    if reg is not None and abs(dsq - float(reg)) < _CLOSED_FORM_TOL:
-        return "loeschian"
+    if reg is not None:
+        yield "loeschian", reg
     try:
-        if abs(dsq - cubic_f(k)[1]) < _CLOSED_FORM_TOL:
-            return "cubic_f"
+        yield "cubic_f", cubic_f(k)[1]
     except DomainError:
         pass
-    if k in QUARTICS and abs(dsq - quartic_dsq(k)) < _CLOSED_FORM_TOL:
-        return "quartic"
-    return "none"
+    if k in QUARTICS:
+        yield "quartic", quartic_dsq(k)
 
 
-def _finalize(k: int, class_tag: str, scheme: ColorScheme, point: tuple[float, float], val: float,
-              d_upper: float, triple: TripleRepresentation | None = None) -> SolveResult:
-    point = (float(point[0]), float(point[1]))
-    hexagon = hexagon_from_gaps(point[0], point[1])
-    triple = triple or canonical_triple(hexagon, scheme)
+def _closed_form_tag(k: int, dsq: float) -> str:
+    """The first family of ``closed_forms(k)`` that ``dsq`` matches, or "none"."""
+    return next((name for name, value in closed_forms(k)
+                 if abs(dsq - float(value)) < _CLOSED_FORM_TOL), "none")
+
+
+# several schemes often tie at the optimum (mirror images of one another at
+# mirrored shapes).  Report the one whose triple starts nearest the axis row.
+_TIE_TOL = 1e-9
+
+
+def _finalize(k: int, class_tag: str, cands, d_upper: float) -> SolveResult:
+    """The result for the best of cands, (value, scheme, gap pair) entries, bounded by ``d_upper``.
+
+    Of the entries within _TIE_TOL of the largest value, the one whose triple
+    ranks first wins (largest t1.j, then t1.i; smallest t2.j, t2.i, g, h);
+    each tied entry's hexagon and triple are built once."""
+    top = max(entry[0] for entry in cands)
+
+    def ranked(entry):
+        val, scheme, point = entry
+        point = (float(point[0]), float(point[1]))
+        hexagon = hexagon_from_gaps(*point)
+        t = canonical_triple(hexagon, scheme)
+        key = (t.t1.j, t.t1.i, -t.t2.j, -t.t2.i, -scheme.g, -scheme.h)
+        return key, float(val), scheme, point, hexagon, t
+
+    tied = (ranked(entry) for entry in cands if entry[0] >= top - _TIE_TOL)
+    _, val, scheme, point, hexagon, triple = max(tied, key=lambda ranking: ranking[0])
     if not triple.canonical:
         _log.debug("finalize: k=%d %s scheme (%d, %d) has a non-canonical triple t1=%s t2=%s",
                    k, class_tag, scheme.g, scheme.h, tuple(triple.t1), tuple(triple.t2))
-    val = float(val)
     dsq = val * val
     return SolveResult(
         k=k,
@@ -707,29 +727,7 @@ def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -
         return _solve_regular(k, [scheme], [0])
     orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
     refined, bound = _refine_schemes(k, class_tag, orbit, scheme)
-    val, _, pt = next(entry for entry in refined if entry[1] == scheme)
-    return _finalize(k, class_tag, scheme, pt, val, bound[scheme])
-
-
-# several schemes often tie at the optimum (mirror images of one another at
-# mirrored shapes).  Report the one whose triple starts nearest the axis row.
-_TIE_TOL = 1e-9
-
-
-def _pick_tied(cands):
-    """cands: list of (val, scheme, point).  Returns the preferred entry and
-    its triple, None when nothing tied."""
-    vmax = max(c[0] for c in cands)
-    tied = [c for c in cands if c[0] >= vmax - _TIE_TOL]
-    if len(tied) == 1:
-        return tied[0], None
-
-    def pref(entry):
-        val, scheme, point = entry
-        t = canonical_triple(hexagon_from_gaps(point[0], point[1]), scheme)
-        return (t.t1.j, t.t1.i, -t.t2.j, -t.t2.i, -scheme.g, -scheme.h), entry, t
-
-    return max(map(pref, tied), key=lambda ranked: ranked[0])[1:]
+    return _finalize(k, class_tag, [entry for entry in refined if entry[1] == scheme], bound[scheme])
 
 
 def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
@@ -741,7 +739,8 @@ def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
     first vector of its reduced basis (``coloring._reduced_basis``).  The
     schemes are evaluated in descending order of U_s, the first on ties,
     until U_s falls below the best value by more than the tie tolerance: no
-    later scheme can win or tie.  counts[0] counts the evaluations.
+    later scheme can win or tie, so the best value evaluated is ``d_upper``.
+    counts[0] counts the evaluations.
     """
     pt = (_REGULAR_GAP, _REGULAR_GAP)
     doubled = frame(*pt)
@@ -756,8 +755,7 @@ def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
         cands.append((val, scheme, pt))
         best = max(best, val)
     counts[0] += len(cands)
-    (val, scheme, pt), triple = _pick_tied(cands)
-    return _finalize(k, REGULAR, scheme, pt, val, val, triple)
+    return _finalize(k, REGULAR, cands, best)
 
 
 # the one DEBUG line that ``solve`` logs for each class, and ``optimize_scheme``
@@ -855,7 +853,7 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     class U_s is that bound.  A semi-regular scheme is also skipped when
     ``_may_reach`` proves it below the threshold: the same argument, with
     the offsets that attain the exact minimum at a cell's centre, on cells
-    halved up to five times.
+    halved up to four times.
 
     For the rectilinear class, relabelling the hexagon's gap directions maps
     each scheme's objective exactly onto that of every scheme in its orbit
@@ -887,8 +885,7 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
         return res
 
     refined, bound = _refine_schemes(k, class_tag, candidates, None)
-    (val, scheme, point), triple = _pick_tied(refined)
-    return _finalize(k, class_tag, scheme, point, val, max(bound.values()), triple)
+    return _finalize(k, class_tag, refined, max(bound.values()))
 
 
 def solve_all(k: int, classes: Sequence[str] = CLASS_TAGS) -> SolveAllResult:

@@ -386,6 +386,25 @@ def test_results_come_back_in_k_order_when_later_tasks_finish_first(monkeypatch)
     _assert_no_child()
 
 
+def _started(k: int) -> float:
+    """When the task for k started; each task takes about 50 ms."""
+    start = time.monotonic()
+    time.sleep(0.05)
+    return start
+
+
+def test_tasks_go_out_from_the_largest_k(monkeypatch):
+    # callers pass ascending k, whose cost grows with k: the two workers
+    # start on the two largest
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ks = list(range(3, 11))
+    with _deadline(60):
+        starts = _map_over_cpus(_started, ks)
+    earliest = sorted(zip(starts, ks))[:2]
+    assert sorted(k for _, k in earliest) == [ks[-2], ks[-1]]
+    _assert_no_child()
+
+
 def test_interrupted_map_stops_and_reaps_its_workers(monkeypatch):
     # as on Ctrl-C: the exception reaches the caller at once, and no worker
     # is left solving
