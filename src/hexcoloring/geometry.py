@@ -16,7 +16,13 @@ Shape classes, each nested in the next:
 
 The gap between two tiles of a shape is the distance from their offset to
 the tile doubled about its centre: ``frame`` builds that doubled hexagon and
-the tiling's basis, and ``hexagon_gap`` is the one distance kernel.
+the tiling's basis, and ``hexagon_gap`` is the one distance kernel.  The
+doubled hexagon is inscribed in the unit circle and v[m + 3] = -v[m]
+exactly, so each edge's outward normal points along its midpoint, and a
+point on v0's side of the chord from v5 to v2 has its nearest boundary point
+on edge 0, 1 or 2; it lies inside exactly when it lies inside those three.
+The kernel folds a point on the other side onto its negation and measures
+those three edges only.
 """
 
 from __future__ import annotations
@@ -106,17 +112,31 @@ def frame(g1, g2, sin=math.sin, cos=math.cos):
 def hexagon_gap(px: float, py: float, vx, vy) -> tuple[float, int, float]:
     """Distance from (px, py) to the convex hexagon with vertices (vx[m], vy[m]).
 
-    The six vertices run counterclockwise.  Returns (gap, m, t): the distance,
-    and the nearest boundary point v[m - 1] + t (v[m] - v[m - 1]) as its edge
-    m and its position t, clamped to [0, 1].  Points inside the hexagon or on
-    its boundary have gap 0.0, and (m, t) still names their nearest boundary
-    point.
+    The six vertices run counterclockwise on the unit circle, and v[m + 3] =
+    -v[m], as ``frame`` gives them.  Returns (gap, m, t): the distance, and
+    the nearest boundary point v[m - 1] + t (v[m] - v[m - 1]) as its edge m
+    and its position t, clamped to [0, 1].  Points inside the hexagon or on
+    its boundary have gap 0.0; a boundary point's (m, t) names the point
+    itself, and an inner point's names the nearest point of the three edges
+    that are measured.
+
+    Only three edges are measured, after a fold.  Each edge is a chord of the
+    unit circle, so its outward normal points along its midpoint, and a point
+    on v0's side of the chord from v5 to v2 = -v5 has its nearest boundary
+    point on edge 0, 1 or 2; it lies inside exactly when it lies inside
+    those three edges.  A point on the other side is replaced by -p, which
+    by central symmetry lies as far from the hexagon, and its edge m by edge
+    m + 3 at the same t.
     """
+    fold = vx[5] * py - vy[5] * px < 0.0
+    if fold:
+        px = -px
+        py = -py
     inside = True
     best = math.inf
     ax = vx[5]
     ay = vy[5]
-    for m in range(6):
+    for m in range(3):
         bx = vx[m]
         by = vy[m]
         ex = bx - ax
@@ -139,4 +159,4 @@ def hexagon_gap(px: float, py: float, vx, vy) -> tuple[float, int, float]:
             near_t = t
         ax = bx
         ay = by
-    return 0.0 if inside else math.sqrt(best), near, near_t
+    return 0.0 if inside else math.sqrt(best), near + 3 * fold, near_t

@@ -178,14 +178,21 @@ def _offset_gaps(frame, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Offset (i[r], j[r])'s gap at each shape of ``frame``, as row r; i, j are columns.
 
     ``frame`` is ``geometry.frame``'s over arrays of shapes.  Each element is
-    ``geometry.hexagon_gap``'s gap, operation for operation; the operations
-    run in place where that saves a temporary."""
+    ``geometry.hexagon_gap``'s gap, operation for operation.  A point on
+    v3's side of the chord from v5 to v2 is folded onto its negation, and
+    only edges 0, 1 and 2 are measured: each edge's outward normal points
+    along its midpoint, so they hold the nearest boundary point of a point
+    on v0's side, which lies inside when it lies inside all three.  The
+    operations run in place where that saves a temporary."""
     vx, vy, eix, eiy, ejx, ejy = frame
     cx = i * eix + j * ejx
     cy = i * eiy + j * ejy
+    fold = vx[5] * cy - vy[5] * cx < 0.0
+    np.negative(cx, out=cx, where=fold)
+    np.negative(cy, out=cy, where=fold)
     inside = True
     best = None
-    for m in range(6):
+    for m in range(3):
         ax, ay = vx[m - 1], vy[m - 1]
         ex, ey = vx[m] - ax, vy[m] - ay
         ee = np.maximum(ex * ex + ey * ey, 1e-30)

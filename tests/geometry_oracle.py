@@ -3,7 +3,9 @@
 The package measures gaps as point-to-doubled-hexagon distances.  These
 helpers measure them the long way, edge pair by edge pair, so the tests can
 check the package's route against a second one.  Polygons are Hexagon
-instances or plain counterclockwise vertex sequences.
+instances or plain counterclockwise vertex sequences.  ``six_edge_gap`` keeps
+the package's point-to-hexagon kernel as it was before it folded each point
+onto three edges, as the reference for the folded one.
 """
 
 import math
@@ -84,6 +86,45 @@ def convex_distance(p, q, offset: Point = (0.0, 0.0)) -> float:
                 if best <= lower + 1e-15:
                     return best
     return best
+
+
+def six_edge_gap(px: float, py: float, vx, vy) -> tuple[float, int, float]:
+    """``geometry.hexagon_gap`` as it was before the fold: every one of the six edges measured.
+
+    The six vertices run counterclockwise.  Returns (gap, m, t): the distance,
+    and the nearest boundary point v[m - 1] + t (v[m] - v[m - 1]) as its edge
+    m and its position t, clamped to [0, 1].  Points inside the hexagon or on
+    its boundary have gap 0.0, and (m, t) still names their nearest boundary
+    point.
+    """
+    inside = True
+    best = math.inf
+    ax = vx[5]
+    ay = vy[5]
+    for m in range(6):
+        bx = vx[m]
+        by = vy[m]
+        ex = bx - ax
+        ey = by - ay
+        dx = px - ax
+        dy = py - ay
+        if ex * dy - ey * dx < 0.0:
+            inside = False
+        t = (dx * ex + dy * ey) / (ex * ex + ey * ey)
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        qx = dx - t * ex
+        qy = dy - t * ey
+        d2 = qx * qx + qy * qy
+        if d2 < best:
+            best = d2
+            near = m
+            near_t = t
+        ax = bx
+        ay = by
+    return 0.0 if inside else math.sqrt(best), near, near_t
 
 
 def polygon_area(poly) -> float:

@@ -15,7 +15,14 @@ import math
 import numpy as np
 
 from hexcoloring.geometry import frame
-from hexcoloring.optimizer import GRID_MARGIN, _Field, _lipschitz, _rect_grid, _rect_radii
+from hexcoloring.optimizer import (
+    GRID_MARGIN,
+    _Field,
+    _lipschitz,
+    _offset_gaps,
+    _rect_grid,
+    _rect_radii,
+)
 
 
 def square_layout(grid):
@@ -46,44 +53,23 @@ def full_triangle_grid(n: int) -> _Field:
 
 class PerOffsetScan:
     """``scheme_min`` and ``scheme_upper`` over the kept points of a ``_Field``,
-    from gap arrays over the whole square of its grid centres."""
+    from gap arrays over the whole square of its grid centres.
+
+    Each array is ``optimizer._offset_gaps``'s, the kernel the field fills
+    its table with, so the scan's lookup, padding and reductions are checked
+    bit for bit; the kernel itself is checked against the scalar one."""
 
     def __init__(self, grid):
         self.grid = grid
         g1, g2, self.points = square_layout(grid)
-        vx, vy, self.eix, self.eiy, self.ejx, self.ejy = frame(g1, g2, np.sin, np.cos)
-        self._edges = []
-        for m in range(6):
-            ax, ay = vx[m - 1], vy[m - 1]
-            ex, ey = vx[m] - ax, vy[m] - ay
-            ee = np.maximum(ex * ex + ey * ey, 1e-30)
-            self._edges.append((ax, ay, ex, ey, ee))
+        self._frame = frame(g1, g2, np.sin, np.cos)
         self._dist: dict[tuple[int, int], np.ndarray] = {}
-
-    def _point_dist(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        inside = None
-        best = None
-        for ax, ay, ex, ey, ee in self._edges:
-            dx = cx - ax
-            dy = cy - ay
-            cross = ex * dy - ey * dx
-            inside = (cross >= 0.0) if inside is None else inside & (cross >= 0.0)
-            t = np.clip((dx * ex + dy * ey) / ee, 0.0, 1.0)
-            qx = dx - t * ex
-            qy = dy - t * ey
-            dd = qx * qx + qy * qy
-            best = dd if best is None else np.minimum(best, dd, out=best)
-        out = np.sqrt(best, out=best)
-        out[inside] = 0.0
-        return out
 
     def offset_dist(self, index: tuple[int, int]) -> np.ndarray:
         arr = self._dist.get(index)
         if arr is None:
-            i, j = index
-            cx = i * self.eix + j * self.ejx
-            cy = i * self.eiy + j * self.ejy
-            arr = self._point_dist(cx, cy)
+            i, j = (np.array([[float(n)]]) for n in index)
+            arr = _offset_gaps(self._frame, i, j)[0]
             self._dist[index] = arr
         return arr
 

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometry_oracle import convex_distance, polygon_area, segment_distance
+from geometry_oracle import convex_distance, polygon_area, segment_distance, six_edge_gap
 from helpers import (
     class_tag,
     doubled_frame,
@@ -20,6 +21,7 @@ from hexcoloring.geometry import (
     SEMI_REGULAR,
     DomainError,
     Hexagon,
+    frame,
     hexagon_from_gaps,
     hexagon_gap,
 )
@@ -164,6 +166,11 @@ def test_convex_distance_swap_symmetry(gaps, offset):
     assert abs(convex_distance(hx, hx, offset) - convex_distance(hx, hx, neg)) <= 1e-12
 
 
+def _feature(m: int, t: float) -> tuple:
+    """The vertex or edge that ``hexagon_gap``'s (m, t) lies on, as ``nearest_feature`` names it."""
+    return ("vertex", (m - 1) % 6) if t == 0.0 else ("vertex", m) if t == 1.0 else ("edge", m)
+
+
 @given(gaps=gap_pairs, offset=unit_points)
 @settings(max_examples=60)
 def test_pair_distance_matches_doubled_hexagon_route(gaps, offset):
@@ -179,8 +186,33 @@ def test_pair_distance_matches_doubled_hexagon_route(gaps, offset):
     if fast > 0.0:
         qx, qy = vx[m - 1] + t * (vx[m] - vx[m - 1]), vy[m - 1] + t * (vy[m] - vy[m - 1])
         assert abs(math.hypot(offset[0] - qx, offset[1] - qy) - fast) <= 1e-12
-        feature = ("vertex", (m - 1) % 6) if t == 0.0 else ("vertex", m) if t == 1.0 else ("edge", m)
-        assert feature == nearest_feature(*offset, vx, vy)
+        assert _feature(m, t) == nearest_feature(*offset, vx, vy)
+
+
+def test_folded_kernel_matches_the_six_edge_kernel():
+    # folding onto three edges drops only edges whose nearest point is
+    # farther, so the gap is bit for bit the six-edge one, except at the
+    # chord's ends v2 and v5, where the dropped edge rounded the shared
+    # vertex's distance its own way; the feature named is always the same
+    rng = np.random.default_rng(31)
+    u, v = rng.uniform(0.0, 1.0, (2, 50_000))
+    g1 = 1e-6 + u * (math.pi - 3e-6)
+    g2 = 1e-6 + v * (math.pi - 2e-6 - g1)
+    offsets = rng.integers(-30, 31, (50_000, 2))
+    at_chord_end = 0
+    for a, b, (i, j) in zip(g1.tolist(), g2.tolist(), offsets.tolist()):
+        vx, vy, eix, eiy, ejx, ejy = frame(a, b)
+        px, py = i * eix + j * ejx, i * eiy + j * ejy
+        gap, m, t = hexagon_gap(px, py, vx, vy)
+        want, wm, wt = six_edge_gap(px, py, vx, vy)
+        feature = _feature(wm, wt)
+        assert _feature(m, t) == feature, (a, b, i, j)
+        if feature in (("vertex", 2), ("vertex", 5)):
+            at_chord_end += 1
+            assert abs(gap - want) <= 2.0 * math.ulp(want), (a, b, i, j)
+        else:
+            assert gap == want, (a, b, i, j)
+    assert at_chord_end > 0
 
 
 def test_point_to_convex_distance_oracle():

@@ -480,7 +480,8 @@ def test_field_matches_scalar_kernel(make_grid):
 def test_offset_gaps_match_the_scalar_kernel_bit_for_bit():
     # the array twin of geometry.hexagon_gap runs the same operations, so at
     # each shape where NumPy's sin and cos give math's it gives the same gaps,
-    # touching neighbours and the origin included
+    # the origin and the touching neighbours on both sides of the fold's
+    # chord included
     rng = np.random.default_rng(27)
     u, v = rng.uniform(0.0, 1.0, (2, 400))
     g1 = 1e-3 + u * (math.pi - 3e-3)
@@ -489,7 +490,8 @@ def test_offset_gaps_match_the_scalar_kernel_bit_for_bit():
     agree = [[math.sin(a), math.cos(a), math.sin(b), math.cos(b)] == row
              for a, b, row in zip(g1.tolist(), g2.tolist(), trig)]
     assert sum(agree) >= 200
-    offsets = [*zip(*rng.integers(-30, 31, (2, 60)).tolist()), (0, 0), (1, 0), (0, 1), (-1, 1)]
+    offsets = [*zip(*rng.integers(-30, 31, (2, 60)).tolist()), (0, 0), (1, 0), (0, 1), (-1, 1),
+               (-1, 0), (0, -1), (1, -1)]
     i, j = (np.array(col, dtype=float)[:, None] for col in zip(*offsets))
     gaps = _offset_gaps(frame(g1, g2, np.sin, np.cos), i, j)
     for p in np.flatnonzero(agree).tolist():
