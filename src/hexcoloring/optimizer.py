@@ -14,17 +14,16 @@ skip the schemes that cannot win.  The rectilinear grid covers one sixth of
 the shapes, the sextant gap3 >= gap1 >= gap2, and one scheme of each
 symmetry orbit is refined for all.  One refinement, ``_refine``, serves
 both shape classes: one local search from that grid point, which may end at
-a local maximum only, after which Newton on closed-form offset derivatives
-sharpens the result to near machine precision, so that rational squared
-gaps can be reconstructed from the floats.  A rectilinear search is a
-trust-region ascent on closed-form offset gradients, and its polish solves
-one exact system for the kind of maximum its active offsets make: equal
-gaps at a vertex, equal gaps and parallel gradients (a zero cross product)
-on a ridge, a zero gradient at a smooth maximum.  A semi-regular search is
-a golden section along the diagonal that hands over to Newton on the
-crossing of two branches once its bracket is 1e-7 wide; where Newton ends
-on no crossing there, the golden section continues to 1e-12 and its point
-is polished.  Both polishes run on one solver, ``_newton_loop``.
+a local maximum only, then one polish, ``_polish``: Newton on the
+first-order (KKT) conditions of "maximise t subject to gap_c >= t" over the
+active offsets, on closed-form offset derivatives, which sharpens the result
+to near machine precision, so that rational squared gaps can be
+reconstructed from the floats.  A rectilinear search is a trust-region
+ascent on closed-form offset gradients.  A semi-regular search is a golden
+section along the diagonal that hands over to the polish once its bracket
+is 1e-7 wide; where Newton ends on no crossing there, the golden section
+continues to 1e-12 and its point is polished.  A flat maximum on the
+diagonal (one active offset, or slopes within 1e-3) is not polished.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -475,30 +475,42 @@ def _ascend(fn, x: float, y: float, radius: float):
     return (x, y), val
 
 
-# offsets within _ACTIVE of the minimum make up either polish's active set
+# offsets within _ACTIVE of the minimum make up the polish's active set
 _ACTIVE = 1e-6
+_NEAR, _GRID = 1e-7, 2.0**-30
 
 
 def _newton_loop(system, pt: tuple, fn, val: float):
     """Damped Newton on system(*pt) -> (values, Jacobian rows), guarded by the objective fn(*pt).
 
-    Works in any dimension; val is fn(*pt).  Steps that leave the valid
-    shapes or fall more than 1e-12 below the best value seen are halved,
-    then abandoned with a DEBUG event.  Returns (pt, val) with val the
-    objective at the last accepted point, after at most 30 steps.
+    Works in any dimension; val is fn(*pt), and system gives None outside
+    the valid shapes.  Steps that leave them or fall more than 1e-12 below
+    the best value seen are halved, then abandoned with a DEBUG event.  The
+    first step shorter than _NEAR is the last, taken from pt + step rounded
+    to a multiple of _GRID where valid: from there one step lands within
+    rounding of the root, on a point set by the grid point alone, whatever
+    the start.  Returns (pt, val), val the objective at the last accepted
+    point, after at most 30 steps.
     """
+    def newton(at):
+        linear = system(*at)
+        if linear is None or max(map(abs, linear[0])) <= 1e-14:
+            return None
+        try:
+            step, *_ = np.linalg.lstsq(np.asarray(linear[1]), -np.asarray(linear[0]), rcond=None)
+        except np.linalg.LinAlgError:
+            return None
+        return step.tolist() if np.isfinite(step).all() else None
+
     top = val
     for _ in range(30):
-        f0, jac = system(*pt)
-        if max(abs(v) for v in f0) <= 1e-14:
+        step = newton(pt)
+        if step is None:
             break
-        try:
-            step, *_ = np.linalg.lstsq(np.asarray(jac), -np.asarray(f0), rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        step = [float(v) for v in step]
-        if not all(map(math.isfinite, step)):
-            break
+        if last := math.hypot(*step) <= _NEAR:
+            near = tuple(round((x + dx) / _GRID) * _GRID for x, dx in zip(pt, step))
+            if again := newton(near):
+                step = [a + da - x for a, da, x in zip(near, again, pt)]
         for scale in (1.0, 0.5, 0.25):
             cand = tuple(x + scale * dx for x, dx in zip(pt, step))
             cand_val = fn(*cand)
@@ -508,85 +520,67 @@ def _newton_loop(system, pt: tuple, fn, val: float):
         else:
             _log.debug("newton: step abandoned at %r: %.17g below best %.17g", pt, cand_val, top)
             break
-        if math.hypot(*(scale * dx for dx in step)) <= 1e-13:
+        if last:
             break
     return pt, val
 
 
-def _polish_rect(fn, x: float, y: float, val: float):
-    """Sharpen an ascent's end by one Newton run on the offsets within _ACTIVE of its minimum.
+def _polish(fn, pt: tuple, val: float, active):
+    """Damped Newton on the first-order conditions of the maximin at pt (Kuhn & Tucker 1951).
 
-    Three or more such offsets meet at a vertex, where their gaps are equal.
-    Two whose gradients differ meet on a ridge, where their gaps are equal
-    and their gradients parallel: the cross product is zero.  A single one,
-    or a mirror pair varying identically, has gradient zero at a smooth
-    maximum.  Returns the point and the objective there."""
-    _, active = fn(x, y, _ACTIVE)
-    jets = lambda px, py: [_offset_jet(px, py, i, j) for i, j in active]
-    (_, ga, _), *rest = jets(x, y)
-    if len(active) >= 3:
-        def system(px: float, py: float):
-            (d0, (gx0, gy0), _), *rest = jets(px, py)
-            return [d - d0 for d, _, _ in rest], [(gx - gx0, gy - gy0) for _, (gx, gy), _ in rest]
-    elif rest and math.hypot(ga[0] - rest[0][1][0], ga[1] - rest[0][1][1]) > 1e-9:
-        def system(px: float, py: float):
-            (da, (gax, gay), ha), (db, (gbx, gby), hb) = jets(px, py)
-            # the cross product's derivative in each gap, from both Hessians
-            cross = [ha[0][n] * gby + gax * hb[1][n] - ha[1][n] * gbx - gay * hb[0][n] for n in (0, 1)]
-            return [da - db, gax * gby - gay * gbx], [(gax - gbx, gay - gby), cross]
-    else:
-        def system(px: float, py: float):
-            _, grad, hess = _offset_jet(px, py, *active[0])
-            return list(grad), hess
-    (x, y), val = _newton_loop(system, (x, y), fn, val)
-    return x, y, val
+    pt is a rectilinear shape (x, y) or a point (gamma,) of the diagonal, val
+    fn's value there and active the offsets within _ACTIVE of it.  At a local
+    maximum of the least gap, for some t and multipliers lambda_c, gap_c = t
+    for each active c, sum lambda_c grad gap_c = 0 and sum lambda_c = 1.
+    Newton runs on that one system in (pt, t, lambda), with ``_offset_jet``'s
+    derivatives along pt's axes, from t = val and least-squares multipliers:
+    it serves equal gaps at a vertex, a ridge or a crossing, and a zero
+    gradient at a smooth maximum.  Returns (pt, val, t) at Newton's end."""
+    dim, n = len(pt), len(active)
+    # pt's axes in the gaps; the shape is (x, y), or (gamma, gamma) on the diagonal
+    axes = ((1.0, 0.0), (0.0, 1.0)) if dim == 2 else ((1.0, 1.0),)
+    shape = lambda p: p * (3 - dim)
+    dot = lambda u, w: sum(map(operator.mul, u, w))
+
+    @functools.lru_cache(maxsize=1)
+    def jets(p: tuple):
+        # the active gaps, their slopes along each axis and their second
+        # derivatives along each pair of axes, one entry per offset
+        gaps, grads, hessians = zip(*(_offset_jet(*shape(p), i, j) for i, j in active))
+        slopes = [[dot(u, g) for g in grads] for u in axes]
+        hess = [[[dot(u, (dot(h[0], v), dot(h[1], v))) for h in hessians] for v in axes] for u in axes]
+        return gaps, slopes, hess
+
+    def system(*z):
+        if not gaps_valid(*shape(z[:dim])):
+            return None
+        (gaps, slopes, hess), t, lam = jets(z[:dim]), z[dim], z[dim + 1 :]
+        f = [gap - t for gap in gaps] + [dot(lam, row) for row in slopes] + [sum(lam) - 1.0]
+        jac = [[*row, -1.0] + [0.0] * n for row in zip(*slopes)]
+        jac += [[dot(lam, h) for h in hess[a]] + [0.0, *slopes[a]] for a in range(dim)]
+        return f, jac + [[0.0] * (dim + 1) + [1.0] * n]
+
+    lam, *_ = np.linalg.lstsq([*jets(pt)[1], [1.0] * n], [0.0] * dim + [1.0], rcond=None)
+    z, val = _newton_loop(system, (*pt, val, *lam.tolist()), lambda *z: fn(*shape(z[:dim])), val)
+    return z[:dim], val, z[dim]
 
 
-# the golden section narrows its bracket to _HANDOVER before the crossing
-# polish, and to _GOLDEN_TOL where there is no crossing to polish
+# the golden section narrows its bracket to _HANDOVER before the polish, and
+# to _GOLDEN_TOL where the polish ends on no crossing
 _HANDOVER, _GOLDEN_TOL = 1e-7, 1e-12
-
-
-def _polish_semi(fn, gamma: float, val: float):
-    """Newton on the crossing of the two leading branches near gamma on the diagonal.
-
-    The branches are the offsets within _ACTIVE of the minimum whose slopes
-    along the diagonal differ most; Newton on the difference of their gaps
-    runs on ``_newton_loop``, guarded by the objective fn(g, g).  Returns
-    (gamma, val, crossed), where crossed says that the two gaps agree within
-    1e-14 at gamma, ``_newton_loop``'s own test of convergence.  With one
-    active offset, or with active branches that all run parallel along the
-    diagonal (mirror images), there is no crossing: the input comes back
-    with crossed False."""
-    line = lambda g: fn(g, g)
-    _, active = fn(gamma, gamma, _ACTIVE)
-    if len(active) <= 1:
-        return gamma, val, False
-    slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
-    # the first pair whose slopes differ most
-    a, b = max(combinations(range(len(active)), 2), key=lambda p: abs(slopes[p[0]] - slopes[p[1]]))
-    if abs(slopes[a] - slopes[b]) < 1e-3:
-        return gamma, val, False
-    offa, offb = active[a], active[b]
-
-    def system(g: float):
-        (da, ga), (db, gb) = (_offset_jet(g, g, *off, False) for off in (offa, offb))
-        return [da - db], [[sum(ga) - sum(gb)]]
-
-    (gamma,), val = _newton_loop(system, (gamma,), line, val)
-    return gamma, val, abs(system(gamma)[0][0]) <= 1e-14
 
 
 def _search_semi(fn, lo: float, hi: float):
     """(gamma, value) of the semi-regular search along the diagonal within [lo, hi].
 
-    A golden section narrows the bracket to _HANDOVER, and ``_polish_semi``
-    takes over from the better of the bracket's two interior points.  When
-    its Newton ends on a crossing within _HANDOVER of that point, the
-    crossing is the answer: a narrower bracket would only move Newton's
-    start.  Otherwise (a maximum on one branch, parallel mirror branches, or
-    a maximum pressed against gamma = pi / 2) the same golden section goes
-    on to _GOLDEN_TOL and its point is polished.
+    A golden section narrows the bracket to _HANDOVER, and ``_polish`` takes
+    over from the better of the bracket's two interior points.  When it ends
+    on a crossing, every active gap within 1e-14 of t, within _HANDOVER of
+    that point, the crossing is the answer: a narrower bracket would only
+    move Newton's start.  Otherwise (a maximum on one branch, parallel
+    mirror branches, or a maximum pressed against gamma = pi / 2) the same
+    golden section goes on to _GOLDEN_TOL and its point is polished, unless
+    it is flat: one active offset, or active slopes within 1e-3.
     """
     line = lambda g: fn(g, g)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
@@ -604,7 +598,13 @@ def _search_semi(fn, lo: float, hi: float):
                 x2 = a + inv * (b - a)
                 f2 = line(x2)
         start, val = (x1, f1) if f1 >= f2 else (x2, f2)
-        gamma, val, crossed = _polish_semi(fn, start, val)
+        gamma, crossed = start, False
+        _, active = fn(start, start, _ACTIVE)
+        # the flat guard; polishing flat maxima too is ROADMAP item 3
+        slopes = [sum(_offset_jet(start, start, *off, False)[1]) for off in active]
+        if len(active) > 1 and max(slopes) - min(slopes) >= 1e-3:
+            (gamma,), val, t = _polish(fn, (start,), val, active)
+            crossed = all(abs(_offset_jet(gamma, gamma, *off, False)[0] - t) <= 1e-14 for off in active)
         if crossed and abs(gamma - start) <= _HANDOVER:
             break
     return gamma, val
@@ -693,8 +693,8 @@ def _start(vals: np.ndarray, grid: _Field) -> tuple[float, float]:
 def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: list):
     """(value, gap pair) of one local search from ``_start``, maybe a local maximum only.
 
-    A rectilinear search is ``_ascend`` then ``_polish_rect``; a semi-regular
-    one ``_search_semi`` within a grid cell of its start along the diagonal.
+    A rectilinear search is ``_ascend`` then ``_polish``; a semi-regular one
+    ``_search_semi`` within a grid cell of its start along the diagonal.
     counts[0] counts the objective evaluations.
     """
     def fn(a: float, b: float, tol: float | None = None):
@@ -708,7 +708,7 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: lis
         gamma, val = _search_semi(fn, lo, hi)
         return val, (gamma, gamma)
     (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell)
-    x, y, val = _polish_rect(fn, x, y, val)
+    (x, y), val, _ = _polish(fn, (x, y), val, fn(x, y, _ACTIVE)[1])
     return val, (x, y)
 
 

@@ -12,7 +12,7 @@ Nelder-Mead run to the end and then polished (``refine_every_start``),
 semi-regular ones by the solver's own search, ``optimizer._search_semi``
 (``refine_semi_every_start``).
 
-That search hands the golden section's point to the crossing polish once
+That search hands the golden section's point to ``optimizer._polish`` once
 the bracket is ``optimizer._HANDOVER`` wide.  Before, the golden section
 always ran to ``optimizer._GOLDEN_TOL`` first (``golden_search_semi``), and
 the tests compare the two.  ``golden_max`` is the former golden section,
@@ -28,10 +28,11 @@ import numpy as np
 
 from hexcoloring.geometry import EPS_GEOM
 from hexcoloring.optimizer import (
+    _ACTIVE,
     _GOLDEN_TOL,
     _eval_min,
-    _polish_rect,
-    _polish_semi,
+    _offset_jet,
+    _polish,
     _refine,
     _search_semi,
 )
@@ -155,7 +156,7 @@ def refine_every_start(scheme, seeds, cell: float) -> float:
         pt, pv = nm_max(fn, sx, sy, 0.6 * cell)
         if pv > best_val:
             best_pt, best_val = pt, pv
-    x, y, val = _polish_rect(fn, best_pt[0], best_pt[1], best_val)
+    _, val, _ = _polish(fn, best_pt, best_val, fn(*best_pt, _ACTIVE)[1])
     return max(val, best_val)
 
 
@@ -183,8 +184,14 @@ def golden_max(fn, lo: float, hi: float, tol: float):
 
 def golden_search_semi(fn, lo: float, hi: float):
     """The former ``optimizer._search_semi``: the golden section run to
-    _GOLDEN_TOL, then the crossing polish, whatever the polish finds."""
-    gamma, val, _ = _polish_semi(fn, *golden_max(lambda g: fn(g, g), lo, hi, _GOLDEN_TOL))
+    _GOLDEN_TOL, then the polish, whatever it finds, unless the point is a
+    flat maximum (one active offset, or active slopes along the diagonal
+    within 1e-3 of each other)."""
+    gamma, val = golden_max(lambda g: fn(g, g), lo, hi, _GOLDEN_TOL)
+    _, active = fn(gamma, gamma, _ACTIVE)
+    slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
+    if len(active) > 1 and max(slopes) - min(slopes) >= 1e-3:
+        (gamma,), val, _ = _polish(fn, (gamma,), val, active)
     return gamma, val
 
 

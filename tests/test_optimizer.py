@@ -45,7 +45,7 @@ from hexcoloring.optimizer import (
     _newton_loop,
     _offset_gaps,
     _offset_jet,
-    _polish_rect,
+    _polish,
     _rect_grid,
     _refine,
     _semi_grid,
@@ -157,7 +157,7 @@ def test_ridge_polish_returns_to_the_optimum(k):
     tx, ty = -ny / norm, nx / norm
     for step in (1e-6, -1e-6):
         x, y = res.gaps[0] + step * tx, res.gaps[1] + step * ty
-        px, py, val = _polish_rect(fn, x, y, fn(x, y))
+        (px, py), val, _ = _polish(fn, (x, y), fn(x, y), active)
         assert max(abs(px - res.gaps[0]), abs(py - res.gaps[1])) <= 1e-12, (step, px, py)
         assert val >= res.d, (step, val)
 
@@ -317,8 +317,8 @@ def test_reference_witness_pairs_lie_in_the_champion_orbit(champions):
         assert own == (row.k not in _RELABELLED_WITNESS), (row.k, scheme)
 
 
-# at k = 15 and 77 the optimum is a smooth maximum on the diagonal, not a
-# crossing, and the golden section stops on it about sqrt(eps) off
+# at k = 15, 41 and 77 the semi-regular optimum is a smooth maximum on the
+# diagonal, not a crossing, and the golden section stops on it about sqrt(eps) off
 _FLAT_MAXIMUM = pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 3: the golden section stops on a flat maximum; the fix must "
@@ -339,8 +339,35 @@ def test_reference_r_rational_is_reproduced(row):
     assert abs(solve(row.k, row.class_of_best).r - num / den) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "class_tag, k",
+    [
+        pytest.param(tag, k, id=f"{tag}-k{k}",
+                     marks=_FLAT_MAXIMUM if tag == SEMI_REGULAR and k in (15, 41, 77) else ())
+        for tag in (SEMI_REGULAR, RECTILINEAR)
+        for k in [*range(3, 176), 756]
+    ],
+)
+def test_optimum_is_a_first_order_point(class_tag, k):
+    # a local maximum of the least gap is a KKT point of "maximise t subject
+    # to gap_c >= t": multipliers lambda_c >= 0 over the offsets within
+    # _ACTIVE, summing to 1, weight their gradients to zero (their slopes
+    # along the diagonal for the semi-regular class)
+    res = solve(k, class_tag)
+    _, active = _eval_min(*res.gaps, res.scheme, _ACTIVE)
+    grads = np.array([_offset_jet(*res.gaps, *off, False)[1] for off in active])
+    if class_tag == SEMI_REGULAR:
+        grads = grads.sum(axis=1, keepdims=True)
+    lhs = np.vstack((grads.T, np.ones(len(active))))
+    rhs = np.zeros(len(lhs))
+    rhs[-1] = 1.0
+    lam, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    assert lam.min() >= -1e-12, (active, lam)
+    assert np.abs(lhs @ lam - rhs).max() <= 1e-12, (active, lam)
+
+
 def test_semi_regular_rationals_sit_on_the_crossing():
-    # the crossing polish resolves a kinked maximum to within rounding; the
+    # the polish resolves a kinked maximum to within rounding; the
     # golden section alone leaves dsq further off (by 7.2e-14 from 1/4 at k = 3)
     for k in range(3, 121):
         res = solve(k, SEMI_REGULAR)
@@ -765,21 +792,23 @@ def test_resumed_golden_section_matches_a_fresh_one(monkeypatch):
     # a search whose Newton ends on no crossing continues its golden section
     # from the 1e-7 bracket, and reaches the point that a golden section run
     # afresh to 1e-12 reaches, bit for bit
-    polished, fallbacks = [], []
-    real_polish, real_search = optimizer._polish_semi, optimizer._search_semi
-
-    def polish(fn, gamma, val):
-        polished.append((gamma, val))
-        return real_polish(fn, gamma, val)
+    fallbacks = []
+    real_search = optimizer._search_semi
 
     def search(fn, lo, hi):
-        polished.clear()
-        got = real_search(fn, lo, hi)
-        if len(polished) == 2:
-            fallbacks.append((fn, lo, hi, polished[1], got))
+        # each pass lists the active offsets once, at the point it may polish
+        starts = []
+
+        def listing(a, b, tol=None):
+            if tol is not None:
+                starts.append((a, fn(a, b)))
+            return fn(a, b, tol)
+
+        got = real_search(listing, lo, hi)
+        if len(starts) == 2:
+            fallbacks.append((fn, lo, hi, starts[1], got))
         return got
 
-    monkeypatch.setattr(optimizer, "_polish_semi", polish)
     monkeypatch.setattr(optimizer, "_search_semi", search)
     for k in range(3, 61):
         for scheme in schemes(k):
