@@ -14,16 +14,18 @@ skip the schemes that cannot win.  The rectilinear grid covers one sixth of
 the shapes, the sextant gap3 >= gap1 >= gap2, and one scheme of each
 symmetry orbit is refined for all.  One refinement, ``_refine``, serves
 both shape classes: one local search from that grid point, which may end at
-a local maximum only, then one polish, ``_polish``: Newton on the
-first-order (KKT) conditions of "maximise t subject to gap_c >= t" over the
-active offsets, on closed-form offset derivatives, which sharpens the result
-to near machine precision, so that rational squared gaps can be
-reconstructed from the floats.  A rectilinear search is a trust-region
-ascent on closed-form offset gradients.  A semi-regular search is a golden
-section along the diagonal that hands over to the polish once its bracket
-is 1e-7 wide; where Newton ends on no crossing there, the golden section
-continues to 1e-12 and its point is polished.  A flat maximum on the
-diagonal (one active offset, or slopes within 1e-3) is not polished.
+a local maximum only, then one polish, ``_polish``, the one Newton loop:
+damped Newton on the first-order (KKT) conditions of "maximise t subject to
+gap_c >= t" over the active offsets, which sharpens the result to near
+machine precision, so that rational squared gaps can be reconstructed from
+the floats.  The ascent and the polish use closed-form offset derivatives,
+``_offset_jet``, which like the other gap kernels takes a shape's frame,
+built once per shape.  A rectilinear search is a trust-region ascent.  A
+semi-regular search is a golden section along the diagonal that hands over
+to the polish once its bracket is 1e-7 wide; where Newton ends on no
+crossing there, the golden section continues to 1e-12 and its point is
+polished.  A flat maximum on the diagonal (one active offset, or slopes
+within 1e-3) is not polished.
 """
 
 from __future__ import annotations
@@ -114,11 +116,12 @@ def _eval_min(g1: float, g2: float, scheme: ColorScheme, tol: float | None = Non
     return min_gap(scheme, frame(g1, g2), tol)
 
 
-def _offset_jet(g1: float, g2: float, i: int, j: int, hessian: bool = True):
-    """Offset (i, j)'s gap at shape (g1, g2), its gradient and its Hessian in the gaps.
+def _offset_jet(frame, i: int, j: int, hessian: bool = True):
+    """Offset (i, j)'s gap at the shape of ``frame``, its gradient and its Hessian in the gaps.
 
-    The gap is ``geometry.hexagon_gap``'s from c = i e_i + j e_j to the
-    doubled hexagon of ``geometry.frame``, as ``min_gap`` takes it, and so is
+    ``frame`` is ``geometry.frame``'s at the shape, so that every offset of
+    one shape shares it.  The gap is ``geometry.hexagon_gap``'s from c = i e_i
+    + j e_j to the frame's doubled hexagon, as ``min_gap`` takes it, and so is
     the nearest boundary point q = a + t (b - a) on edge m from a = v[m - 1]
     to b = v[m].  By the envelope theorem the gradient is u . M, with u = (c
     - q) / gap and M = dc - (1 - t) da - t db.  With gap1, c moves by (i +
@@ -130,7 +133,7 @@ def _offset_jet(g1: float, g2: float, i: int, j: int, hessian: bool = True):
     is 0 all derivatives are zero.  Without ``hessian``, returns only the gap
     and the gradient.
     """
-    vx, vy, eix, eiy, ejx, ejy = frame(g1, g2)
+    vx, vy, eix, eiy, ejx, ejy = frame
     px, py = i * eix + j * ejx, i * eiy + j * ejy
     gap, m, t = hexagon_gap(px, py, vx, vy)
     if gap == 0.0:
@@ -463,7 +466,8 @@ def _ascend(fn, x: float, y: float, radius: float):
         if radius < _FINE:
             break
         if rows is None:
-            rows = [(g, *grad) for g, grad in (_offset_jet(x, y, i, j, False) for i, j in near)]
+            doubled = frame(x, y)
+            rows = [(g, *grad) for g, grad in (_offset_jet(doubled, i, j, False) for i, j in near)]
         dx, dy, model = _lp_step(x, y, [r for r in rows if r[0] <= val + 2.0 * radius], radius)
         if model <= val:
             break
@@ -480,51 +484,6 @@ _ACTIVE = 1e-6
 _NEAR, _GRID = 1e-7, 2.0**-30
 
 
-def _newton_loop(system, pt: tuple, fn, val: float):
-    """Damped Newton on system(*pt) -> (values, Jacobian rows), guarded by the objective fn(*pt).
-
-    Works in any dimension; val is fn(*pt), and system gives None outside
-    the valid shapes.  Steps that leave them or fall more than 1e-12 below
-    the best value seen are halved, then abandoned with a DEBUG event.  The
-    first step shorter than _NEAR is the last, taken from pt + step rounded
-    to a multiple of _GRID where valid: from there one step lands within
-    rounding of the root, on a point set by the grid point alone, whatever
-    the start.  Returns (pt, val), val the objective at the last accepted
-    point, after at most 30 steps.
-    """
-    def newton(at):
-        linear = system(*at)
-        if linear is None or max(map(abs, linear[0])) <= 1e-14:
-            return None
-        try:
-            step, *_ = np.linalg.lstsq(np.asarray(linear[1]), -np.asarray(linear[0]), rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        return step.tolist() if np.isfinite(step).all() else None
-
-    top = val
-    for _ in range(30):
-        step = newton(pt)
-        if step is None:
-            break
-        if last := math.hypot(*step) <= _NEAR:
-            near = tuple(round((x + dx) / _GRID) * _GRID for x, dx in zip(pt, step))
-            if again := newton(near):
-                step = [a + da - x for a, da, x in zip(near, again, pt)]
-        for scale in (1.0, 0.5, 0.25):
-            cand = tuple(x + scale * dx for x, dx in zip(pt, step))
-            cand_val = fn(*cand)
-            if cand_val >= top - 1e-12:
-                pt, val, top = cand, cand_val, max(top, cand_val)
-                break
-        else:
-            _log.debug("newton: step abandoned at %r: %.17g below best %.17g", pt, cand_val, top)
-            break
-        if last:
-            break
-    return pt, val
-
-
 def _polish(fn, pt: tuple, val: float, active):
     """Damped Newton on the first-order conditions of the maximin at pt (Kuhn & Tucker 1951).
 
@@ -532,10 +491,17 @@ def _polish(fn, pt: tuple, val: float, active):
     fn's value there and active the offsets within _ACTIVE of it.  At a local
     maximum of the least gap, for some t and multipliers lambda_c, gap_c = t
     for each active c, sum lambda_c grad gap_c = 0 and sum lambda_c = 1.
-    Newton runs on that one system in (pt, t, lambda), with ``_offset_jet``'s
-    derivatives along pt's axes, from t = val and least-squares multipliers:
-    it serves equal gaps at a vertex, a ridge or a crossing, and a zero
-    gradient at a smooth maximum.  Returns (pt, val, t) at Newton's end."""
+    Newton runs on that one system in z = (pt, t, lambda), with
+    ``_offset_jet``'s derivatives along pt's axes, from t = val and
+    least-squares multipliers: it serves equal gaps at a vertex, a ridge or a
+    crossing, and a zero gradient at a smooth maximum.  Steps that leave the
+    valid shapes or fall more than 1e-12 below the best value of fn seen are
+    halved, then abandoned with a DEBUG event.  The first step shorter than
+    _NEAR is the last, taken from z + step rounded to a multiple of _GRID
+    where valid: from there one step lands within rounding of the root, on a
+    point set by the grid point alone, whatever the start.  Returns (pt, val,
+    t) at the last accepted point, val fn's value there, after at most 30
+    steps."""
     dim, n = len(pt), len(active)
     # pt's axes in the gaps; the shape is (x, y), or (gamma, gamma) on the diagonal
     axes = ((1.0, 0.0), (0.0, 1.0)) if dim == 2 else ((1.0, 1.0),)
@@ -546,22 +512,51 @@ def _polish(fn, pt: tuple, val: float, active):
     def jets(p: tuple):
         # the active gaps, their slopes along each axis and their second
         # derivatives along each pair of axes, one entry per offset
-        gaps, grads, hessians = zip(*(_offset_jet(*shape(p), i, j) for i, j in active))
+        doubled = frame(*shape(p))
+        gaps, grads, hessians = zip(*(_offset_jet(doubled, i, j) for i, j in active))
         slopes = [[dot(u, g) for g in grads] for u in axes]
         hess = [[[dot(u, (dot(h[0], v), dot(h[1], v))) for h in hessians] for v in axes] for u in axes]
         return gaps, slopes, hess
 
-    def system(*z):
+    def newton(z: tuple):
+        # the Newton step from z, or None outside the valid shapes, at a root
+        # or where it cannot be solved
         if not gaps_valid(*shape(z[:dim])):
             return None
         (gaps, slopes, hess), t, lam = jets(z[:dim]), z[dim], z[dim + 1 :]
         f = [gap - t for gap in gaps] + [dot(lam, row) for row in slopes] + [sum(lam) - 1.0]
+        if max(map(abs, f)) <= 1e-14:
+            return None
         jac = [[*row, -1.0] + [0.0] * n for row in zip(*slopes)]
         jac += [[dot(lam, h) for h in hess[a]] + [0.0, *slopes[a]] for a in range(dim)]
-        return f, jac + [[0.0] * (dim + 1) + [1.0] * n]
+        jac += [[0.0] * (dim + 1) + [1.0] * n]
+        try:
+            step, *_ = np.linalg.lstsq(np.asarray(jac), -np.asarray(f), rcond=None)
+        except np.linalg.LinAlgError:
+            return None
+        return step.tolist() if np.isfinite(step).all() else None
 
     lam, *_ = np.linalg.lstsq([*jets(pt)[1], [1.0] * n], [0.0] * dim + [1.0], rcond=None)
-    z, val = _newton_loop(system, (*pt, val, *lam.tolist()), lambda *z: fn(*shape(z[:dim])), val)
+    z, top = (*pt, val, *lam.tolist()), val
+    for _ in range(30):
+        step = newton(z)
+        if step is None:
+            break
+        if last := math.hypot(*step) <= _NEAR:
+            near = tuple(round((x + dx) / _GRID) * _GRID for x, dx in zip(z, step))
+            if again := newton(near):
+                step = [a + da - x for a, da, x in zip(near, again, z)]
+        for scale in (1.0, 0.5, 0.25):
+            cand = tuple(x + scale * dx for x, dx in zip(z, step))
+            cand_val = fn(*shape(cand[:dim]))
+            if cand_val >= top - 1e-12:
+                z, val, top = cand, cand_val, max(top, cand_val)
+                break
+        else:
+            _log.debug("newton: step abandoned at %r: %.17g below best %.17g", z, cand_val, top)
+            break
+        if last:
+            break
     return z[:dim], val, z[dim]
 
 
@@ -601,10 +596,12 @@ def _search_semi(fn, lo: float, hi: float):
         gamma, crossed = start, False
         _, active = fn(start, start, _ACTIVE)
         # the flat guard; polishing flat maxima too is ROADMAP item 3
-        slopes = [sum(_offset_jet(start, start, *off, False)[1]) for off in active]
+        doubled = frame(start, start)
+        slopes = [sum(_offset_jet(doubled, *off, False)[1]) for off in active]
         if len(active) > 1 and max(slopes) - min(slopes) >= 1e-3:
             (gamma,), val, t = _polish(fn, (start,), val, active)
-            crossed = all(abs(_offset_jet(gamma, gamma, *off, False)[0] - t) <= 1e-14 for off in active)
+            doubled = frame(gamma, gamma)
+            crossed = all(abs(_offset_jet(doubled, *off, False)[0] - t) <= 1e-14 for off in active)
         if crossed and abs(gamma - start) <= _HANDOVER:
             break
     return gamma, val
@@ -903,5 +900,5 @@ def solve_all(k: int, classes: Sequence[str] = CLASS_TAGS) -> SolveAllResult:
     # CLASS_TAGS runs from the most restricted class to the least
     per_class = {tag: solve(k, tag) for tag in CLASS_TAGS if tag in classes}
     best_d = max(res.d for res in per_class.values())
-    champion = next(tag for tag, res in per_class.items() if res.d >= best_d - 1e-9)
+    champion = next(tag for tag, res in per_class.items() if res.d >= best_d - _TIE_TOL)
     return SolveAllResult(k=k, per_class=per_class, champion_class=champion)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from hexcoloring.geometry import EPS_GEOM
+from hexcoloring.geometry import EPS_GEOM, frame
 from hexcoloring.optimizer import (
     _ACTIVE,
     _GOLDEN_TOL,
@@ -189,7 +189,7 @@ def golden_search_semi(fn, lo: float, hi: float):
     within 1e-3 of each other)."""
     gamma, val = golden_max(lambda g: fn(g, g), lo, hi, _GOLDEN_TOL)
     _, active = fn(gamma, gamma, _ACTIVE)
-    slopes = [sum(_offset_jet(gamma, gamma, *off, False)[1]) for off in active]
+    slopes = [sum(_offset_jet(frame(gamma, gamma), *off, False)[1]) for off in active]
     if len(active) > 1 and max(slopes) - min(slopes) >= 1e-3:
         (gamma,), val, _ = _polish(fn, (gamma,), val, active)
     return gamma, val

@@ -42,7 +42,6 @@ from hexcoloring.optimizer import (
     _lipschitz,
     _lp_step,
     _may_reach,
-    _newton_loop,
     _offset_gaps,
     _offset_jet,
     _polish,
@@ -151,7 +150,7 @@ def test_ridge_polish_returns_to_the_optimum(k):
     fn = lambda a, b, tol=None: _eval_min(a, b, res.scheme, tol)
     _, active = fn(*res.gaps, _ACTIVE)
     assert len(active) == 2
-    (_, ga), (_, gb) = (_offset_jet(*res.gaps, *off, False) for off in active)
+    (_, ga), (_, gb) = (_offset_jet(frame(*res.gaps), *off, False) for off in active)
     nx, ny = ga[0] - gb[0], ga[1] - gb[1]
     norm = math.hypot(nx, ny)
     tx, ty = -ny / norm, nx / norm
@@ -355,7 +354,7 @@ def test_optimum_is_a_first_order_point(class_tag, k):
     # along the diagonal for the semi-regular class)
     res = solve(k, class_tag)
     _, active = _eval_min(*res.gaps, res.scheme, _ACTIVE)
-    grads = np.array([_offset_jet(*res.gaps, *off, False)[1] for off in active])
+    grads = np.array([_offset_jet(frame(*res.gaps), *off, False)[1] for off in active])
     if class_tag == SEMI_REGULAR:
         grads = grads.sum(axis=1, keepdims=True)
     lhs = np.vstack((grads.T, np.ones(len(active))))
@@ -619,13 +618,36 @@ def test_non_canonical_triples_are_logged(caplog):
         assert lines == ([] if canonical else [event])
 
 
-def test_newton_loop_logs_an_abandoned_step(caplog):
-    # the root x = 1 lies downhill of the start, so even a quarter step loses
+def test_polish_logs_an_abandoned_step(caplog):
+    # every shape but the start reads -1.0, so even a quarter step loses
+    res = solve(11, RECTILINEAR)
+    x, y = res.gaps[0] + 1e-6, res.gaps[1]
+    val, active = _eval_min(x, y, res.scheme, _ACTIVE)
+    fn = lambda a, b: val if (a, b) == (x, y) else -1.0
     with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
-        got = _newton_loop(lambda x: ([x - 1.0], [[1.0]]), (0.0,), lambda x: -abs(x), 0.0)
-    assert got == ((0.0,), 0.0)
+        got = _polish(fn, (x, y), val, active)
+    assert got == ((x, y), val, val)
     lines = [r.getMessage() for r in caplog.records]
-    assert lines == ["newton: step abandoned at (0.0,): -0.25 below best 0"]
+    assert len(lines) == 1 and lines[0].startswith("newton: step abandoned at ("), lines
+
+
+def test_polish_frames_each_shape_once(monkeypatch):
+    # fn frames through geometry.frame, so only the polish's own frames,
+    # through optimizer.frame, are counted
+    res = solve(11, RECTILINEAR)
+    fn = lambda a, b, tol=None: min_gap(res.scheme, frame(a, b), tol)
+    x, y = res.gaps[0] + 1e-6, res.gaps[1]
+    _, active = fn(*res.gaps, _ACTIVE)
+    assert len(active) == 2
+    shapes = []
+
+    def counted(*shape):
+        shapes.append(shape)
+        return frame(*shape)
+
+    monkeypatch.setattr(optimizer, "frame", counted)
+    _polish(fn, (x, y), fn(x, y), active)
+    assert shapes and len(set(shapes)) == len(shapes), shapes
 
 
 def test_bisection_skips_semi_regular_schemes(caplog):
@@ -840,7 +862,7 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
     else:
         g1 = eps + u * (math.pi - 3 * eps)
         g2 = eps + v * (math.pi - 2 * eps - g1)
-    gap, grad, hess = _offset_jet(g1, g2, i, j)
+    gap, grad, hess = _offset_jet(frame(g1, g2), i, j)
     assert gap == offset_dist(g1, g2, i, j)
     h = 1e-6
     steps = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
@@ -850,7 +872,7 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
     for k, ((a1, b1), (a2, b2)) in enumerate([steps[:2], steps[2:]]):
         fd = (offset_dist(g1 + a1, g2 + b1, i, j) - offset_dist(g1 + a2, g2 + b2, i, j)) / (2 * h)
         assert abs(grad[k] - fd) <= 1e-6 * (1.0 + abs(fd)), (k, grad, fd)
-        up, down = _offset_jet(g1 + a1, g2 + b1, i, j)[1], _offset_jet(g1 + a2, g2 + b2, i, j)[1]
+        up, down = (_offset_jet(frame(g1 + a, g2 + b), i, j)[1] for a, b in ((a1, b1), (a2, b2)))
         for m in range(2):
             fd = (up[m] - down[m]) / (2 * h)
             assert abs(hess[k][m] - fd) <= 1e-4 * (1.0 + abs(fd)), (k, m, hess, fd)
