@@ -12,7 +12,8 @@ each scheme its best grid point, and its Lipschitz bounds, refined for
 semi-regular schemes by a branch and bound on exact cell-centre values,
 skip the schemes that cannot win.  The rectilinear grid covers one sixth of
 the shapes, the sextant gap3 >= gap1 >= gap2, and one scheme of each
-symmetry orbit is refined for all.  One refinement, ``_refine``, serves
+symmetry orbit is refined for all, as is one of each semi-regular mirror
+pair that starts from one grid point.  One refinement, ``_refine``, serves
 both shape classes: one local search from that grid point, which may end at
 a local maximum only, then one polish, ``_polish``, the one Newton loop:
 damped Newton on the first-order (KKT) conditions of "maximise t subject to
@@ -628,10 +629,16 @@ def closed_forms(k: int):
         yield "quartic", quartic_dsq(k)
 
 
+@functools.cache
+def _closed_form_values(k: int) -> tuple[tuple[str, float], ...]:
+    """``closed_forms(k)`` as floats, computed once per k."""
+    return tuple((name, float(value)) for name, value in closed_forms(k))
+
+
 def _closed_form_tag(k: int, dsq: float) -> str:
     """The first family of ``closed_forms(k)`` that ``dsq`` matches, or "none"."""
-    return next((name for name, value in closed_forms(k)
-                 if abs(dsq - float(value)) < _CLOSED_FORM_TOL), "none")
+    return next((name for name, value in _closed_form_values(k)
+                 if abs(dsq - value) < _CLOSED_FORM_TOL), "none")
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -709,27 +716,27 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: lis
     return val, (x, y)
 
 
-def _orbit(scheme: ColorScheme) -> list[ColorScheme]:
-    """The distinct images of ``scheme`` under ``coloring.SYMMETRIES``, in the
-    (g, h) order of ``schemes``."""
-    return sorted({sym.image_scheme(scheme) for sym in SYMMETRIES}, key=lambda s: (s.g, s.h))
+def _orbit(scheme: ColorScheme, symmetries=SYMMETRIES) -> list[ColorScheme]:
+    """The distinct images of ``scheme`` under ``symmetries``, by default all
+    of ``coloring.SYMMETRIES``, in the (g, h) order of ``schemes``."""
+    return sorted({sym.image_scheme(scheme) for sym in symmetries}, key=lambda s: (s.g, s.h))
 
 
 def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
     ``solve``'s scheme loop, ``_refine_schemes``, runs on the scheme's orbit
-    (rectilinear) or on the scheme alone (semi-regular), so the answer is the
-    one ``solve`` gets for the scheme when no bound skips it, and it may be a
-    local maximum only; of the other orbit members, only the one refined
-    first is searched.  ``d_upper`` is the scheme's bound U_s from ``solve``."""
+    (rectilinear) or mirror pair (semi-regular), so the answer is the one
+    ``solve`` gets for the scheme when no bound skips it, and it may be a
+    local maximum only; of the other members, only the one refined first is
+    searched.  ``d_upper`` is the scheme's bound U_s from ``solve``."""
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
     if class_tag == REGULAR:
         return _solve_regular(k, [scheme], [0])
-    orbit = _orbit(scheme) if class_tag == RECTILINEAR else [scheme]
+    orbit = _orbit(scheme, SYMMETRIES if class_tag == RECTILINEAR else SYMMETRIES[::3])
     refined, bound = _refine_schemes(k, class_tag, orbit, scheme)
     return _finalize(k, class_tag, [entry for entry in refined if entry[1] == scheme], bound[scheme])
 
@@ -776,7 +783,9 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wante
     Schemes go in descending order of their grid peak; a rectilinear orbit
     member after the first takes the first's optimum, moved onto its own
     shape, or is searched from its own start when that image is not a valid
-    shape.  With ``wanted``, only the first and ``wanted`` are visited.  Logs
+    shape.  A semi-regular scheme takes its mirror image's optimum, with no
+    skip test, when the image was searched from the same ``_start``.  With
+    ``wanted``, only the first and ``wanted`` are visited.  Logs
     the ``_SUMMARY`` DEBUG record."""
     grid = _get_field(class_tag)
     table_rows = len(grid.table)
@@ -801,8 +810,8 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wante
     # semi-regular schemes that only ``_may_reach`` skipped
     late_skips = 0
     best = -math.inf
-    # orbit member -> its representative's optimum, moved onto the member's
-    # shape; rectilinear only
+    # rectilinear orbit member, or (semi-regular scheme, start) -> its
+    # representative's optimum, moved onto the member's shape
     images = {}
     order = np.argsort(-vals.max(axis=1), kind="stable").tolist()
     if wanted is not None:
@@ -811,16 +820,19 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wante
         scheme, target = candidates[n], best - _TIE_TOL
         if bound[scheme] < target:
             continue
-        if class_tag == SEMI_REGULAR and refined and not _may_reach(
+        key = scheme if class_tag == RECTILINEAR else (scheme, _start(vals[n], grid))
+        pt = images.get(key)
+        if pt is None and class_tag == SEMI_REGULAR and refined and not _may_reach(
                 scheme, grid, rows[edges[n] : edges[n + 1]], target, counts):
             late_skips += 1
             continue
-        pt = images.get(scheme)
         if pt is None or not gaps_valid(*pt):
             v, pt = _refine(class_tag, scheme, vals[n], grid, counts)
             if class_tag == RECTILINEAR:
                 for sym in SYMMETRIES[1:]:
                     images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
+            else:
+                images.setdefault((SYMMETRIES[3].image_scheme(scheme), key[1]), pt)
         else:
             v = _eval_min(pt[0], pt[1], scheme)
             mapped_count += 1
@@ -872,7 +884,9 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     the orbit of s, shared by the orbit: once a member is skipped, so are
     the members after it.  The first member in descending order of peak
     over S gets a full refinement; later ones take its optimum, moved onto
-    their own shape (``_refine_schemes``).
+    their own shape (``_refine_schemes``).  The mirror (gap1, gap2) ->
+    (gap2, gap1) fixes every semi-regular shape, so a mirror pair that starts
+    from one grid point is searched once.
     """
     if k < 3:
         raise DomainError(f"k must be at least 3: got {k}")

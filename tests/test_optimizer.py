@@ -142,6 +142,20 @@ def test_closed_forms_are_the_evaluator_families_and_tag_themselves():
         assert all(b - a > 1e-6 for a, b in zip(values, values[1:])), k
 
 
+def test_closed_forms_are_computed_once_per_k(monkeypatch):
+    # _closed_form_tag runs for each class result; cubic_f's bisection runs
+    # once per k, and the tags are the first family that matches
+    optimizer._closed_form_values.cache_clear()
+    calls = []
+    monkeypatch.setattr(optimizer, "cubic_f", lambda k: calls.append(k) or cubic_f(k))
+    res = solve_all(12)
+    assert calls == [12]
+    forms = list(optimizer.closed_forms(12))
+    for r in res.per_class.values():
+        want = next((name for name, value in forms if abs(r.dsq - float(value)) < 1e-7), "none")
+        assert r.closed_form_tag == want, r.class_tag
+
+
 @pytest.mark.parametrize("k", [11, 18, 23, 45, 187], ids=lambda k: f"k{k}")
 def test_ridge_polish_returns_to_the_optimum(k):
     # each of these optima lies on a ridge of two offsets: from 1e-6 along
@@ -660,15 +674,15 @@ def test_bisection_skips_semi_regular_schemes(caplog):
     refined = after = 0
     for line in lines:
         counts = re.match(
-            r"solve: k=(\d+) semi_regular refined (\d+), mapped 0, skipped (\d+) by the bound "
+            r"solve: k=(\d+) semi_regular refined (\d+), mapped (\d+), skipped (\d+) by the bound "
             r"\((\d+) only after bisection\); ",
             line,
         )
         assert counts, line
-        k, r, skipped, late = (int(c) for c in counts.groups())
-        assert r + skipped == len(schemes(k)) and late <= skipped
+        k, r, mapped, skipped, late = (int(c) for c in counts.groups())
+        assert r + mapped + skipped == len(schemes(k)) and late <= skipped
         refined, after = refined + r, after + late
-    assert refined <= 240
+    assert refined <= 140
     assert after > 0
 
 
@@ -758,7 +772,7 @@ def test_summary_counts_evaluations(class_tag, caplog):
 # semi-regular bracket to 1e-12 or starts over where Newton ends on no
 # crossing, or a regular class that evaluates every scheme, goes over its
 # ceiling.
-_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 1496, RECTILINEAR: 773}
+_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 938, RECTILINEAR: 773}
 
 
 def test_sweep_evaluations_stay_under_their_ceilings(caplog):
@@ -953,6 +967,62 @@ def test_optimize_scheme_reproduces_the_solve_winner(class_tag):
     for k in range(3, 121):
         res = solve(k, class_tag)
         assert optimize_scheme(k, res.scheme, class_tag) == res, k
+
+
+@pytest.mark.parametrize("k", [130, 167])
+def test_optimize_scheme_reproduces_the_semi_regular_winner_beyond_120(k):
+    # here the winner's mirror partner, from a start of its own, stops lower
+    # (8.342 and 9.963), so a partner may take the winner's optimum only
+    # when both start from the same grid point
+    res = solve(k, SEMI_REGULAR)
+    assert optimize_scheme(k, res.scheme, SEMI_REGULAR) == res
+
+
+@pytest.mark.parametrize("gamma", [0.4, 0.9, math.pi / 3.0, 1.3])
+def test_mirror_partners_share_the_semi_regular_objective(gamma):
+    # the mirror (gap1, gap2) -> (gap2, gap1) fixes every shape (gamma, gamma),
+    # so a scheme and its mirror image have one objective on the diagonal
+    mirror = SYMMETRIES[3]
+    assert mirror.image_gaps(gamma, gamma) == (gamma, gamma)
+    for k in range(3, 41):
+        for scheme in schemes(k):
+            image = mirror.image_scheme(scheme)
+            assert abs(_eval_min(gamma, gamma, scheme) - _eval_min(gamma, gamma, image)) <= 1e-12, (
+                scheme, image)
+
+
+def test_mapped_semi_regular_partners_share_their_start(monkeypatch):
+    # a semi-regular scheme takes its mirror image's optimum only when that
+    # image was searched from the scheme's own start; at k = 130 and 167 the
+    # winner's partner, searched first from another start, stops lower
+    searched, loops = {}, []
+    real_refine, real_loop = optimizer._refine, optimizer._refine_schemes
+
+    def refine(class_tag, scheme, vals, grid, counts):
+        searched[scheme] = optimizer._start(vals, grid)
+        return real_refine(class_tag, scheme, vals, grid, counts)
+
+    def loop(*args):
+        refined, bound = real_loop(*args)
+        loops.append([scheme for _, scheme, _ in refined])
+        return refined, bound
+
+    monkeypatch.setattr(optimizer, "_refine", refine)
+    monkeypatch.setattr(optimizer, "_refine_schemes", loop)
+    grid = _get_field(SEMI_REGULAR)
+    mapped = 0
+    for k in [*range(3, 61), 130, 167]:
+        searched.clear()
+        solve(k, SEMI_REGULAR)
+        candidates = schemes(k)
+        vals = grid.scan(*window_offsets(k, candidates))[0]
+        for scheme in loops.pop():
+            if scheme not in searched:
+                mirror = SYMMETRIES[3].image_scheme(scheme)
+                own = optimizer._start(vals[candidates.index(scheme)], grid)
+                assert searched.get(mirror) == own, (k, scheme, mirror)
+                mapped += 1
+    assert mapped > 0
 
 
 # schemes whose ascents try near-degenerate shapes, and their optima; at one
