@@ -8,25 +8,26 @@ deterministic.  The regular class has one shape, and its schemes are
 evaluated in descending order of a bound from their shortest sublattice
 vector until no later one can tie.  For the other classes a fixed coarse
 grid (``COARSE_GRID`` points per axis; the solver has no settings) gives
-each scheme its best grid point, and its Lipschitz bounds, refined for
-semi-regular schemes by a branch and bound on exact cell-centre values,
-skip the schemes that cannot win.  The rectilinear grid covers one sixth of
-the shapes, the sextant gap3 >= gap1 >= gap2, and one scheme of each
-symmetry orbit is refined for all, as is one of each semi-regular mirror
-pair that starts from one grid point.  One refinement, ``_refine``, serves
-both shape classes: one local search from that grid point, which may end at
-a local maximum only, then one polish, ``_polish``, the one Newton loop:
-damped Newton on the first-order (KKT) conditions of "maximise t subject to
-gap_c >= t" over the active offsets, which sharpens the result to near
-machine precision, so that rational squared gaps can be reconstructed from
-the floats.  The ascent and the polish use closed-form offset derivatives,
-``_offset_jet``, which like the other gap kernels takes a shape's frame,
-built once per shape.  A rectilinear search is a trust-region ascent.  A
-semi-regular search is a golden section along the diagonal that hands over
-to the polish once its bracket is 1e-7 wide; where Newton ends on no
-crossing there, the golden section continues to 1e-12 and its point is
-polished.  A flat maximum on the diagonal (one active offset, or slopes
-within 1e-3) is not polished.
+each scheme its best grid point and a Lipschitz bound around each point;
+those bounds, refined for semi-regular schemes by a branch and bound on
+exact cell-centre values, skip the schemes that cannot win.  The rectilinear
+grid covers one sixth of the shapes, the sextant gap3 >= gap1 >= gap2.  A
+refined scheme's optimum is mapped onto its images under the relabellings
+that keep the class: the rest of its symmetry orbit, or its semi-regular
+mirror partner when that starts from the same grid point.  One refinement,
+``_refine``, serves both shape classes: one local search from that grid
+point, which may end at a local maximum only, then one polish, ``_polish``,
+the one Newton loop: damped Newton on the first-order (KKT) conditions of
+"maximise t subject to gap_c >= t" over the active offsets, which sharpens
+the result to near machine precision, so that rational squared gaps can be
+reconstructed from the floats.  The ascent and the polish use closed-form
+offset derivatives, ``_offset_jet``, which like the other gap kernels takes
+a shape's frame, built once per shape.  A rectilinear search is a
+trust-region ascent.  A semi-regular search is a golden section along the
+diagonal that hands over to the polish once its bracket is 1e-7 wide; where
+Newton ends on no crossing there, the golden section continues to 1e-12 and
+its point is polished.  A flat maximum on the diagonal (one active offset,
+or slopes within 1e-3) is not polished.
 """
 
 from __future__ import annotations
@@ -251,17 +252,16 @@ class _Field:
         self.weight = np.empty(0)
 
     def scan(self, owner: np.ndarray, i: np.ndarray, j: np.ndarray):
-        """Each scheme's minimum gap over the grid, and a bound on it.
+        """Each scheme's minimum gap at each grid point, and a bound on it around the point.
 
         Offset (i[e], j[e]) belongs to scheme owner[e], as
         ``coloring.window_offsets`` gives them: owners ascend from 0.
-        Returns (vals, upper, rows).  Row s of vals is the minimum of scheme
-        s's offsets' gaps at each kept grid point, one column per point, and
-        rows[e] is offset e's table row.  No valid shape has a larger minimum
-        gap over the offsets than upper[s]: on the box around point p, each
-        offset's gap is at most its value at p plus radius(p) times its
-        Lipschitz bound, and so is the minimum over offsets; upper[s] is the
-        largest of these over the points.
+        Returns (vals, bounds), one row per scheme and one column per kept
+        grid point.  vals[s, p] is the minimum of scheme s's offsets' gaps at
+        point p.  No shape in p's box has a larger minimum gap over the
+        offsets than bounds[s, p]: there each offset's gap is at most its
+        value at p plus radius(p) times its Lipschitz bound, and so is the
+        minimum over offsets.  The largest of a row bounds the scheme.
 
         Each distinct offset is looked up once, and those without a row get
         one, a chunk of rows at a time.  The schemes, ordered by their number
@@ -290,7 +290,7 @@ class _Field:
         order = np.argsort(count, kind="stable")
         start, count = (np.cumsum(count) - count)[order], count[order]
         vals = np.empty((count.size, width))
-        upper = np.empty(count.size)
+        bounds = np.empty((count.size, width))
         a = 0
         while a < count.size:
             # the most schemes from a whose padded block fits in a chunk
@@ -303,30 +303,26 @@ class _Field:
             gaps = gaps.reshape(*idx.shape, width)
             vals[order[a:b]] = gaps.min(axis=0)
             gaps += self.weight[idx][..., None] * self.radius
-            upper[order[a:b]] = gaps.min(axis=0).max(axis=1)
+            bounds[order[a:b]] = gaps.min(axis=0)
             a = b
-        return vals, upper, rows
+        return vals, bounds
 
 
 # halvings of a cell in ``_may_reach``: 4 skip what 5 do (k <= 175, 756), 3 fewer
 _BISECT_DEPTH = 4
 
 
-def _may_reach(scheme: ColorScheme, grid: _Field, rows, target: float, counts: list) -> bool:
+def _may_reach(scheme: ColorScheme, grid: _Field, bound, target: float, counts: list) -> bool:
     """Whether ``scheme`` may reach ``target`` on the diagonal; False proves it cannot.
 
-    rows are its rows in the table of ``grid``, the semi-regular field.  The
-    cells whose scan bound (least row plus weight times radius) reaches
-    ``target`` are searched depth first, highest bound first (Piyavskii 1972;
-    Jones et al. 1993).  f is at most any one offset's gap, so on the part of
-    radius r around a centre x, f <= f(x) + L r, L the least ``_lipschitz`` of
-    the offsets attaining the exact f(x).  A part is cleared when that falls
-    below ``target``, else halved; f(x) >= ``target``, or a part still open
-    after _BISECT_DEPTH halvings, answers True.  counts[1] counts the
-    objective evaluations."""
-    weight = grid.weight[rows][:, None]
-    gaps = np.stack(list(map(grid.table.__getitem__, rows.tolist())))
-    bound = (gaps + weight * grid.radius).min(axis=0)
+    bound is its row of ``_Field.scan`` bounds on ``grid``, the semi-regular
+    field.  The cells whose bound reaches ``target`` are searched depth
+    first, highest bound first (Piyavskii 1972; Jones et al. 1993).  f is at
+    most any one offset's gap, so on the part of radius r around a centre x,
+    f <= f(x) + L r, L the least ``_lipschitz`` of the offsets attaining the
+    exact f(x).  A part is cleared when that falls below ``target``, else
+    halved; f(x) >= ``target``, or a part still open after _BISECT_DEPTH
+    halvings, answers True.  counts[1] counts the objective evaluations."""
     for n in np.argsort(-bound, kind="stable")[: int((bound >= target).sum())].tolist():
         parts = [(float(grid.g1[n]), float(grid.radius[n]), 0)]
         while parts:
@@ -694,18 +690,19 @@ def _start(vals: np.ndarray, grid: _Field) -> tuple[float, float]:
     return float(grid.g1[top]), float(grid.g2[top])
 
 
-def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: list):
-    """(value, gap pair) of one local search from ``_start``, maybe a local maximum only.
+def _refine(class_tag: str, scheme: ColorScheme, start: tuple, grid: _Field, counts: list):
+    """(value, gap pair) of one local search from start, maybe a local maximum only.
 
-    A rectilinear search is ``_ascend`` then ``_polish``; a semi-regular one
-    ``_search_semi`` within a grid cell of its start along the diagonal.
-    counts[0] counts the objective evaluations.
+    start is the scheme's ``_start`` on ``grid``.  A rectilinear search is
+    ``_ascend`` then ``_polish``; a semi-regular one ``_search_semi`` within
+    a grid cell of its start along the diagonal.  counts[0] counts the
+    objective evaluations.
     """
     def fn(a: float, b: float, tol: float | None = None):
         counts[0] += 1
         return _eval_min(a, b, scheme, tol)
 
-    x, y = _start(vals, grid)
+    x, y = start
     if class_tag == SEMI_REGULAR:
         lo = max(EPS_GEOM * 2.0, x - grid.cell)
         hi = min((math.pi - EPS_GEOM) / 2.0 - EPS_GEOM, x + grid.cell)
@@ -714,6 +711,11 @@ def _refine(class_tag: str, scheme: ColorScheme, vals, grid: _Field, counts: lis
     (x, y), val = _ascend(fn, x, y, 0.6 * grid.cell)
     (x, y), val, _ = _polish(fn, (x, y), val, fn(x, y, _ACTIVE)[1])
     return val, (x, y)
+
+
+# the relabellings that map each class's shapes into the class, the identity
+# first: all six for the rectilinear class, the mirror for the semi-regular one
+_RELABELLINGS = {RECTILINEAR: SYMMETRIES, SEMI_REGULAR: SYMMETRIES[::3]}
 
 
 def _orbit(scheme: ColorScheme, symmetries=SYMMETRIES) -> list[ColorScheme]:
@@ -725,23 +727,24 @@ def _orbit(scheme: ColorScheme, symmetries=SYMMETRIES) -> list[ColorScheme]:
 def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
-    ``solve``'s scheme loop, ``_refine_schemes``, runs on the scheme's orbit
-    (rectilinear) or mirror pair (semi-regular), so the answer is the one
-    ``solve`` gets for the scheme when no bound skips it, and it may be a
-    local maximum only; of the other members, only the one refined first is
-    searched.  ``d_upper`` is the scheme's bound U_s from ``solve``."""
+    ``solve``'s scheme loop, ``_refine_schemes``, runs as it is on the
+    scheme's orbit (rectilinear) or mirror pair (semi-regular), so the answer
+    is the one ``solve`` gets for the scheme when no bound skips it, and it
+    may be a local maximum only.  No member of the orbit skips another: each
+    one's bound holds the optimum of the others.  ``d_upper`` is the scheme's
+    bound U_s from ``solve``; for the regular class it is ``_solve_regular``
+    on the one scheme.  Logs one ``_SUMMARY`` DEBUG record."""
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
     if class_tag == REGULAR:
-        return _solve_regular(k, [scheme], [0])
-    orbit = _orbit(scheme, SYMMETRIES if class_tag == RECTILINEAR else SYMMETRIES[::3])
-    refined, bound = _refine_schemes(k, class_tag, orbit, scheme)
+        return _solve_regular(k, [scheme])
+    refined, bound = _refine_schemes(k, class_tag, _orbit(scheme, _RELABELLINGS[class_tag]))
     return _finalize(k, class_tag, [entry for entry in refined if entry[1] == scheme], bound[scheme])
 
 
-def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
+def _solve_regular(k: int, candidates) -> SolveResult:
     """The best of the ``candidates`` schemes on the regular hexagon.
 
     The doubled regular hexagon holds the disc of radius sqrt(3) / 2 about
@@ -751,7 +754,8 @@ def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
     schemes are evaluated in descending order of U_s, the first on ties,
     until U_s falls below the best value by more than the tie tolerance: no
     later scheme can win or tie, so the best value evaluated is ``d_upper``.
-    counts[0] counts the evaluations.
+    Logs the ``_SUMMARY`` DEBUG record, each evaluated scheme counted as
+    refined.
     """
     pt = (_REGULAR_GAP, _REGULAR_GAP)
     doubled = frame(*pt)
@@ -765,43 +769,43 @@ def _solve_regular(k: int, candidates, counts: list) -> SolveResult:
         val = min_gap(scheme, doubled)
         cands.append((val, scheme, pt))
         best = max(best, val)
-    counts[0] += len(cands)
-    return _finalize(k, REGULAR, cands, best)
+    res = _finalize(k, REGULAR, cands, best)
+    _log.debug(_SUMMARY, k, REGULAR, len(cands), 0, len(candidates) - len(cands), "",
+               res.d, res.d_upper, 0, len(cands))
+    return res
 
 
-# the one DEBUG line that ``solve`` logs for each class, and ``optimize_scheme``
-# for the semi-regular and rectilinear classes
+# the one DEBUG line that each ``solve`` and ``optimize_scheme`` logs, from
+# ``_solve_regular`` or ``_refine_schemes``
 _SUMMARY = ("solve: k=%d %s refined %d, mapped %d, skipped %d by the bound%s; "
             "best %.12g, d_upper %.12g; table rows computed %d; evaluations %d")
 
 
-def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wanted: ColorScheme | None):
+def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
     """The scheme loop of ``solve`` over ``candidates``, semi-regular or rectilinear.
 
     Returns (refined, bound): a (value, scheme, gap pair) entry for each
     candidate that no bound skipped, and each candidate's upper bound U_s.
-    Schemes go in descending order of their grid peak; a rectilinear orbit
-    member after the first takes the first's optimum, moved onto its own
-    shape, or is searched from its own start when that image is not a valid
-    shape.  A semi-regular scheme takes its mirror image's optimum, with no
-    skip test, when the image was searched from the same ``_start``.  With
-    ``wanted``, only the first and ``wanted`` are visited.  Logs
-    the ``_SUMMARY`` DEBUG record."""
+    Schemes go in descending order of their grid peak.  A refined scheme's
+    optimum is moved by each of the class's ``_RELABELLINGS`` onto its
+    image's shape, and an image visited later takes it with one evaluation
+    and no skip test, or is searched from its own start when that shape is
+    not valid.  A semi-regular image takes it only when it has the same
+    ``_start``; a rectilinear one whatever its start.  Logs the ``_SUMMARY``
+    DEBUG record."""
     grid = _get_field(class_tag)
     table_rows = len(grid.table)
-    owner, i, j = window_offsets(k, candidates)
-    vals, upper, rows = grid.scan(owner, i, j)
+    vals, bounds = grid.scan(*window_offsets(k, candidates))
     table_rows = len(grid.table) - table_rows
-    bound = dict(zip(candidates, upper.tolist()))
-    if class_tag == RECTILINEAR:
+    bound = dict(zip(candidates, bounds.max(axis=1).tolist()))
+    semi = class_tag == SEMI_REGULAR
+    if not semi:
         shared = {}
         for scheme in candidates:
             if scheme not in shared:
                 orbit = _orbit(scheme)
                 shared.update(dict.fromkeys(orbit, max(bound[member] for member in orbit)))
         bound = shared
-    # scheme n's offsets are the slice edges[n] : edges[n + 1], as owners ascend
-    edges = [0, *np.cumsum(np.bincount(owner)).tolist()]
 
     # objective evaluations: in refinements, and in ``_may_reach``
     counts = [0, 0]
@@ -810,29 +814,24 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wante
     # semi-regular schemes that only ``_may_reach`` skipped
     late_skips = 0
     best = -math.inf
-    # rectilinear orbit member, or (semi-regular scheme, start) -> its
-    # representative's optimum, moved onto the member's shape
+    # (scheme, start) -> the optimum of a scheme refined before, moved onto
+    # the scheme's shape; start is None in the rectilinear class
     images = {}
-    order = np.argsort(-vals.max(axis=1), kind="stable").tolist()
-    if wanted is not None:
-        order = list(dict.fromkeys((order[0], candidates.index(wanted))))
-    for n in order:
+    for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
         scheme, target = candidates[n], best - _TIE_TOL
         if bound[scheme] < target:
             continue
-        key = scheme if class_tag == RECTILINEAR else (scheme, _start(vals[n], grid))
+        start = _start(vals[n], grid)
+        key = (scheme, start if semi else None)
         pt = images.get(key)
-        if pt is None and class_tag == SEMI_REGULAR and refined and not _may_reach(
-                scheme, grid, rows[edges[n] : edges[n + 1]], target, counts):
+        if pt is None and semi and refined and not _may_reach(
+                scheme, grid, bounds[n], target, counts):
             late_skips += 1
             continue
         if pt is None or not gaps_valid(*pt):
-            v, pt = _refine(class_tag, scheme, vals[n], grid, counts)
-            if class_tag == RECTILINEAR:
-                for sym in SYMMETRIES[1:]:
-                    images.setdefault(sym.image_scheme(scheme), sym.image_gaps(*pt))
-            else:
-                images.setdefault((SYMMETRIES[3].image_scheme(scheme), key[1]), pt)
+            v, pt = _refine(class_tag, scheme, start, grid, counts)
+            for sym in _RELABELLINGS[class_tag][1:]:
+                images.setdefault((sym.image_scheme(scheme), key[1]), sym.image_gaps(*pt))
         else:
             v = _eval_min(pt[0], pt[1], scheme)
             mapped_count += 1
@@ -840,9 +839,10 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme], wante
         refined.append((v, scheme, pt))
         best = max(best, v)
     _log.debug(
-        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count, len(order) - len(refined),
+        _SUMMARY, k, class_tag, len(refined) - mapped_count, mapped_count,
+        len(candidates) - len(refined),
         f" ({late_skips} only after bisection); {counts[1]} evaluations in the skip test"
-        if class_tag == SEMI_REGULAR else "",
+        if semi else "",
         best, max(bound.values()), table_rows, counts[0],
     )
     return refined, bound
@@ -853,14 +853,15 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
 
     The regular class has one shape and no scan (``_solve_regular``).  For
     the others, one ``coloring.window_offsets`` and one ``_Field.scan`` call
-    give every scheme of k its peak over the grid and an upper bound U_s on
-    its objective over every valid shape, the scan computing only the table
-    rows that no earlier solve on the field used.  Schemes are refined in
-    descending order of peak, and a scheme is skipped once U_s falls below
-    the best refined value so far by more than the tie tolerance.  Every
-    refined value is the objective at a valid shape, so a skipped scheme
-    could not have won or tied.  The result's ``d_upper`` is the
-    largest U_s.
+    give every scheme of k its values and bounds at the grid points, the
+    scan computing only the table rows that no earlier solve on the field
+    used.  A scheme's peak is its largest value, and its largest bound is an
+    upper bound U_s on its objective over every valid shape.  Schemes are
+    refined in descending order of peak, and a scheme is skipped once U_s
+    falls below the best refined value so far by more than the tie
+    tolerance.  Every refined value is the objective at a valid shape, so a
+    skipped scheme could not have won or tied.  The result's ``d_upper`` is
+    the largest U_s.
 
     The scan's bound holds because on boxes around the grid points that
     cover every shape scanned, each offset's gap moves by at most
@@ -895,14 +896,8 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
 
     candidates = schemes(k)
     if class_tag == REGULAR:
-        # objective evaluations
-        counts = [0]
-        res = _solve_regular(k, candidates, counts)
-        _log.debug(_SUMMARY, k, class_tag, counts[0], 0, len(candidates) - counts[0], "",
-                   res.d, res.d_upper, 0, counts[0])
-        return res
-
-    refined, bound = _refine_schemes(k, class_tag, candidates, None)
+        return _solve_regular(k, candidates)
+    refined, bound = _refine_schemes(k, class_tag, candidates)
     return _finalize(k, class_tag, refined, max(bound.values()))
 
 

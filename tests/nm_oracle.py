@@ -87,12 +87,11 @@ def semi_starts(vals: np.ndarray, centers: np.ndarray):
     return [float(centers[idx]) for idx in local_maxima_1d(vals)[:3]] or [_REGULAR[0]]
 
 
-def refine_from_both_starts(class_tag, scheme, vals, grid, counts):
+def refine_from_both_starts(class_tag, scheme, start, grid, counts):
     """The former ``optimizer._refine``: the better (value, gaps) of its one
     search and one from the regular shape, the first on ties."""
-    best = _refine(class_tag, scheme, vals, grid, counts)
-    # with no positive grid value, ``_start`` gives the regular shape
-    other = _refine(class_tag, scheme, np.full_like(vals, -1.0), grid, counts)
+    best = _refine(class_tag, scheme, start, grid, counts)
+    other = _refine(class_tag, scheme, _REGULAR, grid, counts)
     return other if other[0] > best[0] else best
 
 

@@ -52,7 +52,7 @@ def full_triangle_grid(n: int) -> _Field:
 
 
 class PerOffsetScan:
-    """``scheme_min`` and ``scheme_upper`` over the kept points of a ``_Field``,
+    """``scheme_min`` and ``scheme_bounds`` over the kept points of a ``_Field``,
     from gap arrays over the whole square of its grid centres.
 
     Each array is ``optimizer._offset_gaps``'s, the kernel the field fills
@@ -80,10 +80,10 @@ class PerOffsetScan:
             out = d.copy() if out is None else np.minimum(out, d, out=out)
         return out[self.points]
 
-    def scheme_upper(self, offsets) -> float:
+    def scheme_bounds(self, offsets) -> np.ndarray:
         out = None
         for index in offsets:
             i, j = index[0], index[1]
             u = self.offset_dist((i, j))[self.points] + _lipschitz(i, j) * self.grid.radius
             out = u if out is None else np.minimum(out, u, out=out)
-        return float(out.max())
+        return out

@@ -48,6 +48,7 @@ from hexcoloring.optimizer import (
     _rect_grid,
     _refine,
     _semi_grid,
+    _start,
     optimize_scheme,
     solve,
     solve_all,
@@ -315,6 +316,24 @@ def test_large_k_reference_rows():
         assert res.champion_class == row.class_of_best, row.k
 
 
+def test_a_better_rectilinear_shape_exists_at_k284():
+    # the witness behind the k = 284 miss below: (71, 26) is in the orbit of
+    # solve's winner (284, 179), whose ascent stops at 13.5609
+    assert _eval_min(1.0971815239, 1.1173799433, ColorScheme(284, 71, 26)) >= 13.5771
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 13: each rectilinear orbit is refined once, from the best grid "
+    "point of its leading member, and that ascent can end at a local maximum only",
+)
+def test_rectilinear_solve_reaches_the_multi_start_optima():
+    # the multi-start check, every scheme refined from its best grid maxima,
+    # reaches these values; solve stops at 13.560852552470 and 14.660113143782
+    for k, d in [(284, 13.577103751296), (326, 14.660193282188)]:
+        assert abs(solve(k, RECTILINEAR).d - d) <= 1e-12, k
+
+
 # the reference's witness pair names its tiles in a relabelled frame at these k
 _RELABELLED_WITNESS = (11, 18, 22, 23)
 
@@ -505,7 +524,7 @@ def test_field_matches_scalar_kernel(make_grid):
     # bit: a list of one offset scans to that offset's table row
     grid = make_grid(48)
     i, j = np.array(_PIN_OFFSETS).T
-    vals, _, _ = grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
+    vals, _ = grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
     # one column per kept point: 225 of the 48 x 48 square, or the whole diagonal
     assert vals.shape == (len(_PIN_OFFSETS), 225 if make_grid is _rect_grid else 48)
     for (i, j), arr in zip(_PIN_OFFSETS, vals):
@@ -546,20 +565,20 @@ _SCAN_KS = [*range(3, 46), 49, 56, 77, 112, 156, 175]
 @pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
 def test_scan_matches_the_per_offset_scan(make_grid):
     # batched over schemes and held at the kept points, the scan gives every
-    # scheme the grid values and bound of one offset at a time over the whole
-    # square, bit for bit; one field serves every k, so later k's reuse
-    # earlier rows
+    # scheme the grid values and per-point bounds of one offset at a time
+    # over the whole square, bit for bit; one field serves every k, so later
+    # k's reuse earlier rows
     grid = make_grid(48)
     oracle = PerOffsetScan(grid)
     for k in _SCAN_KS:
         lists = [same_color_offsets(scheme) for scheme in schemes(k)]
         owner, i, j = window_offsets(k, schemes(k))
-        vals, upper, rows = grid.scan(owner, i, j)
-        assert rows.tolist() == [grid.index[key] for key in zip(i.tolist(), j.tolist())]
-        assert vals.shape == (len(lists), grid.g1.size) and upper.shape == (len(lists),)
+        vals, bounds = grid.scan(owner, i, j)
+        assert all(key in grid.index for key in zip(i.tolist(), j.tolist()))
+        assert vals.shape == bounds.shape == (len(lists), grid.g1.size)
         for s, offsets in enumerate(lists):
             assert vals[s].tobytes() == oracle.scheme_min(offsets).tobytes(), (k, s)
-            assert upper[s] == oracle.scheme_upper(offsets), (k, s)
+            assert bounds[s].tobytes() == oracle.scheme_bounds(offsets).tobytes(), (k, s)
     assert len(grid.table) == len(grid.index) == len(grid.weight) == len(oracle._dist)
 
 
@@ -695,13 +714,13 @@ def test_bisected_bound_lies_between_optimum_and_scan_bound(k):
     grid = _get_field(SEMI_REGULAR)
     candidates = schemes(k)
     owner, i, j = window_offsets(k, candidates)
-    _, upper, rows = grid.scan(owner, i, j)
+    _, bounds = grid.scan(owner, i, j)
     for n, scheme in enumerate(candidates):
-        own = rows[owner == n]
+        own, upper = bounds[n], bounds[n].max()
         d = optimize_scheme(k, scheme, SEMI_REGULAR).d
         for target in (d, d - 1e-9):
             assert _may_reach(scheme, grid, own, target, [0, 0]), (scheme, target)
-        for target in (math.nextafter(upper[n], math.inf), upper[n] + 1.0):
+        for target in (math.nextafter(upper, math.inf), upper + 1.0):
             counts = [0, 0]
             assert not _may_reach(scheme, grid, own, target, counts), (scheme, target)
             assert counts == [0, 0]
@@ -739,7 +758,7 @@ def test_largest_readme_k_crowns_the_cubic_form():
 
 def test_cold_rectilinear_solve_stays_small():
     # the scan's values are held at the 225 kept grid points, not over the
-    # 48 x 48 square: 3.2 MB traced at the peak, 9.8 MB with the square
+    # 48 x 48 square: 3.9 MB traced at the peak, 9.8 MB with the square
     optimizer._get_field.cache_clear()
     tracemalloc.start()
     try:
@@ -752,6 +771,14 @@ def test_cold_rectilinear_solve_stays_small():
 
 @pytest.mark.parametrize("class_tag", [REGULAR, SEMI_REGULAR, RECTILINEAR])
 def test_summary_counts_evaluations(class_tag, caplog):
+    # optimize_scheme logs one summary for every class, the regular one too
+    with caplog.at_level(logging.DEBUG, logger="hexcoloring.optimizer"):
+        optimize_scheme(12, ColorScheme(12, 6, 2), class_tag)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+    assert len(lines) == 1
+    if class_tag == REGULAR:
+        assert lines[0].startswith("solve: k=12 regular refined 1, mapped 0, skipped 0 by the")
+        assert lines[0].endswith("; table rows computed 0; evaluations 1")
     counts = []
     for _ in range(2):
         caplog.clear()
@@ -895,7 +922,7 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
 def _scheme_vals(class_tag, k, candidates=None):
     grid = _get_field(class_tag)
     candidates = candidates or schemes(k)
-    all_vals, _, _ = grid.scan(*window_offsets(k, candidates))
+    all_vals, _ = grid.scan(*window_offsets(k, candidates))
     for scheme, vals in zip(candidates, all_vals):
         yield scheme, vals, grid
 
@@ -905,7 +932,7 @@ def test_finishing_only_the_leading_start_loses_nothing(k):
     # the polished ascent from the best grid point matches Nelder-Mead run
     # to the end from each of the former multistart's eight seeds
     for scheme, vals, grid in _scheme_vals(RECTILINEAR, k):
-        val, _ = _refine(RECTILINEAR, scheme, vals, grid, [0])
+        val, _ = _refine(RECTILINEAR, scheme, _start(vals, grid), grid, [0])
         seeds = rect_seeds(vals, grid)
         assert abs(val - refine_every_start(scheme, seeds, grid.cell)) <= 1e-12, scheme
 
@@ -998,9 +1025,9 @@ def test_mapped_semi_regular_partners_share_their_start(monkeypatch):
     searched, loops = {}, []
     real_refine, real_loop = optimizer._refine, optimizer._refine_schemes
 
-    def refine(class_tag, scheme, vals, grid, counts):
-        searched[scheme] = optimizer._start(vals, grid)
-        return real_refine(class_tag, scheme, vals, grid, counts)
+    def refine(class_tag, scheme, start, grid, counts):
+        searched[scheme] = start
+        return real_refine(class_tag, scheme, start, grid, counts)
 
     def loop(*args):
         refined, bound = real_loop(*args)
@@ -1019,7 +1046,7 @@ def test_mapped_semi_regular_partners_share_their_start(monkeypatch):
         for scheme in loops.pop():
             if scheme not in searched:
                 mirror = SYMMETRIES[3].image_scheme(scheme)
-                own = optimizer._start(vals[candidates.index(scheme)], grid)
+                own = _start(vals[candidates.index(scheme)], grid)
                 assert searched.get(mirror) == own, (k, scheme, mirror)
                 mapped += 1
     assert mapped > 0
@@ -1057,7 +1084,7 @@ def test_ascent_lists_offsets_only_at_accepted_points(kgh, monkeypatch):
 def _assert_semi_matches_former_starts(k, candidates=None):
     for scheme, vals, grid in _scheme_vals(SEMI_REGULAR, k, candidates):
         counts = [0]
-        got = _refine(SEMI_REGULAR, scheme, vals, grid, counts)
+        got = _refine(SEMI_REGULAR, scheme, _start(vals, grid), grid, counts)
         starts = semi_starts(vals, grid.centers)
         assert got == refine_semi_every_start(scheme, starts, grid.cell), scheme
         assert counts[0] > 0
