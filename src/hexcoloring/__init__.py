@@ -17,7 +17,6 @@ from .coloring import (
     TileIndex,
     TripleRepresentation,
     canonical_triple,
-    same_color_offsets,
     schemes,
 )
 from .evaluator import (
@@ -73,7 +72,6 @@ __all__ = [
     "real_roots",
     "regular_dsq",
     "render_svg",
-    "same_color_offsets",
     "schemes",
     "solve",
     "solve_all",

@@ -115,24 +115,19 @@ SYMMETRIES = (
 )
 
 
-def enumeration_bound(k: int, slack: int = 1) -> int:
-    """Index window radius ceil(2 * sqrt(k)) + slack used by enumerations."""
-    return math.isqrt(4 * k - 1) + 1 + slack
-
-
-def window_offsets(k: int, schemes, slack: int = 1) -> tuple:
+def window_offsets(k: int, schemes) -> tuple:
     """Every k-coloring's nonzero same-color offsets, as one (owner, i, j) array triple.
 
     Offset (i[e], j[e]) belongs to ``schemes[owner[e]]``; sorted by (owner,
     j, i).  Each scheme gets one offset per +/- pair (j > 0, or j = 0 with
-    i > 0) in the window |i| + j < ceil(2 sqrt(k)) + slack, which reaches
+    i > 0) in the window |i| + j < ceil(2 sqrt(k)) + 1, which reaches
     past the nearest same-color tiles for every scheme, and its generators
     (g, 0) and (h, k/g) where they fall outside.
     """
     # imported here so that the package's import still loads numpy only once
     # optimizer, the largest module, is compiled: 1.4 MB less peak memory
     import numpy as np
-    bound = enumeration_bound(k, slack)
+    bound = math.isqrt(4 * k - 1) + 2
     g, h = np.array([(s.g, s.h) for s in schemes], dtype=np.int64).reshape(-1, 2).T
     m = k // g
     # each scheme's rows j = a m below bound, and j = m even beyond it; on
@@ -154,9 +149,9 @@ def window_offsets(k: int, schemes, slack: int = 1) -> tuple:
     return np.repeat(row, total), i, np.repeat(j, total)
 
 
-def same_color_offsets(scheme: ColorScheme, *, slack: int = 1) -> list[TileIndex]:
+def same_color_offsets(scheme: ColorScheme) -> list[TileIndex]:
     """``window_offsets`` for one scheme: its same-color offsets, sorted by (j, i)."""
-    _, i, j = window_offsets(scheme.k, [scheme], slack)
+    _, i, j = window_offsets(scheme.k, [scheme])
     return list(map(TileIndex, i.tolist(), j.tolist()))
 
 

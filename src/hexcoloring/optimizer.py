@@ -229,9 +229,9 @@ class _Field:
     the points spanned by ``centers`` on each gap axis, in ascending order of
     (g1, g2), and holds every per-point array at those points only: ``g1``,
     ``g2``, ``radius``, the frame and the table.  Row r of the table holds one
-    offset's gap at each point, ``index`` maps the offset (i, j) to r and
-    ``weight[r]`` is its ``_lipschitz`` bound; rows are shared by every scheme
-    and k that use the offset.  ``radius`` gives each point a box, in the max
+    offset's gap at each point, and ``index`` maps the offset (i, j), keyed as
+    the integer i * 2**32 + j, to r; rows are shared by every scheme and k
+    that use the offset.  ``radius`` gives each point a box, in the max
     norm over the gaps, and the boxes cover every shape the class scans: the
     diagonal, or the rectilinear sextant of ``_rect_grid``.  ``scan`` fills
     and reads the table.
@@ -248,8 +248,7 @@ class _Field:
         # the table: rows are views into the blocks ``_offset_gaps`` returned,
         # so it grows without copying or spare capacity
         self.table: list[np.ndarray] = []
-        self.index: dict[tuple[int, int], int] = {}
-        self.weight = np.empty(0)
+        self.index: dict[int, int] = {}
 
     def scan(self, owner: np.ndarray, i: np.ndarray, j: np.ndarray):
         """Each scheme's minimum gap at each grid point, and a bound on it around the point.
@@ -271,19 +270,18 @@ class _Field:
         points) block serves the chunk.
         """
         # (i, j) as one integer, for |j| < 2**31
-        _, first, inverse = np.unique(i * 2**32 + j, return_index=True, return_inverse=True)
-        keys = list(zip(i[first].tolist(), j[first].tolist()))
-        found = np.array([self.index.get(key, -1) for key in keys], dtype=np.int64)
+        keys, first, inverse = np.unique(i * 2**32 + j, return_index=True, return_inverse=True)
+        found = np.array([self.index.get(key, -1) for key in keys.tolist()], dtype=np.int64)
         new = np.flatnonzero(found < 0)
         found[new] = np.arange(len(self.table), len(self.table) + new.size)
-        self.index.update(zip([keys[n] for n in new.tolist()], found[new].tolist()))
+        self.index.update(zip(keys[new].tolist(), found[new].tolist()))
         width = self.g1.size
         step = max(1, _CHUNK // width)
         new_i, new_j = i[first[new], None].astype(float), j[first[new], None].astype(float)
         for a in range(0, new.size, step):
             self.table.extend(_offset_gaps(self._frame, new_i[a : a + step], new_j[a : a + step]))
-        self.weight = np.concatenate((self.weight, _lipschitz(new_i[:, 0], new_j[:, 0])))
         rows = found[inverse]
+        weight = _lipschitz(i, j)
 
         count = np.bincount(owner)
         # the schemes by their number of offsets, so that little padding is needed
@@ -297,12 +295,13 @@ class _Field:
             block = count[a:] * np.arange(1, count.size - a + 1) * width
             b = a + max(1, int((block <= _CHUNK).sum()))
             t = np.arange(count[b - 1])[:, None]
-            # row t of each scheme, or its first row once t passes its last
-            idx = rows[start[a:b] + np.where(t < count[a:b], t, 0)]
+            # offset t of each scheme, or its first offset once t passes its last
+            pos = start[a:b] + np.where(t < count[a:b], t, 0)
+            idx = rows[pos]
             gaps = np.concatenate(list(map(self.table.__getitem__, idx.ravel().tolist())))
             gaps = gaps.reshape(*idx.shape, width)
             vals[order[a:b]] = gaps.min(axis=0)
-            gaps += self.weight[idx][..., None] * self.radius
+            gaps += weight[pos][..., None] * self.radius
             bounds[order[a:b]] = gaps.min(axis=0)
             a = b
         return vals, bounds
@@ -608,33 +607,30 @@ def _search_semi(fn, lo: float, hi: float):
 _CLOSED_FORM_TOL = 1e-7
 
 
-def closed_forms(k: int):
-    """(family, squared gap) of each closed form known for k colors, computed as asked for.
+@functools.cache
+def closed_forms(k: int) -> tuple:
+    """(family, squared gap) of each closed form known for k colors, computed once per k.
 
     "loeschian" gives a Fraction, then "cubic_f" and "quartic" floats.  No two
     lie within 1e-6 of each other for any k < 400, so the order does not
     decide ``_closed_form_tag``."""
+    forms = []
     reg = regular_dsq(k)
     if reg is not None:
-        yield "loeschian", reg
+        forms.append(("loeschian", reg))
     try:
-        yield "cubic_f", cubic_f(k)[1]
+        forms.append(("cubic_f", cubic_f(k)[1]))
     except DomainError:
         pass
     if k in QUARTICS:
-        yield "quartic", quartic_dsq(k)
-
-
-@functools.cache
-def _closed_form_values(k: int) -> tuple[tuple[str, float], ...]:
-    """``closed_forms(k)`` as floats, computed once per k."""
-    return tuple((name, float(value)) for name, value in closed_forms(k))
+        forms.append(("quartic", quartic_dsq(k)))
+    return tuple(forms)
 
 
 def _closed_form_tag(k: int, dsq: float) -> str:
     """The first family of ``closed_forms(k)`` that ``dsq`` matches, or "none"."""
-    return next((name for name, value in _closed_form_values(k)
-                 if abs(dsq - value) < _CLOSED_FORM_TOL), "none")
+    return next((name for name, value in closed_forms(k)
+                 if abs(dsq - float(value)) < _CLOSED_FORM_TOL), "none")
 
 
 # several schemes often tie at the optimum (mirror images of one another at
@@ -734,6 +730,8 @@ def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -
     one's bound holds the optimum of the others.  ``d_upper`` is the scheme's
     bound U_s from ``solve``; for the regular class it is ``_solve_regular``
     on the one scheme.  Logs one ``_SUMMARY`` DEBUG record."""
+    if k < 3:
+        raise DomainError(f"k must be at least 3: got {k}")
     if class_tag not in CLASS_TAGS:
         raise DomainError(f"unknown class {class_tag!r}")
     if scheme.k != k:

@@ -2,15 +2,23 @@
 
 ``tile_by_tile_window`` enumerates the |i| + j window of
 ``coloring.window_offsets`` one tile at a time, as the package first did, so the tests can check the
-vectorised enumerator against it.  The package's ``coloring.min_gap`` covers
+vectorised enumerator against it; with ``slack`` above 1 the window is
+wider than the package's.  The package's ``coloring.min_gap`` covers
 every same-colored tile; the other helpers take the minimum over a given
 offset list instead, so the tests can compare the two, or the gap of one
 offset at one shape.
 """
 
+import math
+
 from helpers import doubled_frame
-from hexcoloring.coloring import TileIndex, enumeration_bound, same_color_offsets
+from hexcoloring.coloring import TileIndex
 from hexcoloring.geometry import frame, hexagon_gap
+
+
+def window_radius(k: int, slack: int = 1) -> int:
+    """Index window radius ceil(2 * sqrt(k)) + slack; slack 1 is ``coloring.window_offsets``'."""
+    return math.isqrt(4 * k - 1) + 1 + slack
 
 
 def half_plane_offsets(scheme, bound: int):
@@ -28,7 +36,7 @@ def half_plane_offsets(scheme, bound: int):
 
 def tile_by_tile_window(scheme, slack: int = 1) -> list:
     """The scheme's window with both generators (g, 0) and (h, k/g) added, sorted by (j, i)."""
-    found = set(half_plane_offsets(scheme, enumeration_bound(scheme.k, slack)))
+    found = set(half_plane_offsets(scheme, window_radius(scheme.k, slack)))
     found.add(TileIndex(scheme.g, 0))
     found.add(TileIndex(scheme.h, scheme.rows_step))
     return sorted(found, key=lambda t: (t.j, t.i))
@@ -63,12 +71,12 @@ def min_offset_distance(offsets, frame) -> float:
 
 
 def min_distance_over_offsets(hexagon, scheme, *, slack: int = 1):
-    """Minimum gap over the scheme's window, with the first offset realizing it.
+    """Minimum gap over the scheme's ``tile_by_tile_window``, with the first offset realizing it.
 
     The frame comes from ``hexagon``'s vertices, so a rotated hexagon is
     measured as it lies."""
     doubled = doubled_frame(hexagon)
-    offsets = same_color_offsets(scheme, slack=slack)
+    offsets = tile_by_tile_window(scheme, slack)
     best = min_offset_distance(offsets, doubled)
     # the pruned scan settles on the first offset that attains the minimum
     return best, next(t for t in offsets if min_offset_distance((t,), doubled) == best)

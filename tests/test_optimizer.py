@@ -146,7 +146,7 @@ def test_closed_forms_are_the_evaluator_families_and_tag_themselves():
 def test_closed_forms_are_computed_once_per_k(monkeypatch):
     # _closed_form_tag runs for each class result; cubic_f's bisection runs
     # once per k, and the tags are the first family that matches
-    optimizer._closed_form_values.cache_clear()
+    optimizer.closed_forms.cache_clear()
     calls = []
     monkeypatch.setattr(optimizer, "cubic_f", lambda k: calls.append(k) or cubic_f(k))
     res = solve_all(12)
@@ -252,6 +252,8 @@ def test_optimize_scheme_suboptimal_scheme():
 def test_optimize_scheme_rejects_mismatch():
     with pytest.raises(DomainError):
         optimize_scheme(8, ColorScheme(7, 7, 4))
+    with pytest.raises(DomainError):
+        optimize_scheme(2, ColorScheme(2, 1, 0))
     with pytest.raises(DomainError):
         optimize_scheme(7, ColorScheme(7, 7, 4), "octagonal")
 
@@ -533,7 +535,7 @@ def test_field_matches_scalar_kernel(make_grid):
             if arr[p] != offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
         ]
         assert bad == [], (i, j)
-        assert arr.tobytes() == grid.table[grid.index[i, j]].tobytes()
+        assert arr.tobytes() == grid.table[grid.index[i * 2**32 + j]].tobytes()
 
 
 def test_offset_gaps_match_the_scalar_kernel_bit_for_bit():
@@ -574,12 +576,12 @@ def test_scan_matches_the_per_offset_scan(make_grid):
         lists = [same_color_offsets(scheme) for scheme in schemes(k)]
         owner, i, j = window_offsets(k, schemes(k))
         vals, bounds = grid.scan(owner, i, j)
-        assert all(key in grid.index for key in zip(i.tolist(), j.tolist()))
+        assert all(key in grid.index for key in (i * 2**32 + j).tolist())
         assert vals.shape == bounds.shape == (len(lists), grid.g1.size)
         for s, offsets in enumerate(lists):
             assert vals[s].tobytes() == oracle.scheme_min(offsets).tobytes(), (k, s)
             assert bounds[s].tobytes() == oracle.scheme_bounds(offsets).tobytes(), (k, s)
-    assert len(grid.table) == len(grid.index) == len(grid.weight) == len(oracle._dist)
+    assert len(grid.table) == len(grid.index) == len(oracle._dist)
 
 
 @pytest.mark.parametrize("classes", [(), ("hexagonal",), (REGULAR, "semi"), "regular"])
