@@ -5,8 +5,9 @@ forked worker process per usable CPU (in-process when that is one, or where
 there is no ``os.fork``); results come back in k order, so the output is the
 same as a single-process run's.
 
-Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
-141 stdout's reader gone (128 + SIGPIPE).
+Exit codes: 0 success, 2 usage (a file that cannot be read or written
+too), 3 domain error, 4 verification failure, 141 stdout's reader gone
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -91,23 +92,28 @@ def serialize_result(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text: str) -> int:
+    """Write ``text`` to ``path`` via a renamed temp file: EXIT_OK, else an error and EXIT_USAGE."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hexcoloring-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        # mkstemp makes the file 0600: give it the mode open() would, under the umask
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hexcoloring-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            # mkstemp makes the file 0600: give it the mode open() would, under the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the reason alone: the exception may name the temp file, not ``path``
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _summary_line(result: SolveResult) -> str:
@@ -126,16 +132,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         result = solve(args.k, _CLASS_FLAGS[args.class_name])
     print(_summary_line(result))
+    status = EXIT_OK
     if args.json is not None:
-        _atomic_write(args.json, serialize_result(result_document(result)))
-    if args.svg is not None:
+        status = _atomic_write(args.json, serialize_result(result_document(result)))
+    if args.svg is not None and status == EXIT_OK:
         hexagon = hexagon_from_gaps(*result.gaps)
         extent = max(4, isqrt(result.k))
         scene = render_svg(
             hexagon, result.scheme, extent, axes=True, highlight=result.triple
         )
-        _atomic_write(args.svg, scene.xml())
-    return EXIT_OK
+        status = _atomic_write(args.svg, scene.xml())
+    return status
 
 
 def _map_over_cpus(fn, ks: list[int], *args) -> list:
@@ -268,9 +275,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     text = _table_text(args.kmin, args.kmax, args.classes)
     if args.csv is not None:
-        _atomic_write(args.csv, text)
-    else:
-        sys.stdout.write(text)
+        return _atomic_write(args.csv, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

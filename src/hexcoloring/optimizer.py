@@ -232,9 +232,10 @@ class _Field:
     offset's gap at each point, and ``index`` maps the offset (i, j), keyed as
     the integer i * 2**32 + j, to r; rows are shared by every scheme and k
     that use the offset.  ``radius`` gives each point a box, in the max
-    norm over the gaps, and the boxes cover every shape the class scans: the
-    diagonal, or the rectilinear sextant of ``_rect_grid``.  ``scan`` fills
-    and reads the table.
+    norm over the gaps, that holds the point's own grid cell, and the boxes
+    cover every shape the class scans: the diagonal, or, for n >= 4 points
+    per axis, the rectilinear sextant of ``_rect_grid``.  ``scan`` fills and
+    reads the table.
     """
 
     def __init__(self, centers: np.ndarray, g1: np.ndarray, g2: np.ndarray, radius: np.ndarray):
@@ -337,61 +338,29 @@ def _may_reach(scheme: ColorScheme, grid: _Field, bound, target: float, counts: 
     return False
 
 
-def _cell_edges(centers: np.ndarray, top: float) -> np.ndarray:
-    """Cell bounds between grid centres; the outer cells reach 0 and ``top``."""
-    return np.concatenate(([0.0], 0.5 * (centers[1:] + centers[:-1]), [top]))
-
-
-def _rect_radii(centers: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Box radii that cover the triangle g1, g2 > 0, g1 + g2 < pi.
-
-    The cells of the grid tile the square [0, pi]^2.  Each cell that meets
-    the triangle goes to a valid grid point: its own, or the first valid one
-    reached by stepping down its larger index, which moves it along the
-    anti-diagonal towards the interior.  A point's radius is the largest max
-    norm distance from it to a vertex of an assigned cell clipped to the
-    triangle; the distance is convex, so that covers the clipped cell.
-    """
-    n = len(centers)
-    edges = _cell_edges(centers, math.pi)
-    a, b = np.divmod(np.arange(n * n), n)
-    lo1, hi1, lo2, hi2 = edges[a], edges[a + 1], edges[b], edges[b + 1]
-    meets = lo1 + lo2 < math.pi
-    a, b = a[meets], b[meets]
-    lo1, hi1, lo2, hi2 = lo1[meets], hi1[meets], lo2[meets], hi2[meets]
-    bad = ~valid[a * n + b]
-    while bad.any():
-        down_a = bad & (a >= b)
-        a[down_a] -= 1
-        b[bad & ~down_a] -= 1
-        bad = ~valid[a * n + b]
-    # the cell's corners inside the triangle, then where g1 + g2 = pi
-    # crosses its four sides
-    px = np.stack([lo1, hi1, lo1, hi1, lo1, hi1, math.pi - lo2, math.pi - hi2])
-    py = np.stack([lo2, lo2, hi2, hi2, math.pi - lo1, math.pi - hi1, lo2, hi2])
-    keep = np.empty(px.shape, bool)
-    keep[:4] = px[:4] + py[:4] <= math.pi
-    keep[4:6] = (lo2 <= py[4:6]) & (py[4:6] <= hi2)
-    keep[6:] = (lo1 <= px[6:]) & (px[6:] <= hi1)
-    far = np.maximum(np.abs(px - centers[a]), np.abs(py - centers[b]))
-    radius = np.zeros(n * n)
-    np.maximum.at(radius, a * n + b, np.where(keep, far, 0.0).max(axis=0))
-    return radius
+def _cell_radius(centers: np.ndarray, top: float) -> np.ndarray:
+    """Each grid centre's distance to the farther edge of its cell; the cells tile [0, top]."""
+    edges = np.concatenate(([0.0], 0.5 * (centers[1:] + centers[:-1]), [top]))
+    return np.maximum(centers - edges[:-1], edges[1:] - centers)
 
 
 def _rect_grid(n: int) -> _Field:
-    """A field of only the n x n grid points whose ``_rect_radii`` boxes
-    meet the sextant S = {gap3 >= gap1 >= gap2}, gap3 = pi - gap1 - gap2.
+    """A field of only the n x n grid points whose boxes meet the sextant
+    S = {gap3 >= gap1 >= gap2}, gap3 = pi - gap1 - gap2.
 
-    A box of radius r around p holds a shape with gap1 >= gap2 only if
+    Each point's box, in the max norm, holds its own cell of the square
+    [0, pi]^2: its radius is the larger of the cell's two half-widths.  On
+    S, gap1 + gap2 <= 2 pi / 3, so for n >= 4 every cell that meets S has a
+    valid centre, one with gap1 + gap2 < pi - GRID_MARGIN, whose box meets
+    S.  A box of radius r around p holds a shape with gap1 >= gap2 only if
     p's gap1 - gap2 + 2 r >= 0, and one with gap3 >= gap1 only if p's
-    2 gap1 + gap2 - 3 r <= pi.  The boxes cover the triangle, so the kept
-    ones cover S."""
+    2 gap1 + gap2 - 3 r <= pi, so the boxes that pass both tests cover S."""
     span = math.pi - 2.0 * GRID_MARGIN
     centers = GRID_MARGIN + span * (np.arange(n) + 0.5) / n
     g1, g2 = np.repeat(centers, n), np.tile(centers, n)
+    half = _cell_radius(centers, math.pi)
+    radius = np.maximum.outer(half, half).ravel()
     valid = g1 + g2 < math.pi - GRID_MARGIN
-    radius = _rect_radii(centers, valid)
     keep = valid & (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
     return _Field(centers, g1[keep], g2[keep], radius[keep])
 
@@ -400,10 +369,7 @@ def _semi_grid(n: int) -> _Field:
     """The n points of the diagonal gap1 = gap2, all kept, each with its cell's radius."""
     hi = (math.pi - GRID_MARGIN) / 2.0
     centers = GRID_MARGIN + (hi - GRID_MARGIN) * (np.arange(n) + 0.5) / n
-    # each point's cell, the outer ones reaching 0 and pi / 2
-    edges = _cell_edges(centers, math.pi / 2.0)
-    radius = np.maximum(centers - edges[:-1], edges[1:] - centers)
-    return _Field(centers, centers, centers.copy(), radius)
+    return _Field(centers, centers, centers.copy(), _cell_radius(centers, math.pi / 2.0))
 
 
 @functools.cache
@@ -874,14 +840,15 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     each scheme's objective exactly onto that of every scheme in its orbit
     (see ``coloring.SYMMETRIES``), and valid shapes onto valid shapes, so the
     members of an orbit share one maximum M.  The scan covers only the
-    sextant S = {gap3 >= gap1 >= gap2}: every x in S lies in the
-    ``_rect_radii`` box of a grid point that ``_rect_grid`` keeps, so each
-    member's scan bound bounds its objective on S.  One relabelling sorts
-    any gap triple into S, so if M is attained by s at x, the relabelling
-    sorting x moves it to a point of S where s's image attains M; that
-    image's scan bound is at least M.  So U_s is the largest scan bound in
-    the orbit of s, shared by the orbit: once a member is skipped, so are
-    the members after it.  The first member in descending order of peak
+    sextant S = {gap3 >= gap1 >= gap2}: every x in S lies in the box of a
+    grid point that ``_rect_grid`` keeps, which holds the point's own cell
+    (with n >= 4 points per axis, each cell that meets S has a valid
+    centre), so each member's scan bound bounds its objective on S.  One
+    relabelling sorts any gap triple into S, so if M is attained by s at x,
+    the relabelling sorting x moves it to a point of S where s's image
+    attains M; that image's scan bound is at least M.  So U_s is the largest
+    scan bound in the orbit of s, shared by the orbit: once a member is
+    skipped, so are the members after it.  The first member in descending order of peak
     over S gets a full refinement; later ones take its optimum, moved onto
     their own shape (``_refine_schemes``).  The mirror (gap1, gap2) ->
     (gap2, gap1) fixes every semi-regular shape, so a mirror pair that starts

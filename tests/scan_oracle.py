@@ -3,9 +3,18 @@
 One gap array over the whole n x n square of grid centres per offset, cached,
 and each scheme's grid values and upper bound reduced from them one offset at
 a time, then read at the field's kept points.  Also the rectilinear field as
-it was before the scan kept only the sextant gap3 >= gap1 >= gap2
+it was before the scan kept only the sextant S = {gap3 >= gap1 >= gap2}
 (``full_triangle_grid``), and the square layout that the field no longer
 stores (``square_layout``, ``square_values``).
+
+The production field gives each grid point the box that holds its own cell;
+for n >= 4 points per axis every cell that meets S has a valid centre, since
+gap1 + gap2 <= 2 pi / 3 on S, so those boxes cover S.  The whole triangle
+needs more: ``_rect_radii`` sends each cell with an invalid centre to a valid
+grid point and clips cells to the hypotenuse.  The points of
+``full_triangle_grid`` whose boxes pass ``_rect_grid``'s two sextant tests are
+``_rect_grid``'s points, with the same radii, at n = 24 to 240; at n = 4, 5
+and 12 ``_rect_grid`` keeps fewer.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from hexcoloring.optimizer import (
     _lipschitz,
     _offset_gaps,
     _rect_grid,
-    _rect_radii,
 )
 
 
@@ -43,8 +51,51 @@ def square_values(grid, vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cell_edges(centers: np.ndarray, top: float) -> np.ndarray:
+    """Cell bounds between grid centres; the outer cells reach 0 and ``top``."""
+    return np.concatenate(([0.0], 0.5 * (centers[1:] + centers[:-1]), [top]))
+
+
+def _rect_radii(centers: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Box radii that cover the triangle g1, g2 > 0, g1 + g2 < pi.
+
+    The cells of the grid tile the square [0, pi]^2.  Each cell that meets
+    the triangle goes to a valid grid point: its own, or the first valid one
+    reached by stepping down its larger index, which moves it along the
+    anti-diagonal towards the interior.  A point's radius is the largest max
+    norm distance from it to a vertex of an assigned cell clipped to the
+    triangle; the distance is convex, so that covers the clipped cell.
+    """
+    n = len(centers)
+    edges = _cell_edges(centers, math.pi)
+    a, b = np.divmod(np.arange(n * n), n)
+    lo1, hi1, lo2, hi2 = edges[a], edges[a + 1], edges[b], edges[b + 1]
+    meets = lo1 + lo2 < math.pi
+    a, b = a[meets], b[meets]
+    lo1, hi1, lo2, hi2 = lo1[meets], hi1[meets], lo2[meets], hi2[meets]
+    bad = ~valid[a * n + b]
+    while bad.any():
+        down_a = bad & (a >= b)
+        a[down_a] -= 1
+        b[bad & ~down_a] -= 1
+        bad = ~valid[a * n + b]
+    # the cell's corners inside the triangle, then where g1 + g2 = pi
+    # crosses its four sides
+    px = np.stack([lo1, hi1, lo1, hi1, lo1, hi1, math.pi - lo2, math.pi - hi2])
+    py = np.stack([lo2, lo2, hi2, hi2, math.pi - lo1, math.pi - hi1, lo2, hi2])
+    keep = np.empty(px.shape, bool)
+    keep[:4] = px[:4] + py[:4] <= math.pi
+    keep[4:6] = (lo2 <= py[4:6]) & (py[4:6] <= hi2)
+    keep[6:] = (lo1 <= px[6:]) & (px[6:] <= hi1)
+    far = np.maximum(np.abs(px - centers[a]), np.abs(py - centers[b]))
+    radius = np.zeros(n * n)
+    np.maximum.at(radius, a * n + b, np.where(keep, far, 0.0).max(axis=0))
+    return radius
+
+
 def full_triangle_grid(n: int) -> _Field:
-    """``optimizer._rect_grid(n)`` with every grid point of the triangle kept."""
+    """``optimizer._rect_grid(n)``'s grid with every valid point kept, its
+    ``_rect_radii`` boxes covering the whole triangle."""
     grid = _rect_grid(n)
     g1, g2, _ = square_layout(grid)
     valid = g1 + g2 < math.pi - GRID_MARGIN

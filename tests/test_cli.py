@@ -155,6 +155,30 @@ def test_json_write_is_atomic(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("target", ["missing/out", "taken"], ids=["no directory", "a directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--k", "4", "--class", "regular", "--json"],
+        ["solve", "--k", "4", "--class", "regular", "--svg"],
+        ["table", "--kmin", "3", "--kmax", "3", "--classes", "regular", "--csv"],
+    ],
+    ids=["json", "svg", "csv"],
+)
+def test_unwritable_output_is_a_usage_error(argv, target, tmp_path, capsys):
+    # a missing directory fails at the temp file, a directory at the path
+    # only at the rename: either way the error names the path and the temp
+    # file is gone
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / target)
+    assert main([*argv, path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert ".hexcoloring-" not in err
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
 def test_written_files_follow_the_umask(umask, tmp_path, capsys):
     argv = [

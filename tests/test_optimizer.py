@@ -490,6 +490,19 @@ def test_boxes_cover_every_shape(n):
     assert _covered(_semi_grid(n), gamma, gamma).all()
 
 
+@pytest.mark.parametrize("n", [24, 48, 96, 160, 240])
+def test_own_cell_boxes_are_the_full_triangle_boxes_on_the_sextant(n):
+    # the points of the whole-triangle field whose boxes pass the two
+    # sextant tests are the production field's, with the same radii, bit for
+    # bit: clipping and reassigning cells only ever changed points not kept
+    full = full_triangle_grid(n)
+    g1, g2, radius = full.g1, full.g2, full.radius
+    keep = (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
+    grid = _rect_grid(n)
+    for got, want in [(grid.g1, g1), (grid.g2, g2), (grid.radius, radius)]:
+        assert got.tobytes() == want[keep].tobytes()
+
+
 # semi-regular k = 41, 56 and 77 are where the bisection skips the most
 _EVERY_SCHEME_CASES = [(k, SEMI_REGULAR) for k in (*range(3, 31), 41, 56, 77)] + [
     (k, RECTILINEAR) for k in (6, 8, 10, 12, 15, 20, 30)
