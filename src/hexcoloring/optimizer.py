@@ -251,17 +251,19 @@ class _Field:
         self.table: list[np.ndarray] = []
         self.index: dict[int, int] = {}
 
-    def scan(self, owner: np.ndarray, i: np.ndarray, j: np.ndarray):
-        """Each scheme's minimum gap at each grid point, and a bound on it around the point.
+    def scan(self, owner: np.ndarray, i: np.ndarray, j: np.ndarray, per_point: bool = False):
+        """Each scheme's peak over the grid, where it lies, and bounds around the grid points.
 
         Offset (i[e], j[e]) belongs to scheme owner[e], as
-        ``coloring.window_offsets`` gives them: owners ascend from 0.
-        Returns (vals, bounds), one row per scheme and one column per kept
-        grid point.  vals[s, p] is the minimum of scheme s's offsets' gaps at
-        point p.  No shape in p's box has a larger minimum gap over the
-        offsets than bounds[s, p]: there each offset's gap is at most its
-        value at p plus radius(p) times its Lipschitz bound, and so is the
-        minimum over offsets.  The largest of a row bounds the scheme.
+        ``coloring.window_offsets`` gives them: owners ascend from 0.  A
+        scheme's value at kept point p is the minimum of its offsets' gaps
+        there.  No shape in p's box has a larger minimum gap over the offsets
+        than its bound at p: there each offset's gap is at most its value at p
+        plus radius(p) times its Lipschitz bound, and so is the minimum.
+        Returns (peak, top, upper, bounds), per scheme its largest value, the
+        index of the first point attaining it and its largest bound, which
+        bounds the scheme; bounds[s, p] is scheme s's bound at p with
+        ``per_point``, else None, so no (schemes, points) array is held.
 
         Each distinct offset is looked up once, and those without a row get
         one, a chunk of rows at a time.  The schemes, ordered by their number
@@ -288,8 +290,8 @@ class _Field:
         # the schemes by their number of offsets, so that little padding is needed
         order = np.argsort(count, kind="stable")
         start, count = (np.cumsum(count) - count)[order], count[order]
-        vals = np.empty((count.size, width))
-        bounds = np.empty((count.size, width))
+        peak, top, upper = np.empty(count.size), np.empty(count.size, np.int64), np.empty(count.size)
+        bounds = np.empty((count.size, width)) if per_point else None
         a = 0
         while a < count.size:
             # the most schemes from a whose padded block fits in a chunk
@@ -301,11 +303,15 @@ class _Field:
             idx = rows[pos]
             gaps = np.concatenate(list(map(self.table.__getitem__, idx.ravel().tolist())))
             gaps = gaps.reshape(*idx.shape, width)
-            vals[order[a:b]] = gaps.min(axis=0)
+            vals = gaps.min(axis=0)
+            peak[order[a:b]], top[order[a:b]] = vals.max(axis=1), vals.argmax(axis=1)
             gaps += weight[pos][..., None] * self.radius
-            bounds[order[a:b]] = gaps.min(axis=0)
+            bound = gaps.min(axis=0)
+            upper[order[a:b]] = bound.max(axis=1)
+            if per_point:
+                bounds[order[a:b]] = bound
             a = b
-        return vals, bounds
+        return peak, top, upper, bounds
 
 
 # halvings of a cell in ``_may_reach``: 4 skip what 5 do (k <= 175, 756), 3 fewer
@@ -315,14 +321,15 @@ _BISECT_DEPTH = 4
 def _may_reach(scheme: ColorScheme, grid: _Field, bound, target: float, counts: list) -> bool:
     """Whether ``scheme`` may reach ``target`` on the diagonal; False proves it cannot.
 
-    bound is its row of ``_Field.scan`` bounds on ``grid``, the semi-regular
-    field.  The cells whose bound reaches ``target`` are searched depth
-    first, highest bound first (Piyavskii 1972; Jones et al. 1993).  f is at
-    most any one offset's gap, so on the part of radius r around a centre x,
-    f <= f(x) + L r, L the least ``_lipschitz`` of the offsets attaining the
-    exact f(x).  A part is cleared when that falls below ``target``, else
-    halved; f(x) >= ``target``, or a part still open after _BISECT_DEPTH
-    halvings, answers True.  counts[1] counts the objective evaluations."""
+    bound is its row of per-point ``_Field.scan`` bounds on ``grid``, the
+    semi-regular field.  The cells whose bound reaches ``target`` are
+    searched depth first, highest bound first (Piyavskii 1972; Jones et al.
+    1993).  f is at most any one offset's gap, so on the part of radius r
+    around a centre x, f <= f(x) + L r, L the least ``_lipschitz`` of the
+    offsets attaining the exact f(x).  A part is cleared when that falls
+    below ``target``, else halved; f(x) >= ``target``, or a part still open
+    after _BISECT_DEPTH halvings, answers True.  counts[1] counts the
+    objective evaluations."""
     for n in np.argsort(-bound, kind="stable")[: int((bound >= target).sum())].tolist():
         parts = [(float(grid.g1[n]), float(grid.radius[n]), 0)]
         while parts:
@@ -378,7 +385,7 @@ def _get_field(class_tag: str) -> _Field:
 
 
 # the ascent keeps shapes _EDGE inside the valid triangle and stops once its
-# trust radius falls below _FINE or after _MAX_STEPS steps
+# trust radius or a step falls below _FINE, or after _MAX_STEPS steps
 _EDGE, _FINE, _MAX_STEPS = 2.0 * EPS_GEOM, 1e-9, 400
 
 
@@ -418,9 +425,10 @@ def _ascend(fn, x: float, y: float, radius: float):
     the minimum (``_lp_step``) and is taken if it gains over 0.01 of the
     predicted gain.  The radius doubles after a full-length step gaining
     over 0.75 of it, else shrinks fourfold.  Returns ((x, y), value) once the
-    model predicts no gain, the radius falls below _FINE or _MAX_STEPS steps
-    have run.  Only accepted points list their offsets within 4 radius; a
-    trial point, which may be a sliver with millions of them, gives its value.
+    model predicts no gain, a step shorter than _FINE in both gaps (one at
+    rounding) is tried, the radius falls below _FINE or _MAX_STEPS steps have
+    run.  Only accepted points list their offsets within 4 radius; a trial
+    point, which may be a sliver with millions of them, gives its value.
     """
     val, near = fn(x, y, 4.0 * radius)
     rows = None
@@ -437,7 +445,10 @@ def _ascend(fn, x: float, y: float, radius: float):
         if gain > 0.01:
             x, y, rows = x + dx, y + dy, None
             val, near = fn(x, y, 4.0 * radius)
-        radius *= 2.0 if gain > 0.75 and max(abs(dx), abs(dy)) == radius else 0.25
+        step = max(abs(dx), abs(dy))
+        if step < _FINE:
+            break
+        radius *= 2.0 if gain > 0.75 and step == radius else 0.25
     return (x, y), val
 
 
@@ -626,30 +637,15 @@ def _finalize(k: int, class_tag: str, cands, d_upper: float) -> SolveResult:
         _log.debug("finalize: k=%d %s scheme (%d, %d) has a non-canonical triple t1=%s t2=%s",
                    k, class_tag, scheme.g, scheme.h, tuple(triple.t1), tuple(triple.t2))
     dsq = val * val
-    return SolveResult(
-        k=k,
-        class_tag=class_tag,
-        scheme=scheme,
-        gaps=point,
-        r=hexagon.r,
-        s=hexagon.s,
-        d=val,
-        dsq=dsq,
-        triple=triple,
-        dsq_rational=stable_dsq_rational(dsq),
-        closed_form_tag=_closed_form_tag(k, dsq),
-        d_upper=float(d_upper),
-    )
+    return SolveResult(k=k, class_tag=class_tag, scheme=scheme, gaps=point, r=hexagon.r,
+                       s=hexagon.s, d=val, dsq=dsq, triple=triple,
+                       dsq_rational=stable_dsq_rational(dsq),
+                       closed_form_tag=_closed_form_tag(k, dsq), d_upper=float(d_upper))
 
 
-def _start(vals: np.ndarray, grid: _Field) -> tuple[float, float]:
-    """Where a scheme's local search starts: its best grid point, from its
-    row of ``_Field.scan`` values, the first on ties, or the regular shape
-    when no grid value is positive."""
-    top = int(np.argmax(vals))
-    if vals[top] <= 0.0:
-        return _REGULAR_GAP, _REGULAR_GAP
-    return float(grid.g1[top]), float(grid.g2[top])
+def _start(grid: _Field, peak: float, top: int) -> tuple[float, float]:
+    """Where a scheme's search starts: its scan top, or the regular shape if its peak is <= 0."""
+    return (float(grid.g1[top]), float(grid.g2[top])) if peak > 0.0 else (_REGULAR_GAP, _REGULAR_GAP)
 
 
 def _refine(class_tag: str, scheme: ColorScheme, start: tuple, grid: _Field, counts: list):
@@ -750,19 +746,20 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
 
     Returns (refined, bound): a (value, scheme, gap pair) entry for each
     candidate that no bound skipped, and each candidate's upper bound U_s.
-    Schemes go in descending order of their grid peak.  A refined scheme's
-    optimum is moved by each of the class's ``_RELABELLINGS`` onto its
-    image's shape, and an image visited later takes it with one evaluation
-    and no skip test, or is searched from its own start when that shape is
-    not valid.  A semi-regular image takes it only when it has the same
-    ``_start``; a rectilinear one whatever its start.  Logs the ``_SUMMARY``
-    DEBUG record."""
+    Schemes go in descending order of their grid peak, and only the
+    semi-regular scan keeps each scheme's bound at each grid point, for
+    ``_may_reach``.  A refined scheme's optimum is moved by each of the
+    class's ``_RELABELLINGS`` onto its image's shape, and an image visited
+    later takes it with one evaluation and no skip test, or is searched from
+    its own start when that shape is not valid.  A semi-regular image takes
+    it only when it has the same ``_start``; a rectilinear one whatever its
+    start.  Logs the ``_SUMMARY`` DEBUG record."""
     grid = _get_field(class_tag)
     table_rows = len(grid.table)
-    vals, bounds = grid.scan(*window_offsets(k, candidates))
-    table_rows = len(grid.table) - table_rows
-    bound = dict(zip(candidates, bounds.max(axis=1).tolist()))
     semi = class_tag == SEMI_REGULAR
+    peak, top, upper, bounds = grid.scan(*window_offsets(k, candidates), per_point=semi)
+    table_rows = len(grid.table) - table_rows
+    bound = dict(zip(candidates, upper.tolist()))
     if not semi:
         shared = {}
         for scheme in candidates:
@@ -781,11 +778,11 @@ def _refine_schemes(k: int, class_tag: str, candidates: list[ColorScheme]):
     # (scheme, start) -> the optimum of a scheme refined before, moved onto
     # the scheme's shape; start is None in the rectilinear class
     images = {}
-    for n in np.argsort(-vals.max(axis=1), kind="stable").tolist():
+    for n in np.argsort(-peak, kind="stable").tolist():
         scheme, target = candidates[n], best - _TIE_TOL
         if bound[scheme] < target:
             continue
-        start = _start(vals[n], grid)
+        start = _start(grid, peak[n], top[n])
         key = (scheme, start if semi else None)
         pt = images.get(key)
         if pt is None and semi and refined and not _may_reach(
@@ -817,11 +814,11 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
 
     The regular class has one shape and no scan (``_solve_regular``).  For
     the others, one ``coloring.window_offsets`` and one ``_Field.scan`` call
-    give every scheme of k its values and bounds at the grid points, the
-    scan computing only the table rows that no earlier solve on the field
-    used.  A scheme's peak is its largest value, and its largest bound is an
-    upper bound U_s on its objective over every valid shape.  Schemes are
-    refined in descending order of peak, and a scheme is skipped once U_s
+    give every scheme of k its peak over the grid points, the first point
+    attaining it and its largest bound, an upper bound U_s on its objective
+    over every valid shape; the scan computes only the table rows that no
+    earlier solve on the field used.  Schemes are refined in descending order
+    of peak, each from its peak's point, and a scheme is skipped once U_s
     falls below the best refined value so far by more than the tie
     tolerance.  Every refined value is the objective at a valid shape, so a
     skipped scheme could not have won or tied.  The result's ``d_upper`` is
@@ -832,7 +829,8 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     ``_lipschitz`` times the max norm of the gap change, and the scan's
     fixed offsets can only overstate the minimum.  Outside the rectilinear
     class U_s is that bound.  A semi-regular scheme is also skipped when
-    ``_may_reach`` proves it below the threshold: the same argument, with
+    ``_may_reach`` proves it below the threshold from its bound at each grid
+    point, which the scan keeps for this class only: the same argument, with
     the offsets that attain the exact minimum at a cell's centre, on cells
     halved up to four times.
 
@@ -848,11 +846,11 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     the relabelling sorting x moves it to a point of S where s's image
     attains M; that image's scan bound is at least M.  So U_s is the largest
     scan bound in the orbit of s, shared by the orbit: once a member is
-    skipped, so are the members after it.  The first member in descending order of peak
-    over S gets a full refinement; later ones take its optimum, moved onto
-    their own shape (``_refine_schemes``).  The mirror (gap1, gap2) ->
-    (gap2, gap1) fixes every semi-regular shape, so a mirror pair that starts
-    from one grid point is searched once.
+    skipped, so are the members after it.  The first member in descending
+    order of peak over S gets a full refinement; later ones take its
+    optimum, moved onto their own shape (``_refine_schemes``).  The mirror
+    (gap1, gap2) -> (gap2, gap1) fixes every semi-regular shape, so a mirror
+    pair that starts from one grid point is searched once.
     """
     if k < 3:
         raise DomainError(f"k must be at least 3: got {k}")

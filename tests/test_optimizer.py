@@ -536,19 +536,19 @@ _PIN_OFFSETS = [
 @pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
 def test_field_matches_scalar_kernel(make_grid):
     # the array form of the distance kernel agrees with the scalar one bit for
-    # bit: a list of one offset scans to that offset's table row
+    # bit: scanning one scheme per offset fills each offset's table row
     grid = make_grid(48)
     i, j = np.array(_PIN_OFFSETS).T
-    vals, _ = grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
-    # one column per kept point: 225 of the 48 x 48 square, or the whole diagonal
-    assert vals.shape == (len(_PIN_OFFSETS), 225 if make_grid is _rect_grid else 48)
-    for (i, j), arr in zip(_PIN_OFFSETS, vals):
+    grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
+    for i, j in _PIN_OFFSETS:
+        arr = grid.table[grid.index[i * 2**32 + j]]
+        # one entry per kept point: 225 of the 48 x 48 square, or the whole diagonal
+        assert arr.shape == (225 if make_grid is _rect_grid else 48,)
         bad = [
             p for p in range(arr.size)
             if arr[p] != offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
         ]
         assert bad == [], (i, j)
-        assert arr.tobytes() == grid.table[grid.index[i * 2**32 + j]].tobytes()
 
 
 def test_offset_gaps_match_the_scalar_kernel_bit_for_bit():
@@ -580,20 +580,26 @@ _SCAN_KS = [*range(3, 46), 49, 56, 77, 112, 156, 175]
 @pytest.mark.parametrize("make_grid", [_rect_grid, _semi_grid])
 def test_scan_matches_the_per_offset_scan(make_grid):
     # batched over schemes and held at the kept points, the scan gives every
-    # scheme the grid values and per-point bounds of one offset at a time
-    # over the whole square, bit for bit; one field serves every k, so later
-    # k's reuse earlier rows
+    # scheme the peak, first peak point, largest bound and per-point bounds
+    # of one offset at a time over the whole square, bit for bit; one field
+    # serves every k, so later k's reuse earlier rows
     grid = make_grid(48)
     oracle = PerOffsetScan(grid)
     for k in _SCAN_KS:
         lists = [same_color_offsets(scheme) for scheme in schemes(k)]
         owner, i, j = window_offsets(k, schemes(k))
-        vals, bounds = grid.scan(owner, i, j)
+        peak, top, upper, bounds = grid.scan(owner, i, j, per_point=True)
         assert all(key in grid.index for key in (i * 2**32 + j).tolist())
-        assert vals.shape == bounds.shape == (len(lists), grid.g1.size)
-        for s, offsets in enumerate(lists):
-            assert vals[s].tobytes() == oracle.scheme_min(offsets).tobytes(), (k, s)
-            assert bounds[s].tobytes() == oracle.scheme_bounds(offsets).tobytes(), (k, s)
+        vals = np.array([oracle.scheme_min(offsets) for offsets in lists])
+        want = np.array([oracle.scheme_bounds(offsets) for offsets in lists])
+        assert peak.tobytes() == vals.max(axis=1).tobytes(), k
+        assert top.tolist() == vals.argmax(axis=1).tolist(), k
+        assert upper.tobytes() == want.max(axis=1).tobytes(), k
+        assert bounds.tobytes() == want.tobytes(), k
+        # without per_point the scan holds no per-point rows and gives the same numbers
+        alone = grid.scan(owner, i, j)
+        assert alone[3] is None
+        assert [a.tobytes() for a in alone[:3]] == [a.tobytes() for a in (peak, top, upper)], k
     assert len(grid.table) == len(grid.index) == len(oracle._dist)
 
 
@@ -729,9 +735,9 @@ def test_bisected_bound_lies_between_optimum_and_scan_bound(k):
     grid = _get_field(SEMI_REGULAR)
     candidates = schemes(k)
     owner, i, j = window_offsets(k, candidates)
-    _, bounds = grid.scan(owner, i, j)
+    _, _, uppers, bounds = grid.scan(owner, i, j, per_point=True)
     for n, scheme in enumerate(candidates):
-        own, upper = bounds[n], bounds[n].max()
+        own, upper = bounds[n], uppers[n]
         d = optimize_scheme(k, scheme, SEMI_REGULAR).d
         for target in (d, d - 1e-9):
             assert _may_reach(scheme, grid, own, target, [0, 0]), (scheme, target)
@@ -771,17 +777,29 @@ def test_largest_readme_k_crowns_the_cubic_form():
     assert abs(res.champion.dsq - cubic_f(756)[1]) <= 1e-9
 
 
-def test_cold_rectilinear_solve_stays_small():
-    # the scan's values are held at the 225 kept grid points, not over the
-    # 48 x 48 square: 3.9 MB traced at the peak, 9.8 MB with the square
+def _cold_rectilinear_peak(k: int) -> int:
+    """Bytes traced by ``tracemalloc`` at the peak of ``solve(k, RECTILINEAR)`` on a new field."""
     optimizer._get_field.cache_clear()
     tracemalloc.start()
     try:
-        solve(156, RECTILINEAR)
-        peak = tracemalloc.get_traced_memory()[1]
+        solve(k, RECTILINEAR)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+
+
+def test_cold_rectilinear_solve_stays_small():
+    # the table is held at the 225 kept grid points, not over the 48 x 48
+    # square, and the scan hands each scheme three numbers, not a row per
+    # grid point: 2.8 MB traced at the peak, 3.9 MB with a row of values and
+    # one of bounds per scheme, 9.8 MB with the values over the square
+    assert _cold_rectilinear_peak(156) < 3.3e6
+
+
+def test_cold_rectilinear_solve_stays_small_at_k756():
+    # 11.3 MB traced at the peak, 19.3 MB with a row of values and one of
+    # bounds per scheme
+    assert _cold_rectilinear_peak(756) < 13e6
 
 
 @pytest.mark.parametrize("class_tag", [REGULAR, SEMI_REGULAR, RECTILINEAR])
@@ -814,7 +832,7 @@ def test_summary_counts_evaluations(class_tag, caplog):
 # semi-regular bracket to 1e-12 or starts over where Newton ends on no
 # crossing, or a regular class that evaluates every scheme, goes over its
 # ceiling.
-_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 938, RECTILINEAR: 773}
+_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 938, RECTILINEAR: 642}
 
 
 def test_sweep_evaluations_stay_under_their_ceilings(caplog):
@@ -935,19 +953,26 @@ def test_offset_jet_matches_central_differences(i, j, u, v, diagonal):
 
 
 def _scheme_vals(class_tag, k, candidates=None):
+    """(scheme, its values at the kept grid points, its ``_start``, the field) for each scheme.
+
+    The values are ``PerOffsetScan``'s, which match the scan's bit for bit;
+    the start is from the scan's peak and first peak point, as ``solve``
+    takes it."""
     grid = _get_field(class_tag)
+    oracle = PerOffsetScan(grid)
     candidates = candidates or schemes(k)
-    all_vals, _ = grid.scan(*window_offsets(k, candidates))
-    for scheme, vals in zip(candidates, all_vals):
-        yield scheme, vals, grid
+    peak, top, _, _ = grid.scan(*window_offsets(k, candidates))
+    for n, scheme in enumerate(candidates):
+        vals = oracle.scheme_min(same_color_offsets(scheme))
+        yield scheme, vals, _start(grid, peak[n], top[n]), grid
 
 
 @pytest.mark.parametrize("k", range(3, 21))
 def test_finishing_only_the_leading_start_loses_nothing(k):
     # the polished ascent from the best grid point matches Nelder-Mead run
     # to the end from each of the former multistart's eight seeds
-    for scheme, vals, grid in _scheme_vals(RECTILINEAR, k):
-        val, _ = _refine(RECTILINEAR, scheme, _start(vals, grid), grid, [0])
+    for scheme, vals, start, grid in _scheme_vals(RECTILINEAR, k):
+        val, _ = _refine(RECTILINEAR, scheme, start, grid, [0])
         seeds = rect_seeds(vals, grid)
         assert abs(val - refine_every_start(scheme, seeds, grid.cell)) <= 1e-12, scheme
 
@@ -1057,11 +1082,12 @@ def test_mapped_semi_regular_partners_share_their_start(monkeypatch):
         searched.clear()
         solve(k, SEMI_REGULAR)
         candidates = schemes(k)
-        vals = grid.scan(*window_offsets(k, candidates))[0]
+        peak, top, _, _ = grid.scan(*window_offsets(k, candidates))
         for scheme in loops.pop():
             if scheme not in searched:
                 mirror = SYMMETRIES[3].image_scheme(scheme)
-                own = _start(vals[candidates.index(scheme)], grid)
+                n = candidates.index(scheme)
+                own = _start(grid, peak[n], top[n])
                 assert searched.get(mirror) == own, (k, scheme, mirror)
                 mapped += 1
     assert mapped > 0
@@ -1097,9 +1123,9 @@ def test_ascent_lists_offsets_only_at_accepted_points(kgh, monkeypatch):
 
 
 def _assert_semi_matches_former_starts(k, candidates=None):
-    for scheme, vals, grid in _scheme_vals(SEMI_REGULAR, k, candidates):
+    for scheme, vals, start, grid in _scheme_vals(SEMI_REGULAR, k, candidates):
         counts = [0]
-        got = _refine(SEMI_REGULAR, scheme, _start(vals, grid), grid, counts)
+        got = _refine(SEMI_REGULAR, scheme, start, grid, counts)
         starts = semi_starts(vals, grid.centers)
         assert got == refine_semi_every_start(scheme, starts, grid.cell), scheme
         assert counts[0] > 0
