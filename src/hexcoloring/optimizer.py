@@ -231,11 +231,10 @@ class _Field:
     ``g2``, ``radius``, the frame and the table.  Row r of the table holds one
     offset's gap at each point, and ``index`` maps the offset (i, j), keyed as
     the integer i * 2**32 + j, to r; rows are shared by every scheme and k
-    that use the offset.  ``radius`` gives each point a box, in the max
-    norm over the gaps, that holds the point's own grid cell, and the boxes
-    cover every shape the class scans: the diagonal, or, for n >= 4 points
-    per axis, the rectilinear sextant of ``_rect_grid``.  ``scan`` fills and
-    reads the table.
+    that use the offset.  ``radius`` gives each point a box, in the max norm
+    over the gaps, that holds the point's own grid cell, and the boxes cover
+    every shape the class scans: the diagonal, or the rectilinear sextant,
+    as ``_rect_grid`` proves.  ``scan`` fills and reads the table.
     """
 
     def __init__(self, centers: np.ndarray, g1: np.ndarray, g2: np.ndarray, radius: np.ndarray):
@@ -352,23 +351,24 @@ def _cell_radius(centers: np.ndarray, top: float) -> np.ndarray:
 
 
 def _rect_grid(n: int) -> _Field:
-    """A field of only the n x n grid points whose boxes meet the sextant
-    S = {gap3 >= gap1 >= gap2}, gap3 = pi - gap1 - gap2.
+    """A field of the n x n grid points with gap1 >= gap2 whose boxes meet
+    the sextant S = {gap3 >= gap1 >= gap2}, gap3 = pi - gap1 - gap2.
 
-    Each point's box, in the max norm, holds its own cell of the square
-    [0, pi]^2: its radius is the larger of the cell's two half-widths.  On
-    S, gap1 + gap2 <= 2 pi / 3, so for n >= 4 every cell that meets S has a
-    valid centre, one with gap1 + gap2 < pi - GRID_MARGIN, whose box meets
-    S.  A box of radius r around p holds a shape with gap1 >= gap2 only if
-    p's gap1 - gap2 + 2 r >= 0, and one with gap3 >= gap1 only if p's
-    2 gap1 + gap2 - 3 r <= pi, so the boxes that pass both tests cover S."""
+    A point's box, in the max norm, holds its own cell of [0, pi]^2: its
+    radius r is the larger of the cell's half-widths.  It meets gap3 >= gap1
+    only if 2 gap1 + gap2 - 3 r <= pi at its centre.  The kept boxes cover
+    S: a shape x of S lies in a cell, whose box is kept if its centre has
+    gap1 >= gap2; else the cell lies strictly above the diagonal, meets S
+    only at its corner (e, e), the lower corner of a diagonal cell, and that
+    cell's kept box holds x.  For n >= 4 every kept centre is valid: 3 (gap1
+    + gap2) / 2 <= 2 gap1 + gap2 <= pi + 3 r, so gap1 + gap2 <= 2 pi / 3 +
+    2 r < pi - GRID_MARGIN, as r <= 0.41."""
     span = math.pi - 2.0 * GRID_MARGIN
     centers = GRID_MARGIN + span * (np.arange(n) + 0.5) / n
     g1, g2 = np.repeat(centers, n), np.tile(centers, n)
     half = _cell_radius(centers, math.pi)
     radius = np.maximum.outer(half, half).ravel()
-    valid = g1 + g2 < math.pi - GRID_MARGIN
-    keep = valid & (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
+    keep = (g1 >= g2) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
     return _Field(centers, g1[keep], g2[keep], radius[keep])
 
 
@@ -682,6 +682,14 @@ def _orbit(scheme: ColorScheme, symmetries=SYMMETRIES) -> list[ColorScheme]:
     return sorted({sym.image_scheme(scheme) for sym in symmetries}, key=lambda s: (s.g, s.h))
 
 
+def _check(k: int, class_tag: str) -> None:
+    """Raise ``DomainError`` unless k >= 3 and ``class_tag`` is a known class."""
+    if k < 3:
+        raise DomainError(f"k must be at least 3: got {k}")
+    if class_tag not in CLASS_TAGS:
+        raise DomainError(f"unknown class {class_tag!r}")
+
+
 def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -> SolveResult:
     """Best shape in the class for one fixed coloring scheme.
 
@@ -692,10 +700,7 @@ def optimize_scheme(k: int, scheme: ColorScheme, class_tag: str = RECTILINEAR) -
     one's bound holds the optimum of the others.  ``d_upper`` is the scheme's
     bound U_s from ``solve``; for the regular class it is ``_solve_regular``
     on the one scheme.  Logs one ``_SUMMARY`` DEBUG record."""
-    if k < 3:
-        raise DomainError(f"k must be at least 3: got {k}")
-    if class_tag not in CLASS_TAGS:
-        raise DomainError(f"unknown class {class_tag!r}")
+    _check(k, class_tag)
     if scheme.k != k:
         raise DomainError(f"scheme {scheme} does not color k={k}")
     if class_tag == REGULAR:
@@ -838,12 +843,10 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     each scheme's objective exactly onto that of every scheme in its orbit
     (see ``coloring.SYMMETRIES``), and valid shapes onto valid shapes, so the
     members of an orbit share one maximum M.  The scan covers only the
-    sextant S = {gap3 >= gap1 >= gap2}: every x in S lies in the box of a
-    grid point that ``_rect_grid`` keeps, which holds the point's own cell
-    (with n >= 4 points per axis, each cell that meets S has a valid
-    centre), so each member's scan bound bounds its objective on S.  One
-    relabelling sorts any gap triple into S, so if M is attained by s at x,
-    the relabelling sorting x moves it to a point of S where s's image
+    sextant S = {gap3 >= gap1 >= gap2}: ``_rect_grid`` proves that its kept
+    boxes cover S, so each member's scan bound bounds its objective on S.
+    One relabelling sorts any gap triple into S, so if M is attained by s at
+    x, the relabelling sorting x moves it to a point of S where s's image
     attains M; that image's scan bound is at least M.  So U_s is the largest
     scan bound in the orbit of s, shared by the orbit: once a member is
     skipped, so are the members after it.  The first member in descending
@@ -852,11 +855,7 @@ def solve(k: int, class_tag: str = RECTILINEAR) -> SolveResult:
     (gap1, gap2) -> (gap2, gap1) fixes every semi-regular shape, so a mirror
     pair that starts from one grid point is searched once.
     """
-    if k < 3:
-        raise DomainError(f"k must be at least 3: got {k}")
-    if class_tag not in CLASS_TAGS:
-        raise DomainError(f"unknown class {class_tag!r}")
-
+    _check(k, class_tag)
     candidates = schemes(k)
     if class_tag == REGULAR:
         return _solve_regular(k, candidates)

@@ -8,6 +8,10 @@ Each row holds one class's result at one k: the scheme (g, h), the gaps and
 test ``test_solved_table_is_reproduced`` compares every fresh solve against
 this file.  Re-record it only in a change that is meant to alter the
 answers, and list each changed row with its old and new values there.
+
+Before writing, it prints each field that test would flag, as ``k,class
+column: old -> new``.  A field within the test's tolerance keeps its
+recorded text, so the file moves only where the answers do.
 """
 
 from __future__ import annotations
@@ -47,11 +51,23 @@ def load_solved(path: Path = SOLVED_PATH) -> dict[tuple[str, str], dict[str, str
 
 
 def main() -> int:
+    # the test's tolerances; imported here, since the test imports this module
+    from test_solved import _CLOSE
+
+    recorded = load_solved() if SOLVED_PATH.exists() else {}
     out = io.StringIO()
     writer = csv.DictWriter(out, COLUMNS, lineterminator="\n")
     writer.writeheader()
     for k in SOLVED_KS:
-        writer.writerows(solved_rows(k))
+        for row in solved_rows(k):
+            old = recorded.get((row["k"], row["class"]), {})
+            for col in COLUMNS[2:]:
+                tol = _CLOSE.get(col)
+                if col in old and tol is not None and abs(float(row[col]) - float(old[col])) <= tol:
+                    row[col] = old[col]
+                elif old.get(col) != row[col]:
+                    print(f"{row['k']},{row['class']} {col}: {old.get(col)} -> {row[col]}")
+            writer.writerow(row)
     SOLVED_PATH.parent.mkdir(exist_ok=True)
     SOLVED_PATH.write_text(out.getvalue(), encoding="utf-8")
     return 0

@@ -7,14 +7,13 @@ it was before the scan kept only the sextant S = {gap3 >= gap1 >= gap2}
 (``full_triangle_grid``), and the square layout that the field no longer
 stores (``square_layout``, ``square_values``).
 
-The production field gives each grid point the box that holds its own cell;
-for n >= 4 points per axis every cell that meets S has a valid centre, since
-gap1 + gap2 <= 2 pi / 3 on S, so those boxes cover S.  The whole triangle
+The production field gives each grid point the box that holds its own cell,
+and ``_rect_grid`` proves that the boxes it keeps cover S.  The whole triangle
 needs more: ``_rect_radii`` sends each cell with an invalid centre to a valid
 grid point and clips cells to the hypotenuse.  The points of
-``full_triangle_grid`` whose boxes pass ``_rect_grid``'s two sextant tests are
-``_rect_grid``'s points, with the same radii, at n = 24 to 240; at n = 4, 5
-and 12 ``_rect_grid`` keeps fewer.
+``full_triangle_grid`` that pass ``_rect_grid``'s keep rule are
+``_rect_grid``'s points, with the same radii, at n = 11 to 240; at n = 4 to 10
+they differ.
 """
 
 from __future__ import annotations

@@ -480,6 +480,9 @@ def test_boxes_cover_every_shape(n):
     ok = (g1 > 0.0) & (g2 > 0.0) & (g1 + g2 < pi)
     grid = _rect_grid(n)
     assert _covered(grid, g1[ok], g2[ok]).all()
+    # every kept point lies on the sextant's side of the diagonal and is valid
+    assert (grid.g1 >= grid.g2).all()
+    assert (grid.g1 + grid.g2 < pi - optimizer.GRID_MARGIN).all()
     if n == 48:
         # the default grid scans at most a quarter of the triangle's points
         sq1, sq2, _ = square_layout(grid)
@@ -492,12 +495,12 @@ def test_boxes_cover_every_shape(n):
 
 @pytest.mark.parametrize("n", [24, 48, 96, 160, 240])
 def test_own_cell_boxes_are_the_full_triangle_boxes_on_the_sextant(n):
-    # the points of the whole-triangle field whose boxes pass the two
-    # sextant tests are the production field's, with the same radii, bit for
-    # bit: clipping and reassigning cells only ever changed points not kept
+    # the points of the whole-triangle field with gap1 >= gap2 whose boxes
+    # meet gap3 >= gap1 are the production field's, with the same radii, bit
+    # for bit: clipping and reassigning cells only ever changed points not kept
     full = full_triangle_grid(n)
     g1, g2, radius = full.g1, full.g2, full.radius
-    keep = (g1 - g2 + 2.0 * radius >= 0.0) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
+    keep = (g1 >= g2) & (2.0 * g1 + g2 - 3.0 * radius <= math.pi)
     grid = _rect_grid(n)
     for got, want in [(grid.g1, g1), (grid.g2, g2), (grid.radius, radius)]:
         assert got.tobytes() == want[keep].tobytes()
@@ -542,8 +545,8 @@ def test_field_matches_scalar_kernel(make_grid):
     grid.scan(np.arange(len(_PIN_OFFSETS)), i, j)
     for i, j in _PIN_OFFSETS:
         arr = grid.table[grid.index[i * 2**32 + j]]
-        # one entry per kept point: 225 of the 48 x 48 square, or the whole diagonal
-        assert arr.shape == (225 if make_grid is _rect_grid else 48,)
+        # one entry per kept point: 209 of the 48 x 48 square, or the whole diagonal
+        assert arr.shape == (209 if make_grid is _rect_grid else 48,)
         bad = [
             p for p in range(arr.size)
             if arr[p] != offset_dist(float(grid.g1[p]), float(grid.g2[p]), i, j)
@@ -789,15 +792,15 @@ def _cold_rectilinear_peak(k: int) -> int:
 
 
 def test_cold_rectilinear_solve_stays_small():
-    # the table is held at the 225 kept grid points, not over the 48 x 48
+    # the table is held at the 209 kept grid points, not over the 48 x 48
     # square, and the scan hands each scheme three numbers, not a row per
-    # grid point: 2.8 MB traced at the peak, 3.9 MB with a row of values and
+    # grid point: 2.7 MB traced at the peak, 3.9 MB with a row of values and
     # one of bounds per scheme, 9.8 MB with the values over the square
     assert _cold_rectilinear_peak(156) < 3.3e6
 
 
 def test_cold_rectilinear_solve_stays_small_at_k756():
-    # 11.3 MB traced at the peak, 19.3 MB with a row of values and one of
+    # 10.7 MB traced at the peak, 19.3 MB with a row of values and one of
     # bounds per scheme
     assert _cold_rectilinear_peak(756) < 13e6
 
@@ -832,7 +835,7 @@ def test_summary_counts_evaluations(class_tag, caplog):
 # semi-regular bracket to 1e-12 or starts over where Newton ends on no
 # crossing, or a regular class that evaluates every scheme, goes over its
 # ceiling.
-_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 938, RECTILINEAR: 642}
+_SWEEP_EVALUATIONS = {REGULAR: 107, SEMI_REGULAR: 938, RECTILINEAR: 643}
 
 
 def test_sweep_evaluations_stay_under_their_ceilings(caplog):
